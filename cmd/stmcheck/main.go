@@ -1,7 +1,8 @@
 // Command stmcheck stress-tests the STM's correctness on this host: it runs
 // concurrent workloads whose outcomes have checkable invariants (lost-update
-// freedom, conserved bank totals, red-black tree shape, dictionary-vs-oracle
-// agreement) under every contention manager, and reports the statistics.
+// freedom, conserved bank totals, consistent snapshots in every attempt,
+// red-black tree shape, dictionary-vs-oracle agreement) under every
+// contention manager, and reports the statistics.
 //
 // Usage:
 //
@@ -86,6 +87,7 @@ func checks() []check {
 	return []check{
 		{"lost-update counter", checkCounter},
 		{"bank conservation", checkBank},
+		{"opacity", checkOpacity},
 		{"hashtable vs oracle", func(s *stm.STM, g, o int, seed uint64) error {
 			return checkDictionary(s, txds.NewHashTable(64), g, o, seed)
 		}},
@@ -138,45 +140,9 @@ func checkCounter(s *stm.STM, goroutines, ops int, seed uint64) error {
 // checkBank: random transfers conserve the total while a concurrent auditor
 // reads consistent snapshots.
 func checkBank(s *stm.STM, goroutines, ops int, seed uint64) error {
-	const accounts = 16
-	boxes := make([]stm.Box[int], accounts)
-	for i := range boxes {
-		boxes[i] = stm.NewBox(1000)
-	}
-	total := accounts * 1000
-	var wg sync.WaitGroup
+	boxes, total := newBank()
 	errs := make(chan error, goroutines+1)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			th := s.NewThread()
-			r := rng.New(seed + uint64(id))
-			for i := 0; i < ops; i++ {
-				from := r.Intn(accounts)
-				to := r.Intn(accounts)
-				if from == to {
-					continue
-				}
-				if err := th.Atomic(func(tx *stm.Tx) error {
-					wf, err := boxes[from].Write(tx)
-					if err != nil {
-						return err
-					}
-					wt, err := boxes[to].Write(tx)
-					if err != nil {
-						return err
-					}
-					*wf--
-					*wt++
-					return nil
-				}); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(g)
-	}
+	wg := startTransfers(s, boxes, goroutines, ops, seed, errs)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -208,6 +174,104 @@ func checkBank(s *stm.STM, goroutines, ops int, seed uint64) error {
 	}()
 	wg.Wait()
 	<-done
+	close(errs)
+	return <-errs
+}
+
+// newBank returns the accounts of the two bank checks and their total.
+func newBank() (boxes []stm.Box[int], total int) {
+	const accounts, each = 16, 1000
+	boxes = make([]stm.Box[int], accounts)
+	for i := range boxes {
+		boxes[i] = stm.NewBox(each)
+	}
+	return boxes, accounts * each
+}
+
+// startTransfers starts the goroutines of the bank checks: each moves one
+// unit between two random accounts, ops times.
+func startTransfers(s *stm.STM, boxes []stm.Box[int], goroutines, ops int, seed uint64, errs chan<- error) *sync.WaitGroup {
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			th := s.NewThread()
+			r := rng.New(seed + uint64(id))
+			for i := 0; i < ops; i++ {
+				from := r.Intn(len(boxes))
+				to := r.Intn(len(boxes))
+				if from == to {
+					continue
+				}
+				if err := th.Atomic(func(tx *stm.Tx) error {
+					wf, err := boxes[from].Write(tx)
+					if err != nil {
+						return err
+					}
+					wt, err := boxes[to].Write(tx)
+					if err != nil {
+						return err
+					}
+					*wf--
+					*wt++
+					return nil
+				}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	return &wg
+}
+
+// checkOpacity: no attempt, not even one that will abort, may act on an
+// inconsistent snapshot. Two auditors run for as long as the transfers do
+// and check the total inside the closure, on every attempt that read all
+// the accounts without an error — before commit-time validation could
+// reject it, which is all checkBank's audit can see.
+func checkOpacity(s *stm.STM, goroutines, ops int, seed uint64) error {
+	const auditors = 2
+	boxes, total := newBank()
+	errs := make(chan error, goroutines+auditors)
+	transfers := startTransfers(s, boxes, goroutines, ops, seed, errs)
+	stop := make(chan struct{})
+	var audits sync.WaitGroup
+	for a := 0; a < auditors; a++ {
+		audits.Add(1)
+		go func() {
+			defer audits.Done()
+			th := s.NewThread()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := th.Atomic(func(tx *stm.Tx) error {
+					sum := 0
+					for i := range boxes {
+						v, err := boxes[i].Read(tx)
+						if err != nil {
+							return err
+						}
+						sum += *v
+					}
+					if sum != total {
+						return fmt.Errorf("an attempt read total %d, want %d", sum, total)
+					}
+					return nil
+				}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	transfers.Wait()
+	close(stop)
+	audits.Wait()
 	close(errs)
 	return <-errs
 }

@@ -515,7 +515,9 @@ func TestLiveStatsSnapshot(t *testing.T) {
 	if err := ex.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	const n = 10
+	// More than two workers can hold in their drain batches, so some stay
+	// queued however soon the workers pick theirs up.
+	const n = 2*drainBatch + 16
 	if _, err := ex.SubmitAll(context.Background(), make([]Task, n)); err != nil {
 		t.Fatal(err)
 	}

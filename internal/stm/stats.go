@@ -5,10 +5,25 @@ import (
 	"sync/atomic"
 )
 
-// Stats holds the STM's global counters. All fields are updated with atomic
-// adds on hot paths; reading a snapshot is racy-but-monotone, which is all
+// Stats holds the STM's global counters, striped so that workers do not
+// share a cache line: a thread counts its events privately (Thread.pending)
+// and folds them, once per finished attempt, into the stripe its ID selects.
+// Reading a snapshot sums the stripes; it is racy-but-monotone, which is all
 // throughput reporting needs.
 type Stats struct {
+	stripes [statStripes]statStripe
+}
+
+// statStripes is a power of two at least the worker count of any executor
+// the repo runs. Thread IDs are sequential per STM, so a run's workers land
+// on distinct stripes; threads made later (migration makes some per epoch)
+// share one with a worker and stay correct, as folds are atomic adds.
+const statStripes = 16
+
+// statStripe is one cache-line-padded set of counters.
+//
+//kstmvet:padalign
+type statStripe struct {
 	begins          atomic.Uint64
 	commits         atomic.Uint64
 	selfAborts      atomic.Uint64
@@ -18,6 +33,27 @@ type Stats struct {
 	validationFails atomic.Uint64
 	reads           atomic.Uint64
 	writes          atomic.Uint64
+	_               [56]byte
+}
+
+// fold adds thread id's pending counts to its stripe and zeroes them.
+func (s *Stats) fold(id int64, p *StatsSnapshot) {
+	st := &s.stripes[id&(statStripes-1)]
+	add := func(c *atomic.Uint64, n uint64) {
+		if n != 0 {
+			c.Add(n)
+		}
+	}
+	add(&st.begins, p.Begins)
+	add(&st.commits, p.Commits)
+	add(&st.selfAborts, p.SelfAborts)
+	add(&st.enemyAborts, p.EnemyAborts)
+	add(&st.retries, p.Retries)
+	add(&st.conflicts, p.Conflicts)
+	add(&st.validationFails, p.ValidationFails)
+	add(&st.reads, p.Reads)
+	add(&st.writes, p.Writes)
+	*p = StatsSnapshot{}
 }
 
 // StatsSnapshot is a point-in-time copy of the counters.
@@ -34,29 +70,37 @@ type StatsSnapshot struct {
 }
 
 func (s *Stats) snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Begins:          s.begins.Load(),
-		Commits:         s.commits.Load(),
-		SelfAborts:      s.selfAborts.Load(),
-		EnemyAborts:     s.enemyAborts.Load(),
-		Retries:         s.retries.Load(),
-		Conflicts:       s.conflicts.Load(),
-		ValidationFails: s.validationFails.Load(),
-		Reads:           s.reads.Load(),
-		Writes:          s.writes.Load(),
+	var out StatsSnapshot
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		out = out.Add(StatsSnapshot{
+			Begins:          st.begins.Load(),
+			Commits:         st.commits.Load(),
+			SelfAborts:      st.selfAborts.Load(),
+			EnemyAborts:     st.enemyAborts.Load(),
+			Retries:         st.retries.Load(),
+			Conflicts:       st.conflicts.Load(),
+			ValidationFails: st.validationFails.Load(),
+			Reads:           st.reads.Load(),
+			Writes:          st.writes.Load(),
+		})
 	}
+	return out
 }
 
 func (s *Stats) reset() {
-	s.begins.Store(0)
-	s.commits.Store(0)
-	s.selfAborts.Store(0)
-	s.enemyAborts.Store(0)
-	s.retries.Store(0)
-	s.conflicts.Store(0)
-	s.validationFails.Store(0)
-	s.reads.Store(0)
-	s.writes.Store(0)
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		st.begins.Store(0)
+		st.commits.Store(0)
+		st.selfAborts.Store(0)
+		st.enemyAborts.Store(0)
+		st.retries.Store(0)
+		st.conflicts.Store(0)
+		st.validationFails.Store(0)
+		st.reads.Store(0)
+		st.writes.Store(0)
+	}
 }
 
 // Aborts returns total aborts from both sources.

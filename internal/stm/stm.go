@@ -10,9 +10,11 @@
 // is one compare-and-swap of the transaction's status word from ACTIVE to
 // COMMITTED, which atomically makes every installed new version current.
 // Reads are invisible: the transaction records (object, version) pairs and
-// re-validates the whole set on every subsequent open and at commit, so a
-// transaction can never observe an inconsistent snapshot without finding out
-// before it acts on it.
+// validates them on every subsequent open and at commit, so a transaction
+// can never observe an inconsistent snapshot without finding out before it
+// acts on it. Validation walks the read set only when the STM's commit
+// counter has moved since the transaction's last clean walk (Spear et al.,
+// DISC'06); see Tx.validate and DESIGN.md §1.1.
 //
 // Conflicts between active transactions are arbitrated by a pluggable
 // contention manager (Scherer & Scott, PODC'05); the paper's experiments use
@@ -27,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Transaction status values. A transaction's status word is its single
@@ -53,10 +56,22 @@ var ErrNotActive = errors.New("stm: transaction no longer active")
 // STM owns global configuration and statistics. All transactions created
 // from the same STM instance may share objects.
 type STM struct {
-	newCM    func() ContentionManager
+	// commits counts commit attempts of transactions that acquired at
+	// least one object. Every open loads it, so it has a cache line to
+	// itself, ahead of the striped statistics.
+	commits  commitCounter
 	stats    Stats
+	newCM    func() ContentionManager
 	clock    atomic.Int64 // logical timestamps for timestamp-based managers
 	threadID atomic.Int64
+}
+
+// commitCounter is the STM's commit counter, alone on its cache line.
+//
+//kstmvet:padalign
+type commitCounter struct {
+	n atomic.Uint64
+	_ [56]byte
 }
 
 // Option configures an STM instance.
@@ -86,16 +101,30 @@ func (s *STM) ResetStats() { s.stats.reset() }
 
 // A Thread is the per-worker handle from which transactions are begun. It
 // owns a private contention-manager instance, mirroring DSTM's thread-local
-// managers. A Thread must not be used concurrently from multiple goroutines;
-// create one Thread per worker.
+// managers, and the state one attempt needs that must not outlive it: the
+// read-set buffer and the not-yet-folded statistics. A Thread must not be
+// used concurrently from multiple goroutines; create one Thread per worker.
 type Thread struct {
 	s  *STM
 	id int64
 	cm ContentionManager
-	// cur is the thread's active transaction, if any. Kept so enemy
-	// threads never need it — all cross-thread state lives in Tx.
-	cur *Tx
+	// reads is the idle read-set buffer: empty, cleared, at most
+	// maxKeptReads long. Begin takes it (leaving nil) and finish hands it
+	// back, so two live transactions of one thread, or one abandoned
+	// without Commit or Abort, never share a backing array.
+	reads []readEntry
+	// spare is a finished transaction shell that was never installed in a
+	// locator, so no other thread can hold it; Atomic reuses it.
+	spare *Tx
+	// pending counts this thread's events since its last finished
+	// attempt; finish folds them into the thread's statistics stripe.
+	pending StatsSnapshot
 }
+
+// maxKeptReads bounds the read-set buffer an idle Thread keeps. A scan such
+// as RBTree.Keys reads the whole structure; its buffer goes to the collector
+// instead of staying pinned to the thread.
+const maxKeptReads = 4096
 
 // NewThread returns a worker handle with its own contention manager.
 func (s *STM) NewThread() *Thread {
@@ -110,9 +139,10 @@ func (t *Thread) ManagerName() string { return t.cm.Name() }
 
 // Tx is one transaction attempt. It is created by Thread.Begin and used by
 // exactly one goroutine; other threads interact with it only through its
-// atomic status and priority words.
+// atomic status and priority words. Locators keep their writer's Tx
+// reachable for as long as they are current, so a Tx holds nothing once it
+// has finished: its read set is the thread's buffer, on loan.
 type Tx struct {
-	s      *STM
 	thread *Thread
 	status atomic.Uint32
 
@@ -129,6 +159,11 @@ type Tx struct {
 
 	reads  []readEntry
 	writes int
+	// snap is a value of the commit counter loaded before a walk of the
+	// read set that found every entry current and none owned by another
+	// active transaction (or before the first read). While the counter
+	// still equals snap, every entry is still current.
+	snap uint64
 }
 
 type readEntry struct {
@@ -146,23 +181,43 @@ var committedSentinel = func() *Tx {
 
 // Begin starts a new transaction on this thread.
 func (t *Thread) Begin() *Tx {
-	tx := &Tx{s: t.s, thread: t, timestamp: t.s.clock.Add(1)}
-	t.cur = tx
-	t.s.stats.begins.Add(1)
+	return t.begin(t.s.clock.Add(1))
+}
+
+// begin starts an attempt with the given task timestamp. A retry passes its
+// predecessor's, so that timestamp-ordered managers guarantee progress for
+// long-suffering tasks.
+func (t *Thread) begin(timestamp int64) *Tx {
+	tx := t.spare
+	if tx != nil {
+		t.spare = nil
+		tx.status.Store(statusActive)
+		tx.priority.Store(0)
+	} else {
+		tx = &Tx{thread: t}
+	}
+	tx.timestamp = timestamp
+	tx.reads, t.reads = t.reads, nil
+	tx.snap = t.s.commits.n.Load()
+	t.pending.Begins++
 	t.cm.BeginTransaction(tx)
 	return tx
 }
 
-// beginRetry starts a replacement transaction for a retried task, keeping
-// the original timestamp so that timestamp-ordered managers guarantee
-// progress for long-suffering tasks.
-func (t *Thread) beginRetry(prev *Tx) *Tx {
-	tx := &Tx{s: t.s, thread: t, timestamp: prev.timestamp}
-	t.cur = tx
-	t.s.stats.begins.Add(1)
-	t.s.stats.retries.Add(1)
-	t.cm.BeginTransaction(tx)
-	return tx
+// finish ends the attempt on its own thread: the read set goes back to the
+// thread, cleared, and the thread's pending counts are folded into the
+// shared statistics. It runs on every path out of Commit and Abort and may
+// run more than once.
+func (tx *Tx) finish() {
+	t := tx.thread
+	if reads := tx.reads; reads != nil {
+		tx.reads = nil
+		if cap(reads) <= maxKeptReads {
+			clear(reads)
+			t.reads = reads[:0]
+		}
+	}
+	t.s.stats.fold(t.id, &t.pending)
 }
 
 // Status helpers ------------------------------------------------------------
@@ -197,7 +252,8 @@ func (tx *Tx) ThreadID() int64 {
 	return tx.thread.id
 }
 
-// ReadSetSize returns the number of recorded invisible reads.
+// ReadSetSize returns the number of recorded invisible reads; zero once the
+// transaction has finished.
 func (tx *Tx) ReadSetSize() int { return len(tx.reads) }
 
 // WriteSetSize returns the number of objects acquired for writing.
@@ -214,33 +270,48 @@ func (tx *Tx) abortBy() bool {
 // transaction is a no-op.
 func (tx *Tx) Abort() {
 	if tx.status.CompareAndSwap(statusActive, statusAborted) {
-		tx.s.stats.selfAborts.Add(1)
+		tx.thread.pending.SelfAborts++
 		tx.thread.cm.TransactionAborted(tx)
 	}
+	tx.finish()
 }
 
 // Commit attempts to atomically commit every write this transaction has
 // made. It returns nil on success and ErrAborted if the transaction lost a
 // conflict or failed validation.
 func (tx *Tx) Commit() error {
+	t := tx.thread
 	if tx.status.Load() != statusActive {
-		tx.s.stats.enemyAborts.Add(1)
-		tx.thread.cm.TransactionAborted(tx)
+		t.pending.EnemyAborts++
+		t.cm.TransactionAborted(tx)
+		tx.finish()
 		return ErrAborted
 	}
-	if !tx.validate() {
-		tx.Abort()
-		tx.s.stats.validationFails.Add(1)
+	// A transaction that acquired objects bumps the counter before its
+	// status CAS, so a reader that loads one of its new versions then
+	// loads a counter that includes the bump. validate gets the value
+	// before the bump: the question is whether others have committed
+	// since the last clean walk.
+	var c uint64
+	if tx.writes > 0 {
+		c = t.s.commits.n.Add(1) - 1
+	} else {
+		c = t.s.commits.n.Load()
+	}
+	if !tx.validate(c) {
+		tx.failValidation()
 		return ErrAborted
 	}
 	if !tx.status.CompareAndSwap(statusActive, statusCommitted) {
 		// An enemy aborted us between validation and the CAS.
-		tx.s.stats.enemyAborts.Add(1)
-		tx.thread.cm.TransactionAborted(tx)
+		t.pending.EnemyAborts++
+		t.cm.TransactionAborted(tx)
+		tx.finish()
 		return ErrAborted
 	}
-	tx.s.stats.commits.Add(1)
-	tx.thread.cm.TransactionCommitted(tx)
+	t.pending.Commits++
+	t.cm.TransactionCommitted(tx)
+	tx.finish()
 	return nil
 }
 
@@ -261,22 +332,52 @@ func (tx *Tx) usable() error {
 	}
 }
 
-// validate re-checks every recorded read against the object's currently
-// committed version, and that the transaction is still active. DSTM calls
-// this on every open and at commit, which gives transactions a consistent
-// view at all times.
-func (tx *Tx) validate() bool {
-	for _, r := range tx.reads {
-		if r.obj.committedVersion() != r.ver {
-			return false
-		}
+// validate reports whether every recorded read is still the object's
+// committed version and the transaction is still active. DSTM asks this on
+// every open and at commit, which gives transactions a consistent view at
+// all times. c is the commit counter, loaded after the version the caller
+// just opened: if it still equals snap, no transaction that acquired an
+// object has reached its commit point since the last clean walk, so the
+// answer is that walk's and the read set is not walked again.
+func (tx *Tx) validate(c uint64) bool {
+	if c != tx.snap && !tx.walk(c) {
+		return false
 	}
 	return tx.status.Load() == statusActive
 }
 
+// walk checks every recorded read against the object's currently committed
+// version. If all are current it records c — loaded before the walk — as
+// the new snap, unless some read object is owned by another transaction
+// that is still active: that writer may already have bumped the counter, so
+// that c includes its bump, and its status CAS, which bumps nothing, would
+// then change the object under a snap that says nothing changed.
+func (tx *Tx) walk(c uint64) bool {
+	clean := true
+	for _, r := range tx.reads {
+		loc := r.obj.locator()
+		cur := loc.oldVal
+		switch loc.writer.status.Load() {
+		case statusCommitted:
+			cur = loc.newVal
+		case statusActive:
+			clean = clean && loc.writer == tx
+		}
+		if cur != r.ver {
+			return false
+		}
+	}
+	if clean {
+		tx.snap = c
+	}
+	return true
+}
+
 // Validate exposes validation for callers that want to fail fast inside
-// long transactions (used by the sorted-list traversal).
-func (tx *Tx) Validate() bool { return tx.validate() }
+// long transactions (used by the sorted-list traversal). It always walks.
+func (tx *Tx) Validate() bool {
+	return tx.walk(tx.thread.s.commits.n.Load()) && tx.status.Load() == statusActive
+}
 
 // Release drops the object from tx's read set — DSTM's "early release"
 // (Herlihy et al. §2). A linked-list traversal releases nodes it has passed
@@ -292,9 +393,7 @@ func (tx *Tx) Release(o *Object) {
 		}
 	}
 	// Zero the tail so released entries do not pin versions in memory.
-	for i := len(kept); i < len(tx.reads); i++ {
-		tx.reads[i] = readEntry{}
-	}
+	clear(tx.reads[len(kept):])
 	tx.reads = kept
 }
 
@@ -303,8 +402,27 @@ func (tx *Tx) Release(o *Object) {
 // clone function must return a copy that the new transaction may mutate
 // freely (deep enough that committed versions are never written again).
 type Object struct {
+	_     noCopy
 	clone func(any) any
-	loc   atomic.Pointer[locator]
+	// loc is the current *locator, accessed atomically once the object is
+	// shared. It is not an atomic.Pointer so that NewObjects can fill a
+	// slab with plain stores first: an atomic store per object was most of
+	// the time a table took to build.
+	loc unsafe.Pointer
+}
+
+// noCopy makes go vet's copylocks check report a copied Object: slab
+// objects are shared by address, and a copy would fork the locator word.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+func (o *Object) locator() *locator { return (*locator)(atomic.LoadPointer(&o.loc)) }
+
+// install replaces the locator old with next, if old is still current.
+func (o *Object) install(old, next *locator) bool {
+	return atomic.CompareAndSwapPointer(&o.loc, unsafe.Pointer(old), unsafe.Pointer(next))
 }
 
 type locator struct {
@@ -321,31 +439,41 @@ func NewObject(initial any, clone func(any) any) *Object {
 		panic("stm: NewObject requires a clone function")
 	}
 	o := &Object{clone: clone}
-	o.loc.Store(&locator{writer: committedSentinel, newVal: initial})
+	o.loc = unsafe.Pointer(&locator{writer: committedSentinel, newVal: initial})
 	return o
 }
 
-// committedVersion resolves the object's currently committed version from
-// its locator, per the DSTM rules: a committed writer's new version is
-// current; an aborted or still-active writer's old version is current.
-func (o *Object) committedVersion() any {
-	loc := o.loc.Load()
-	if loc.writer.status.Load() == statusCommitted {
-		return loc.newVal
+// NewObjects creates n transactional objects that all start at the same
+// initial version, in two allocations whatever n is: one slab of objects and
+// one first locator they share. Sharing is sound because committed versions
+// and installed locators are never written again, and an object never
+// returns to its first locator, so neither validation (which compares one
+// object's current version with the one read from it) nor the acquiring CAS
+// can confuse two objects. initial must be a pointer, as for NewObject; the
+// objects are used in place, by the address of their slab element.
+func NewObjects(n int, initial any, clone func(any) any) []Object {
+	if clone == nil {
+		panic("stm: NewObjects requires a clone function")
 	}
-	return loc.oldVal
+	first := &locator{writer: committedSentinel, newVal: initial}
+	objs := make([]Object, n)
+	for i := range objs {
+		objs[i].clone = clone
+		objs[i].loc = unsafe.Pointer(first)
+	}
+	return objs
 }
 
 // Read opens the object for reading and returns the version visible to tx.
-// The read is invisible to other transactions; it is recorded and will be
-// re-validated on every later open and at commit.
+// The read is invisible to other transactions; it is recorded and validated
+// on every later open and at commit.
 func (tx *Tx) Read(o *Object) (any, error) {
 	if err := tx.usable(); err != nil {
 		return nil, err
 	}
-	tx.s.stats.reads.Add(1)
+	tx.thread.pending.Reads++
 	for {
-		loc := o.loc.Load()
+		loc := o.locator()
 		w := loc.writer
 		if w == tx {
 			// Read our own uncommitted write.
@@ -365,9 +493,11 @@ func (tx *Tx) Read(o *Object) (any, error) {
 			continue
 		}
 		tx.reads = append(tx.reads, readEntry{obj: o, ver: cur})
-		if !tx.validate() {
-			tx.Abort()
-			tx.s.stats.validationFails.Add(1)
+		// Version first, counter second: a commit that made cur stale
+		// bumped the counter before its status CAS, so it is either
+		// visible in this load or came after the version load.
+		if !tx.validate(tx.thread.s.commits.n.Load()) {
+			tx.failValidation()
 			return nil, ErrAborted
 		}
 		return cur, nil
@@ -381,9 +511,9 @@ func (tx *Tx) Write(o *Object) (any, error) {
 	if err := tx.usable(); err != nil {
 		return nil, err
 	}
-	tx.s.stats.writes.Add(1)
+	tx.thread.pending.Writes++
 	for {
-		loc := o.loc.Load()
+		loc := o.locator()
 		w := loc.writer
 		if w == tx {
 			// Already acquired; return the same clone.
@@ -402,13 +532,12 @@ func (tx *Tx) Write(o *Object) (any, error) {
 			continue
 		}
 		newLoc := &locator{writer: tx, oldVal: cur, newVal: o.clone(cur)}
-		if o.loc.CompareAndSwap(loc, newLoc) {
+		if o.install(loc, newLoc) {
 			tx.writes++
 			tx.priority.Add(1) // priority accumulation (Karma/Polka)
 			tx.thread.cm.OpenSucceeded(tx)
-			if !tx.validate() {
-				tx.Abort()
-				tx.s.stats.validationFails.Add(1)
+			if !tx.validate(tx.thread.s.commits.n.Load()) {
+				tx.failValidation()
 				return nil, ErrAborted
 			}
 			return newLoc.newVal, nil
@@ -417,17 +546,23 @@ func (tx *Tx) Write(o *Object) (any, error) {
 	}
 }
 
+// failValidation aborts tx after an open found its read set stale.
+func (tx *Tx) failValidation() {
+	tx.thread.pending.ValidationFails++
+	tx.Abort()
+}
+
 // resolve arbitrates a conflict between tx and the active enemy writer w.
 // It returns false if tx itself has been aborted and should give up.
 func (tx *Tx) resolve(w *Tx) bool {
-	tx.s.stats.conflicts.Add(1)
+	tx.thread.pending.Conflicts++
 	tx.waiting.Store(true)
 	decision := tx.thread.cm.ResolveConflict(tx, w)
 	tx.waiting.Store(false)
 	switch decision {
 	case AbortOther:
 		if w.abortBy() {
-			tx.s.stats.enemyAborts.Add(1)
+			tx.thread.pending.EnemyAborts++
 		}
 		return true
 	case AbortSelf:
@@ -442,23 +577,26 @@ func (tx *Tx) resolve(w *Tx) bool {
 // A non-ErrAborted error from fn aborts the transaction and is returned to
 // the caller unchanged. fn must propagate errors from Read/Write so the
 // retry loop can observe them; it may be re-executed many times and must not
-// have side effects outside the STM.
+// have side effects outside the STM. The *Tx is valid only inside fn.
 func (t *Thread) Atomic(fn func(tx *Tx) error) error {
 	tx := t.Begin()
 	for {
 		err := fn(tx)
 		if err == nil {
 			err = tx.Commit()
-			if err == nil {
-				return nil
-			}
+		}
+		if err != nil {
+			tx.Abort() // no-op if an enemy already aborted us
+		}
+		if tx.writes == 0 {
+			// Never installed in a locator: nobody else can reach it.
+			t.spare = tx
 		}
 		if !errors.Is(err, ErrAborted) {
-			tx.Abort()
 			return err
 		}
-		tx.Abort() // no-op if an enemy already aborted us
-		tx = t.beginRetry(tx)
+		t.pending.Retries++
+		tx = t.begin(tx.timestamp)
 	}
 }
 

@@ -473,6 +473,41 @@ func TestNewObjectRequiresClone(t *testing.T) {
 	NewObject(new(int), nil)
 }
 
+// TestNewObjectsIndependent: slab objects share their first locator and
+// initial version, and nothing else — a write to one is invisible through
+// the others, and the shared initial version is never written.
+func TestNewObjectsIndependent(t *testing.T) {
+	initial := new(int)
+	objs := NewObjects(3, initial, func(v any) any { c := *v.(*int); return &c })
+	th := New().NewThread()
+	if err := th.Atomic(func(tx *Tx) error {
+		w, err := tx.Write(&objs[1])
+		if err != nil {
+			return err
+		}
+		*w.(*int) = 5
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tx := th.Begin()
+	for i, want := range []int{0, 5, 0} {
+		v, err := tx.Read(&objs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := *v.(*int); got != want {
+			t.Errorf("object %d = %d, want %d", i, got, want)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("reader of untouched slab objects failed to commit: %v", err)
+	}
+	if *initial != 0 {
+		t.Errorf("shared initial version was written: %d", *initial)
+	}
+}
+
 func TestObjectCustomClone(t *testing.T) {
 	// Deep-clone semantics for slice-bearing versions.
 	type bucket struct{ items []int }

@@ -17,7 +17,7 @@ import (
 // traffic on one counter serializes on one worker under key routing, which
 // is the hot-key serialization class split-phase execution exists to break.
 type Counters struct {
-	cells []*stm.Object // each holds *CounterValue
+	cells []stm.Object // each holds *CounterValue; used in place
 }
 
 // CounterValue is one cell's aggregate state.
@@ -48,11 +48,7 @@ func NewCounters(n int) *Counters {
 	if n < 1 {
 		n = 1
 	}
-	cells := make([]*stm.Object, n)
-	for i := range cells {
-		cells[i] = stm.NewObject(&CounterValue{}, cloneCounterValue)
-	}
-	return &Counters{cells: cells}
+	return &Counters{cells: stm.NewObjects(n, &CounterValue{}, cloneCounterValue)}
 }
 
 // Len returns the number of counters.
@@ -62,7 +58,7 @@ func (c *Counters) cell(key uint32) (*stm.Object, error) {
 	if int(key) >= len(c.cells) {
 		return nil, fmt.Errorf("txds: counter key %d out of range [0,%d)", key, len(c.cells))
 	}
-	return c.cells[key], nil
+	return &c.cells[key], nil
 }
 
 // Add adds a signed delta to the counter's sum.

@@ -13,7 +13,7 @@ const DefaultBuckets = 30031
 // transactions conflict exactly when they modify the same bucket — the
 // conflict granularity the paper's transaction keys are designed around.
 type HashTable struct {
-	buckets []*stm.Object // each holds *bucket
+	buckets []stm.Object // each holds *bucket; used in place
 }
 
 // bucket is a bucket version: an unordered key list. Versions are
@@ -36,11 +36,7 @@ func NewHashTable(buckets int) *HashTable {
 	if buckets <= 0 {
 		buckets = DefaultBuckets
 	}
-	t := &HashTable{buckets: make([]*stm.Object, buckets)}
-	for i := range t.buckets {
-		t.buckets[i] = stm.NewObject(&bucket{}, cloneBucket)
-	}
-	return t
+	return &HashTable{buckets: stm.NewObjects(buckets, &bucket{}, cloneBucket)}
 }
 
 // Name implements IntSet.
@@ -55,7 +51,7 @@ func (t *HashTable) Hash(key uint32) uint32 { return key % uint32(len(t.buckets)
 
 // Insert implements IntSet.
 func (t *HashTable) Insert(th *stm.Thread, key uint32) (bool, error) {
-	obj := t.buckets[t.Hash(key)]
+	obj := &t.buckets[t.Hash(key)]
 	var added bool
 	err := th.Atomic(func(tx *stm.Tx) error {
 		added = false
@@ -88,7 +84,7 @@ func (t *HashTable) Insert(th *stm.Thread, key uint32) (bool, error) {
 
 // Delete implements IntSet.
 func (t *HashTable) Delete(th *stm.Thread, key uint32) (bool, error) {
-	obj := t.buckets[t.Hash(key)]
+	obj := &t.buckets[t.Hash(key)]
 	var removed bool
 	err := th.Atomic(func(tx *stm.Tx) error {
 		removed = false
@@ -119,7 +115,7 @@ func (t *HashTable) Delete(th *stm.Thread, key uint32) (bool, error) {
 
 // Contains implements IntSet.
 func (t *HashTable) Contains(th *stm.Thread, key uint32) (bool, error) {
-	obj := t.buckets[t.Hash(key)]
+	obj := &t.buckets[t.Hash(key)]
 	var found bool
 	err := th.Atomic(func(tx *stm.Tx) error {
 		v, err := tx.Read(obj)
@@ -138,7 +134,8 @@ func (t *HashTable) Len(th *stm.Thread) (int, error) {
 	var n int
 	err := th.Atomic(func(tx *stm.Tx) error {
 		n = 0
-		for _, obj := range t.buckets {
+		for i := range t.buckets {
+			obj := &t.buckets[i]
 			v, err := tx.Read(obj)
 			if err != nil {
 				return err
@@ -167,7 +164,7 @@ func (t *HashTable) ExtractRange(th *stm.Thread, lo, hi uint32) ([]uint32, error
 	}
 	var out []uint32
 	for b := lo; b <= hi; b++ {
-		obj := t.buckets[b]
+		obj := &t.buckets[b]
 		mark := len(out)
 		err := th.Atomic(func(tx *stm.Tx) error {
 			out = out[:mark] // an aborted attempt must not leave its appends
@@ -205,8 +202,8 @@ func (t *HashTable) ExtractRange(th *stm.Thread, lo, hi uint32) ([]uint32, error
 // fenced, so the O(buckets) pass is paid off the execution path.
 func (t *HashTable) ExtractKeyRange(th *stm.Thread, lo, hi uint32) ([]uint32, error) {
 	var out []uint32
-	for _, obj := range t.buckets {
-		obj := obj
+	for i := range t.buckets {
+		obj := &t.buckets[i]
 		mark := len(out)
 		err := th.Atomic(func(tx *stm.Tx) error {
 			out = out[:mark]
@@ -267,7 +264,8 @@ func (t *HashTable) ExtractKeyRanges(th *stm.Thread, ranges []KeyRange) ([][]uin
 		return -1
 	}
 	marks := make([]int, len(ranges))
-	for _, obj := range t.buckets {
+	for b := range t.buckets {
+		obj := &t.buckets[b]
 		for i := range out {
 			marks[i] = len(out[i])
 		}
