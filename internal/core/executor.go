@@ -237,6 +237,10 @@ type Executor struct {
 	// accumulators, epoch-merge coordinator); nil unless WithSplitPhase is
 	// configured. Mutually exclusive with migr.
 	split *splitRunner
+	// epoch is the configured subsystem's epoch skeleton (epoch.go) — the
+	// gate dispatch reads under; nil when neither is configured, which keeps
+	// the plain dispatch path lock-free.
+	epoch *epoch
 
 	state    atomic.Int32
 	inflight atomic.Int64 // accepted-but-not-finished tasks (incl. blocked submitters)
@@ -443,7 +447,7 @@ func NewExecutor(opts ...Option) (*Executor, error) {
 	var split *splitRunner
 	if cfg.split != nil {
 		if migr != nil {
-			return nil, fmt.Errorf("core: WithSplitPhase is incompatible with WithMigration(MigrateOnRepartition): merging split-key accumulators across a concurrent shard hand-off (cross-shard coordination) is deferred to a follow-up")
+			return nil, fmt.Errorf("core: WithSplitPhase is incompatible with WithMigration(MigrateOnRepartition): an epoch serialises on one dispatch gate, and neither hand-off (range move, accumulator merge) is written to run inside the other's fence")
 		}
 		if cfg.workSteal {
 			return nil, fmt.Errorf("core: WithSplitPhase is incompatible with WithWorkSteal: a stolen task escapes its queue's FIFO order, which the epoch drain barriers rely on")
@@ -473,11 +477,14 @@ func NewExecutor(opts ...Option) (*Executor, error) {
 		base:     time.Now(),
 	}
 	e.initWakes(cfg.workers)
-	if migr != nil {
-		migr.e = e
+	switch {
+	case migr != nil:
+		e.epoch = &migr.epoch
+	case split != nil:
+		e.epoch = &split.epoch
 	}
-	if split != nil {
-		split.e = e
+	if e.epoch != nil {
+		e.epoch.e = e
 	}
 	for i := 0; i < cfg.workers; i++ {
 		e.waitHist[i] = latency.New()
@@ -563,6 +570,17 @@ func (e *Executor) Submit(ctx context.Context, t Task) (TaskResult, error) {
 //
 //kstmvet:hotpath
 func (e *Executor) SubmitAsync(ctx context.Context, t Task) (*Future, error) {
+	return e.submit(ctx, t, 0, nil)
+}
+
+// submit is the one submission core behind SubmitAsync, SubmitFunc,
+// SubmitFuncTimed and SubmitAll's per-task path: admission, shell, stamp,
+// dispatch, unwind. A non-nil cb makes the shell a callback carrier (the
+// returned Future is then the settler's, not the caller's); a positive budget
+// sets the queue deadline.
+//
+//kstmvet:hotpath
+func (e *Executor) submit(ctx context.Context, t Task, budget time.Duration, cb func(TaskResult)) (*Future, error) {
 	if ctx == nil {
 		ctx = backgroundCtx
 	}
@@ -578,10 +596,21 @@ func (e *Executor) SubmitAsync(ctx context.Context, t Task) (*Future, error) {
 		return nil, ErrNotRunning
 	}
 	fut := newFuture()
-	env := envelope{task: t, fut: fut, ctx: ctx, enq: time.Since(e.base)} //kstmvet:ignore the one clock read per submission the latency accounting budgets for (DESIGN.md §5)
-	if err := e.dispatch(env, ctx); err != nil {
+	if cb != nil {
+		// Conditional on purpose: a pooled shell's cb is already nil, and the
+		// shell's cache line was last written by the worker that settled it —
+		// SubmitAsync must not pull it across cores just to store a nil.
+		fut.cb = cb
+	}
+	enq := time.Since(e.base) //kstmvet:ignore the one clock read per submission the latency accounting budgets for (DESIGN.md §5)
+	if budget > 0 {
+		fut.deadline = enq + budget
+	}
+	if err := e.dispatch(envelope{task: t, fut: fut, ctx: ctx, enq: enq}, ctx); err != nil {
 		// Never shared: the envelope did not reach a queue, so the shell
 		// can go straight back to the pool.
+		fut.cb = nil
+		fut.deadline = 0
 		fut.discard()
 		return nil, err
 	}
@@ -602,25 +631,7 @@ func (e *Executor) SubmitAsync(ctx context.Context, t Task) (*Future, error) {
 //
 //kstmvet:hotpath
 func (e *Executor) SubmitFunc(ctx context.Context, t Task, done func(TaskResult)) error {
-	if done == nil {
-		return fmt.Errorf("core: SubmitFunc requires a non-nil callback")
-	}
-	if ctx == nil {
-		ctx = backgroundCtx
-	}
-	e.inflight.Add(1)
-	if e.state.Load() != stateRunning {
-		e.decInflight(1)
-		return ErrNotRunning
-	}
-	fut := newFuture()
-	fut.cb = done
-	if err := e.dispatch(envelope{task: t, fut: fut, ctx: ctx, enq: time.Since(e.base)}, ctx); err != nil { //kstmvet:ignore the one clock read per submission the latency accounting budgets for (DESIGN.md §5)
-		fut.cb = nil
-		fut.discard()
-		return err
-	}
-	return nil
+	return e.SubmitFuncTimed(ctx, t, 0, done)
 }
 
 // SubmitFuncTimed is SubmitFunc with a queue deadline: if budget elapses
@@ -637,29 +648,10 @@ func (e *Executor) SubmitFunc(ctx context.Context, t Task, done func(TaskResult)
 //kstmvet:hotpath
 func (e *Executor) SubmitFuncTimed(ctx context.Context, t Task, budget time.Duration, done func(TaskResult)) error {
 	if done == nil {
-		return fmt.Errorf("core: SubmitFuncTimed requires a non-nil callback")
+		return fmt.Errorf("core: SubmitFunc requires a non-nil callback")
 	}
-	if ctx == nil {
-		ctx = backgroundCtx
-	}
-	e.inflight.Add(1)
-	if e.state.Load() != stateRunning {
-		e.decInflight(1)
-		return ErrNotRunning
-	}
-	fut := newFuture()
-	fut.cb = done
-	enq := time.Since(e.base) //kstmvet:ignore the one clock read per submission the latency accounting budgets for (DESIGN.md §5)
-	if budget > 0 {
-		fut.deadline = enq + budget
-	}
-	if err := e.dispatch(envelope{task: t, fut: fut, ctx: ctx, enq: enq}, ctx); err != nil {
-		fut.cb = nil
-		fut.deadline = 0
-		fut.discard()
-		return err
-	}
-	return nil
+	_, err := e.submit(ctx, t, budget, done)
+	return err
 }
 
 // SubmitAll dispatches a batch, amortizing the per-call overhead for
@@ -687,26 +679,29 @@ func (e *Executor) SubmitAll(ctx context.Context, tasks []Task) ([]*Future, erro
 	if ctx == nil {
 		ctx = backgroundCtx
 	}
-	if e.migr != nil || e.split != nil {
-		// Fence/split-table ordering (pick under the subsystem's read gate)
-		// is per-task; batch grouping would route around an installing fence
-		// or a split key's hold queue. Keep the gated path exact and
-		// amortize only the clock read.
-		return e.submitAllGated(ctx, tasks) //kstmvet:ignore gated path: the position-aligned futs slice is the one amortized allocation per batch
-	}
-	if len(tasks) == 1 {
-		// Degenerate batch: the grouping machinery would cost more than it
-		// amortizes.
-		fut, err := e.SubmitAsync(ctx, tasks[0])
-		if err != nil {
-			return []*Future{nil}, err //kstmvet:ignore degenerate single-task batch: the result slice is the per-batch allocation the API shape requires
+	futs := make([]*Future, len(tasks)) //kstmvet:ignore the position-aligned result slice SubmitAll's contract returns
+	if e.epoch != nil || len(tasks) == 1 {
+		// Per-task path. Under an epoch gate the fence/split-table ordering
+		// (pick under the read gate) is per task — batch grouping would route
+		// around an installing fence or a split key's hold queue; and for a
+		// one-task batch the grouping machinery costs more than it amortizes.
+		for i, t := range tasks {
+			fut, err := e.submit(ctx, t, 0, nil)
+			if err != nil {
+				if errors.Is(err, ErrQueueFull) {
+					// dispatch counted task i; the rest were never offered.
+					e.rejected.Add(uint64(len(tasks) - i - 1))
+				}
+				return futs, err
+			}
+			futs[i] = fut
 		}
-		return []*Future{fut}, nil //kstmvet:ignore degenerate single-task batch: the result slice is the per-batch allocation the API shape requires
+		return futs, nil
 	}
 	e.inflight.Add(int64(len(tasks)))
 	if e.state.Load() != stateRunning {
 		e.decInflight(int64(len(tasks)))
-		return nil, ErrNotRunning
+		return futs, ErrNotRunning
 	}
 	// One index block serves the whole scatter: worker per task, original
 	// index per slot (for the position-aligned result and for nil-ing out
@@ -730,7 +725,6 @@ func (e *Executor) SubmitAll(ctx context.Context, tasks []Task) ([]*Future, erro
 	// cursor[w] ends at each segment's END, so segment w is
 	// envs[cursor[w]-counts[w] : cursor[w]].
 	envs := make([]envelope, len(tasks)) //kstmvet:ignore the batch's scatter buffer, amortized across its tasks
-	futs := make([]*Future, len(tasks))  //kstmvet:ignore the position-aligned result slice SubmitAll's contract returns
 	now := time.Since(e.base)            //kstmvet:ignore one enq stamp for the whole batch — the amortization SubmitAll exists for
 	for i := range tasks {
 		w := workerOf[i]
@@ -806,29 +800,6 @@ func (e *Executor) enqueueGroup(w int, group []envelope, ctx context.Context) (i
 	return put, nil
 }
 
-// submitAllGated is SubmitAll under MigrateOnRepartition: per-task dispatch
-// through the fence-ordered gate, with the batch's single clock read kept.
-// The position-aligned contract holds: on error the accepted prefix is
-// non-nil and the rest nil.
-func (e *Executor) submitAllGated(ctx context.Context, tasks []Task) ([]*Future, error) {
-	futs := make([]*Future, len(tasks))
-	now := time.Since(e.base)
-	for i, t := range tasks {
-		e.inflight.Add(1)
-		if e.state.Load() != stateRunning {
-			e.decInflight(1)
-			return futs, ErrNotRunning
-		}
-		fut := newFuture()
-		if err := e.dispatch(envelope{task: t, fut: fut, ctx: ctx, enq: now}, ctx); err != nil {
-			fut.discard()
-			return futs, err
-		}
-		futs[i] = fut
-	}
-	return futs, nil
-}
-
 // submitKeys is a reusable per-batch key buffer for pickAll; SubmitAll
 // batches are bounded only by the caller, so the pool keeps the steady-state
 // path allocation-free without pinning one large buffer per executor.
@@ -856,62 +827,38 @@ func (e *Executor) pickAll(tasks []Task, out []int) {
 	}
 }
 
-// dispatch routes an envelope to its worker queue, applying backpressure.
-// The caller has already counted the envelope in flight; every error path
-// here releases that count exactly once.
-func (e *Executor) dispatch(env envelope, ctx context.Context) error {
-	if e.migr != nil {
-		return e.dispatchGated(env, ctx)
-	}
-	if e.split != nil {
-		return e.dispatchSplit(env, ctx)
-	}
-	w := e.pick(env.task.Key)
-	if e.cfg.maxDepth > 0 && e.queues[w].Len() >= e.cfg.maxDepth {
-		if e.cfg.backpressure == BackpressureReject {
-			e.decInflight(1)
-			e.rejected.Add(1)
-			return ErrQueueFull
-		}
-		for e.queues[w].Len() >= e.cfg.maxDepth {
-			if e.state.Load() == stateStopped {
-				e.decInflight(1)
-				return ErrStopped
-			}
-			select {
-			case <-ctx.Done():
-				e.decInflight(1)
-				return ctx.Err()
-			default:
-			}
-			e.waitSpace(w, ctx)
-		}
-	}
-	e.queues[w].Put(env)
-	e.submitted.Add(1)
-	e.wakeWorker(w)
-	return nil
-}
-
-// dispatchGated is dispatch under MigrateOnRepartition: the routing pick
-// and the enqueue happen under the migrator's read gate, so a fence install
-// or release (write gate) never interleaves with a half-routed task — a
-// task either lands in a queue the migrator's drain barrier will cover, or
-// parks on the fence's hold queue for the new owner. The backpressure wait
-// happens OUTSIDE the gate: a submitter blocked on a full queue must not
-// block the fence.
+// dispatch routes an envelope to its worker queue (or, under an epoch gate,
+// to the hold queue the configured subsystem diverts it to), applying
+// backpressure — the one dispatch loop every submission path ends in. The
+// caller has already counted the envelope in flight; every error path here
+// releases that count exactly once.
 //
-// Ordering matters: the pick comes BEFORE the fence check. The migrator
-// stores the fence and THEN the scheduler swaps the partition, so a
-// dispatcher whose pick observed the new partition is guaranteed to observe
-// the fence (or its release, which means the hand-off already completed)
-// and park the moved-range task. Checked first, the fence could read nil
-// while the pick reads the new partition — routing a moved-range task to a
-// new owner whose state has not arrived, behind no drain barrier.
-func (e *Executor) dispatchGated(env envelope, ctx context.Context) error {
+// With migration or split phase configured, the pick, the divert and the
+// enqueue-or-park happen under the epoch's read gate, so a capture or release
+// (write gate) never interleaves with a half-routed task — a task either
+// lands in a queue the epoch's drain barrier will cover, or parks for the
+// release. The backpressure wait happens OUTSIDE the gate: a submitter
+// blocked on a full queue must not block an epoch. Without either, the path
+// is three nil checks and takes no lock at all.
+//
+// Ordering matters: the pick comes BEFORE the divert. The migrator stores its
+// fence and THEN the scheduler swaps the partition, so a dispatcher whose
+// pick observed the new partition is guaranteed to observe the fence (or its
+// release, which means the hand-off already completed) and park the
+// moved-range task. Checked first, the fence could read nil while the pick
+// reads the new partition — routing a moved-range task to a new owner whose
+// state has not arrived, behind no drain barrier. And a full hold queue falls
+// through to backpressure but NEVER to a worker queue: the state the task
+// needs is in transit.
+//
+//kstmvet:hotpath
+func (e *Executor) dispatch(env envelope, ctx context.Context) error {
+	ep := e.epoch
 	var b backoff
 	for attempt := 0; ; attempt++ {
-		e.migr.gate.RLock()
+		if ep != nil {
+			ep.gate.RLock()
+		}
 		// Sample the key into the adaptive histogram on the first attempt
 		// only; backpressure retries re-route on the current partition
 		// without re-sampling.
@@ -921,34 +868,30 @@ func (e *Executor) dispatchGated(env envelope, ctx context.Context) error {
 		} else {
 			w = e.repick(env.task.Key)
 		}
-		fenced := false
-		if f := e.migr.fence.Load(); f != nil {
-			switch f.park(env, e.cfg.maxDepth) {
-			case parkHeld:
-				e.migr.gate.RUnlock()
-				e.submitted.Add(1)
-				return nil
-			case parkFull:
-				// The moved range's hold queue is at its bound: fall
-				// through to backpressure, but NEVER to a worker queue —
-				// the range's state is in transit.
-				fenced = true
-			}
+		res := parkMiss
+		if ep != nil {
+			w, res = e.divert(&env, w)
 		}
-		if !fenced && (e.cfg.maxDepth <= 0 || e.queues[w].Len() < e.cfg.maxDepth) {
+		room := res == parkMiss && (e.cfg.maxDepth <= 0 || e.queues[w].Len() < e.cfg.maxDepth)
+		if room {
 			e.queues[w].Put(env)
-			e.migr.gate.RUnlock()
+		}
+		if ep != nil {
+			ep.gate.RUnlock()
+		}
+		switch {
+		case room:
 			e.submitted.Add(1)
 			e.wakeWorker(w)
 			return nil
-		}
-		e.migr.gate.RUnlock()
-		if e.cfg.backpressure == BackpressureReject {
+		case res == parkHeld:
+			e.submitted.Add(1)
+			return nil
+		case e.cfg.backpressure == BackpressureReject:
 			e.decInflight(1)
 			e.rejected.Add(1)
 			return ErrQueueFull
-		}
-		if e.state.Load() == stateStopped {
+		case e.state.Load() == stateStopped:
 			e.decInflight(1)
 			return ErrStopped
 		}
@@ -958,10 +901,10 @@ func (e *Executor) dispatchGated(env envelope, ctx context.Context) error {
 			return ctx.Err()
 		default:
 		}
-		if fenced {
-			// Space on a fenced range comes from a migration release, not a
-			// worker dequeue — the space event cannot see it, so this (rare,
-			// mid-hand-off) wait keeps the timed backoff.
+		if res == parkFull {
+			// Space on a hold queue comes from an epoch's release or capture,
+			// not a worker dequeue — the space event cannot see it, so this
+			// (rare, mid-epoch) wait keeps the timed backoff.
 			b.wait()
 		} else {
 			e.waitSpace(w, ctx)
@@ -973,8 +916,8 @@ func (e *Executor) dispatchGated(env envelope, ctx context.Context) error {
 // event-driven dispatch (wake.go) it survives only on waits with no event
 // source to block on: halt's final sweep (post-stop straggler Puts cannot
 // wake dead workers, so the sweep must poll) and the fenced/hold-queue-full
-// backpressure cases, where space comes from a migration or split release
-// rather than a worker dequeue.
+// backpressure case, where space comes from an epoch's release rather than a
+// worker dequeue.
 type backoff int
 
 // backoffSpins is how many Gosched-only iterations precede sleeping; short
@@ -995,36 +938,18 @@ func (b *backoff) wait() {
 }
 
 // inject is the closed-world path used by the legacy Pool's producers:
-// fire-and-forget, blocking backpressure, no per-task plumbing. count
-// selects whether the task increments the submitted counter (the central
-// model counts at its inbox instead). It reports false once the executor
-// stops accepting work. It bypasses the migration and split-phase gates:
-// neither WithMigration nor WithSplitPhase is reachable from the legacy
-// Pool's Config, so an executor with either configured never sees inject.
-func (e *Executor) inject(t Task, count bool) bool {
-	w := e.pick(t.Key)
+// fire-and-forget through dispatch, no per-task plumbing (the Pool always
+// configures blocking backpressure). It reports false once the executor
+// stops accepting work.
+func (e *Executor) inject(t Task) bool {
 	e.inflight.Add(1)
-	// Same increment-then-recheck ordering as SubmitAsync: never enqueue
-	// into an executor whose halt has already settled.
-	if e.state.Load() == stateStopped {
+	// Same increment-then-recheck ordering as submit: never enqueue into an
+	// executor whose halt has already settled.
+	if e.stopping() {
 		e.decInflight(1)
 		return false
 	}
-	if e.cfg.maxDepth > 0 {
-		for e.queues[w].Len() >= e.cfg.maxDepth {
-			if e.state.Load() == stateStopped {
-				e.decInflight(1)
-				return false
-			}
-			e.waitSpace(w, nil)
-		}
-	}
-	e.queues[w].Put(envelope{task: t})
-	if count {
-		e.submitted.Add(1)
-	}
-	e.wakeWorker(w)
-	return true
+	return e.dispatch(envelope{task: t}, backgroundCtx) == nil
 }
 
 // pick maps a key to a worker queue, clamping a scheduler that was built
@@ -1221,7 +1146,7 @@ func (e *Executor) execOne(i int, sh *shardState, th *stm.Thread, wc *workerCoun
 		act, sk, kind := s.route(i, env.task)
 		switch act {
 		case splitActPark:
-			sk.forcePark(*env)
+			sk.hold.park(*env, 0)
 			s.parkedTasks.Add(1)
 			s.requestMerge()
 			return start
@@ -1458,20 +1383,9 @@ func (e *Executor) halt() {
 					e.abandon(i, env, ErrStopped)
 				}
 			}
-			// Tasks parked on a migration fence are in flight too; the
-			// migrator may be mid-hand-off, so strip them here rather than
-			// wait on it.
-			if e.migr != nil {
-				for _, env := range e.migr.takeHeld() {
-					drained = true
-					e.abandon(0, env, ErrStopped)
-				}
-			}
-			// Likewise tasks parked on split keys' hold queues; the
-			// coordinator may be mid-epoch (it abandons its own captured
-			// generation), so strip whatever is still parked here.
-			if e.split != nil {
-				for _, env := range e.split.takeHeld() {
+			// Tasks parked on a hold queue are in flight too.
+			if e.epoch != nil {
+				for _, env := range e.takeHeld() {
 					drained = true
 					e.abandon(0, env, ErrStopped)
 				}
@@ -1746,6 +1660,6 @@ func (e *Executor) SplitErr() error {
 	return e.split.Err()
 }
 
-// stopping reports whether the executor no longer accepts producer work;
-// the legacy Pool's producer loops poll it.
+// stopping reports whether the executor has reached the stopped state; the
+// legacy Pool's producer loops and the epoch skeleton's stop checks poll it.
 func (e *Executor) stopping() bool { return e.state.Load() == stateStopped }

@@ -197,36 +197,124 @@ func TestSubmitAsyncFuture(t *testing.T) {
 	// (the §3.5 settle-then-recycle contract).
 }
 
+// TestSubmitAllBatch runs one batch through each of SubmitAll's paths — the
+// grouped splice on a plain executor, the per-task path under a migration
+// fence (re-partitions fire mid-batch) and under a split table (adds absorb,
+// lookups park) — and requires every future to settle, once, with its own
+// task.
 func TestSubmitAllBatch(t *testing.T) {
-	w := &nopWorkload{}
-	ex, err := NewExecutor(WithWorkload(w), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
+	const n = 300
+	rows := []struct {
+		name  string
+		build func(t *testing.T) *Executor
+		task  func(i int) Task
+		check func(t *testing.T, ex *Executor)
+	}{
+		{
+			name: "plain",
+			build: func(t *testing.T) *Executor {
+				ex, err := NewExecutor(WithWorkload(&nopWorkload{}), WithWorkers(4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ex
+			},
+			task:  func(i int) Task { return Task{Key: uint64(i * 217 % 65536), Op: OpNoop, Arg: uint32(i)} },
+			check: func(t *testing.T, ex *Executor) {},
+		},
+		{
+			name: "migration",
+			build: func(t *testing.T) *Executor {
+				ex, err := NewExecutor(
+					WithWorkers(4),
+					WithSharding(ShardPerWorker),
+					WithWorkloadFactory(&mapFactory{}),
+					WithSchedulerKind(SchedAdaptive, 0, 65535, WithThreshold(64), WithReAdaptation()),
+					WithMigration(MigrateOnRepartition),
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ex
+			},
+			// Mass alternates between the two ends of the key space, so
+			// successive windows re-partition and move ranges mid-batch.
+			task: func(i int) Task {
+				k := uint64(i*131) % 16384
+				if (i/64)%2 == 1 {
+					k += 49152
+				}
+				return Task{Key: k, Op: OpInsert, Arg: uint32(i)}
+			},
+			check: func(t *testing.T, ex *Executor) {
+				if err := ex.MigrationErr(); err != nil {
+					t.Errorf("MigrationErr = %v", err)
+				}
+				if st := ex.Stats(); st.SchedulerEpochs == 0 {
+					t.Error("no re-partition fired during the batch: the fenced path was not exercised")
+				}
+			},
+		},
+		{
+			name: "split",
+			build: func(t *testing.T) *Executor {
+				ex, _ := newSplitCounterExecutor(t, 16, 4, WithSplitPhase(SplitKeys(3), SplitEpoch(500*time.Microsecond)))
+				return ex
+			},
+			task: func(i int) Task {
+				if i%10 == 9 {
+					return Task{Key: 3, Op: OpLookup, Arg: uint32(i)}
+				}
+				return Task{Key: uint64(i % 16), Op: OpAdd, Arg: uint32(i)}
+			},
+			check: func(t *testing.T, ex *Executor) {
+				if st := ex.SplitStats(); st.ParkedTasks == 0 {
+					t.Error("no lookup parked on the split key: the split path was not exercised")
+				}
+				if err := ex.SplitErr(); err != nil {
+					t.Errorf("SplitErr = %v", err)
+				}
+			},
+		},
 	}
-	if err := ex.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	tasks := make([]Task, 300)
-	for i := range tasks {
-		tasks[i] = Task{Key: uint64(i * 217 % 65536), Op: OpNoop}
-	}
-	futs, err := ex.SubmitAll(context.Background(), tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(futs) != len(tasks) {
-		t.Fatalf("%d futures", len(futs))
-	}
-	for _, f := range futs {
-		if _, err := f.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ex.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if w.n.Load() != int64(len(tasks)) {
-		t.Fatalf("executed %d", w.n.Load())
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			ex := row.build(t)
+			ctx := context.Background()
+			if err := ex.Start(ctx); err != nil {
+				t.Fatal(err)
+			}
+			defer ex.Stop()
+			tasks := make([]Task, n)
+			for i := range tasks {
+				tasks[i] = row.task(i)
+			}
+			futs, err := ex.SubmitAll(ctx, tasks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(futs) != len(tasks) {
+				t.Fatalf("%d futures", len(futs))
+			}
+			for i, f := range futs {
+				res, err := f.Wait(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Task.Arg != uint32(i) {
+					t.Errorf("future at slot %d echoes task %d", i, res.Task.Arg)
+				}
+			}
+			if err := ex.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			st := ex.Stats()
+			if st.Completed != n || st.Cancelled != 0 || st.InFlight != 0 {
+				t.Errorf("completed=%d cancelled=%d inflight=%d, want %d/0/0 (each task settles once)",
+					st.Completed, st.Cancelled, st.InFlight, n)
+			}
+			row.check(t, ex)
+		})
 	}
 }
 

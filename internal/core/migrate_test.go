@@ -14,10 +14,14 @@ import (
 
 // mapShard is a minimal migratable shard for protocol tests: a mutex-guarded
 // set keyed by Arg, with Key == Arg as the scheduling key. It implements
-// both Workload and ShardStore; extractGate, when non-nil, blocks
-// ExtractRange so tests can hold a migration open mid-hand-off.
+// both Workload and ShardStore; extractGate and installGate, when non-nil,
+// block ExtractRange / InstallKeys so tests can hold a migration open
+// mid-hand-off, and execGate blocks OpNoop executions so tests can pin a
+// worker (and the drain barrier behind it).
 type mapShard struct {
 	extractGate chan struct{}
+	installGate *entryGate
+	execGate    *entryGate
 	failInstall *atomic.Int32 // shared fault injector: >0 fails InstallKeys, decrementing
 
 	mu   sync.Mutex
@@ -26,6 +30,9 @@ type mapShard struct {
 }
 
 func (m *mapShard) Execute(th *stm.Thread, t Task) (any, error) {
+	if t.Op == OpNoop {
+		m.execGate.pass()
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.n++
@@ -62,6 +69,7 @@ func (m *mapShard) ExtractRange(th *stm.Thread, lo, hi uint64) ([]uint32, error)
 }
 
 func (m *mapShard) InstallKeys(th *stm.Thread, keys []uint32) error {
+	m.installGate.pass()
 	if m.failInstall != nil && m.failInstall.Add(-1) >= 0 {
 		return errInjectedInstall
 	}
@@ -78,12 +86,15 @@ var errInjectedInstall = errors.New("injected install failure")
 // mapFactory builds mapShards and exposes them as a StoreFactory.
 type mapFactory struct {
 	extractGate chan struct{}
+	installGate *entryGate
+	execGate    *entryGate
 	failInstall *atomic.Int32
 	shards      []*mapShard
 }
 
 func (f *mapFactory) NewShard(worker int) Workload {
-	sh := &mapShard{keys: make(map[uint32]bool), extractGate: f.extractGate, failInstall: f.failInstall}
+	sh := &mapShard{keys: make(map[uint32]bool), extractGate: f.extractGate, installGate: f.installGate,
+		execGate: f.execGate, failInstall: f.failInstall}
 	for len(f.shards) <= worker {
 		f.shards = append(f.shards, nil)
 	}
@@ -420,61 +431,6 @@ func TestMigrationStatsMonotone(t *testing.T) {
 	}
 }
 
-// TestMigrationHoldQueueBackpressure pins the fence's flow control: a moved
-// range's hold queue is bounded by the queue depth, and overflow follows
-// the executor's backpressure policy (reject here) instead of absorbing
-// unbounded load — or worse, leaking onto a worker queue mid-hand-off.
-func TestMigrationHoldQueueBackpressure(t *testing.T) {
-	const probe = 20000
-	gate := make(chan struct{})
-	factory := &mapFactory{extractGate: gate}
-	ex, err := NewExecutor(
-		WithWorkers(2),
-		WithSharding(ShardPerWorker),
-		WithWorkloadFactory(factory),
-		WithSchedulerKind(SchedAdaptive, 0, 65535, WithThreshold(reproThreshold), WithReAdaptation()),
-		WithMigration(MigrateOnRepartition),
-		WithQueueDepth(2),
-		WithBackpressure(BackpressureReject),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := ex.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Stop()
-	forceRepartition(t, ctx, ex, 0)
-	waitFor(t, "fence install", func() bool { return ex.migr.fence.Load() != nil })
-
-	// Depth 2: two moved-range tasks park, the third is shed.
-	var parked []*Future
-	for i := 0; i < 2; i++ {
-		fut, err := ex.SubmitAsync(ctx, Task{Key: probe, Op: OpInsert, Arg: probe})
-		if err != nil {
-			t.Fatalf("park %d: %v", i, err)
-		}
-		parked = append(parked, fut)
-	}
-	if _, err := ex.SubmitAsync(ctx, Task{Key: probe, Op: OpLookup, Arg: probe}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("third moved-range submit = %v, want ErrQueueFull", err)
-	}
-	st := ex.Stats()
-	if st.Rejected == 0 {
-		t.Error("shed hold-queue overflow not counted under Rejected")
-	}
-	close(gate)
-	for i, fut := range parked {
-		if res, err := fut.Wait(ctx); err != nil {
-			t.Fatalf("parked %d settled with %v (res %+v)", i, err, res)
-		}
-	}
-	if err := ex.Drain(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMigrationInstallFailureRestores pins the failure contract: when a
 // range's install fails, its extracted keys are put back into the OLD
 // shard (MigrateOff semantics for that range — degraded visibility, never
@@ -573,7 +529,7 @@ func TestFenceClampsOutOfRangeKeys(t *testing.T) {
 		ranges: []movedRange{{lo: 30000, hi: 65535, from: 0, to: 1}},
 		min:    0,
 		max:    65535,
-		held:   make([][]envelope, 1),
+		held:   make([]holdQueue, 1),
 	}
 	if got := f.park(envelope{task: Task{Key: 1 << 20}}, 0); got != parkHeld {
 		t.Errorf("key above scheduler max: park = %v, want parkHeld (clamps onto the moved top range)", got)
@@ -585,7 +541,7 @@ func TestFenceClampsOutOfRangeKeys(t *testing.T) {
 		ranges: []movedRange{{lo: 100, hi: 5000, from: 1, to: 0}},
 		min:    100,
 		max:    65535,
-		held:   make([][]envelope, 1),
+		held:   make([]holdQueue, 1),
 	}
 	if got := g.park(envelope{task: Task{Key: 5}}, 0); got != parkHeld {
 		t.Errorf("key below scheduler min: park = %v, want parkHeld (clamps onto the moved bottom range)", got)

@@ -295,7 +295,7 @@ func (p *Pool) parallelProducer(ex *Executor, q *quota, i int) {
 		if !q.claim() {
 			return
 		}
-		if !ex.inject(src.Next(), true) {
+		if !ex.inject(src.Next()) {
 			return
 		}
 	}
@@ -349,13 +349,12 @@ func (p *Pool) centralProducer(ex *Executor, q *quota, i int, inbox queue.Queue[
 			}
 		}
 		inbox.Put(t)
-		ex.submitted.Add(1)
 		signal(ev.items)
 	}
 }
 
-// dispatcher is the centralized executor thread (Figure 1b); the inbox
-// already counted these tasks, so inject does not count them again. An
+// dispatcher is the centralized executor thread (Figure 1b); tasks count as
+// produced when it hands them to a worker queue, as in the parallel model. An
 // empty inbox parks on the items event — producers Put before they signal,
 // so either this Get observes the task or the signal lands after it.
 func (p *Pool) dispatcher(ex *Executor, inbox queue.Queue[Task], ev *inboxEvents) {
@@ -372,7 +371,7 @@ func (p *Pool) dispatcher(ex *Executor, inbox queue.Queue[Task], ev *inboxEvents
 			continue
 		}
 		signal(ev.space)
-		if !ex.inject(t, false) {
+		if !ex.inject(t) {
 			return
 		}
 	}

@@ -23,7 +23,7 @@ type Result struct {
 
 	Elapsed   time.Duration
 	Completed uint64   // transactions executed to commit
-	Produced  uint64   // tasks generated by producers
+	Produced  uint64   // tasks producers handed to a worker queue (Figure 1a: generated)
 	PerWorker []uint64 // per-worker completion counts
 
 	EmptyPolls uint64 // worker polls that found an empty queue

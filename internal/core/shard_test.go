@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"kstm/internal/stm"
+	"kstm/internal/txds"
 )
 
 // shardWorkload is a per-shard workload: it counts its own executions and
@@ -313,78 +314,149 @@ func (l *legacyCounter) Execute(th *stm.Thread, t Task) error {
 	return nil
 }
 
-// TestSubmitAllPartialFutures pins the SubmitAll contract: when the batch
-// stops early (reject-mode queue full here), the returned slice stays
+// TestSubmitAllPartialFutures pins the SubmitAll contract on each of its
+// paths (plain grouped splice; per-task under a migration fence and under a
+// split table): when the batch stops early the returned slice stays
 // position-aligned with the tasks — accepted tasks carry live futures that
 // settle normally once the executor gets to them, never-submitted tasks are
-// nil.
+// nil — the in-flight count returns to zero, and Rejected counts exactly the
+// tasks a full queue turned away.
 func TestSubmitAllPartialFutures(t *testing.T) {
-	gate := newGateWorkload()
-	ex, err := NewExecutor(
-		WithWorkload(gate),
-		WithWorkers(1),
-		WithQueueDepth(1),
-		WithBackpressure(BackpressureReject),
-	)
-	if err != nil {
-		t.Fatal(err)
+	const batch = 5
+	rows := []struct {
+		name string
+		// build returns a one-worker executor under the given options whose
+		// worker blocks inside OpNoop until release is called.
+		build func(t *testing.T, opts ...Option) (ex *Executor, release func())
+	}{
+		{"plain", func(t *testing.T, opts ...Option) (*Executor, func()) {
+			gate := newEntryGate()
+			w := &gatedCounterWorkload{counterWorkload: counterWorkload{c: txds.NewCounters(8)}, execGate: gate}
+			ex, err := NewExecutor(append([]Option{WithWorkload(w), WithWorkers(1)}, opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ex, func() { close(gate.open) }
+		}},
+		{"migration", func(t *testing.T, opts ...Option) (*Executor, func()) {
+			gate := newEntryGate()
+			ex, err := NewExecutor(append([]Option{
+				WithWorkers(1),
+				WithSharding(ShardPerWorker),
+				WithWorkloadFactory(&mapFactory{execGate: gate}),
+				WithMigration(MigrateOnRepartition),
+			}, opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ex, func() { close(gate.open) }
+		}},
+		{"split", func(t *testing.T, opts ...Option) (*Executor, func()) {
+			gate := newEntryGate()
+			w := &gatedCounterWorkload{counterWorkload: counterWorkload{c: txds.NewCounters(8)}, execGate: gate}
+			ex, err := NewExecutor(append([]Option{
+				WithWorkload(w), WithWorkers(1), WithSchedulerKind(SchedFixed, 0, 7),
+				WithSplitPhase(SplitKeys(3)),
+			}, opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ex, func() { close(gate.open) }
+		}},
 	}
-	ctx := context.Background()
-	if err := ex.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Occupy the worker: one task executing (blocked on the gate). Spin
-	// until it has left the queue so the depth bound is fully available
-	// to the batch.
-	first, err := ex.SubmitAsync(ctx, Task{Key: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ex.Stats().QueueDepths[0] != 0 {
-		time.Sleep(time.Millisecond)
-	}
-	// Batch of 5 into a depth-1 queue: the first fills the queue, a later
-	// one must hit ErrQueueFull, and we get a non-empty strict prefix.
-	tasks := make([]Task, 5)
+	tasks := make([]Task, batch)
 	for i := range tasks {
-		tasks[i] = Task{Key: 1, Arg: uint32(i)}
+		tasks[i] = Task{Key: 1, Op: OpNoop, Arg: uint32(i)}
 	}
-	futs, err := ex.SubmitAll(ctx, tasks)
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("SubmitAll error = %v, want ErrQueueFull", err)
-	}
-	if len(futs) != len(tasks) {
-		t.Fatalf("futures slice = %d entries, want position-aligned %d", len(futs), len(tasks))
-	}
-	accepted := 0
-	for _, f := range futs {
-		if f != nil {
-			accepted++
-		}
-	}
-	if accepted == 0 || accepted >= len(tasks) {
-		t.Fatalf("accepted = %d, want a non-empty strict subset of %d", accepted, len(tasks))
-	}
-	// The accepted futures are usable: release the worker and every one of
-	// them settles with a normal completion echoing its own task.
-	gate.release()
-	if _, err := first.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range futs {
-		if f == nil {
-			continue
-		}
-		res, err := f.Wait(ctx)
-		if err != nil {
-			t.Fatalf("accepted future %d: %v", i, err)
-		}
-		if res.Task.Arg != uint32(i) {
-			t.Errorf("future at slot %d echoes task %d", i, res.Task.Arg)
-		}
-	}
-	if err := ex.Drain(); err != nil {
-		t.Fatal(err)
+	for _, row := range rows {
+		t.Run(row.name+"/reject", func(t *testing.T) {
+			ex, release := row.build(t, WithQueueDepth(1), WithBackpressure(BackpressureReject))
+			ctx := context.Background()
+			if err := ex.Start(ctx); err != nil {
+				t.Fatal(err)
+			}
+			defer ex.Stop()
+			release = sync.OnceFunc(release)
+			defer release()
+			// Occupy the worker: one task executing (blocked on the gate).
+			// Spin until it has left the queue so the depth bound is fully
+			// available to the batch.
+			first, err := ex.SubmitAsync(ctx, Task{Key: 1, Op: OpNoop})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ex.Stats().QueueDepths[0] != 0 {
+				time.Sleep(time.Millisecond)
+			}
+			// Batch of 5 into a depth-1 queue: the first fills the queue, the
+			// second hits ErrQueueFull, and the rest are never offered.
+			futs, err := ex.SubmitAll(ctx, tasks)
+			if !errors.Is(err, ErrQueueFull) {
+				t.Fatalf("SubmitAll error = %v, want ErrQueueFull", err)
+			}
+			if len(futs) != len(tasks) {
+				t.Fatalf("futures slice = %d entries, want position-aligned %d", len(futs), len(tasks))
+			}
+			accepted := 0
+			for _, f := range futs {
+				if f != nil {
+					accepted++
+				}
+			}
+			if accepted != 1 {
+				t.Fatalf("accepted = %d of %d into a depth-1 queue, want 1", accepted, len(tasks))
+			}
+			if st := ex.Stats(); st.Rejected != uint64(len(tasks)-accepted) {
+				t.Errorf("Rejected = %d, want %d (every unsubmitted task)", st.Rejected, len(tasks)-accepted)
+			}
+			// The accepted futures are usable: release the worker and every
+			// one of them settles with a normal completion echoing its own
+			// task.
+			release()
+			if _, err := first.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for i, f := range futs {
+				if f == nil {
+					continue
+				}
+				res, err := f.Wait(ctx)
+				if err != nil {
+					t.Fatalf("accepted future %d: %v", i, err)
+				}
+				if res.Task.Arg != uint32(i) {
+					t.Errorf("future at slot %d echoes task %d", i, res.Task.Arg)
+				}
+			}
+			if err := ex.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if n := ex.Stats().InFlight; n != 0 {
+				t.Errorf("InFlight = %d after Drain", n)
+			}
+		})
+		t.Run(row.name+"/after-drain", func(t *testing.T) {
+			ex, release := row.build(t)
+			release()
+			if err := ex.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := ex.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			futs, err := ex.SubmitAll(context.Background(), tasks)
+			if !errors.Is(err, ErrNotRunning) {
+				t.Fatalf("SubmitAll after Drain = %v, want ErrNotRunning", err)
+			}
+			for i, f := range futs {
+				if f != nil {
+					t.Errorf("slot %d carries a future for a task that was never submitted", i)
+				}
+			}
+			if st := ex.Stats(); st.InFlight != 0 || st.Rejected != 0 || st.Submitted != 0 {
+				t.Errorf("after a refused batch: InFlight=%d Rejected=%d Submitted=%d, want all 0", st.InFlight, st.Rejected, st.Submitted)
+			}
+		})
 	}
 }
 

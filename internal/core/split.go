@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,27 +24,18 @@ import (
 //     absorbed into cache-line-padded per-worker accumulators
 //     (splitphase.Accum) — zero STM traffic, no owner-queue serialization;
 //   - non-commutative ops on a split key park on the key's hold queue;
-//   - an epoch-merge coordinator reuses the §4.1 gate/fence discipline —
-//     quiesced table changes, FIFO drain barriers per worker queue — to fold
-//     the accumulators into the owning shard's store (SplitMergeWorkload)
-//     and then release the parked tasks to the owner, ahead of any
-//     post-release traffic, so a parked reader observes every commutative op
-//     that preceded it and never a partial merge.
+//   - an epoch-merge coordinator runs the shared epoch skeleton (epoch.go,
+//     the mechanism behind §4.1's migration too) — capture the hold queues,
+//     FIFO drain barriers per worker queue — to fold the accumulators into
+//     the owning shard's store (SplitMergeWorkload) and then release the
+//     parked tasks to the owner, ahead of any post-release traffic, so a
+//     parked reader observes every commutative op that preceded it and never
+//     a partial merge. The ordering argument is epoch.go's; tasks parked
+//     after a capture simply wait one more epoch.
 //
-// Ordering argument, in brief: dispatch holds the read gate across
-// route+enqueue/park, and the coordinator captures a key's hold queue under
-// one write-gate acquisition, so every op enqueued before a captured parked
-// task is in some worker queue (or accumulator slot) when the capture's
-// barriers are enqueued; FIFO queues put those ops ahead of the barriers,
-// the barriers complete before the accumulators are folded, and the fold is
-// installed before the parked task is released. Tasks parked after the
-// capture simply wait one more epoch.
-//
-// WithSplitPhase is incompatible with WithMigration: both own the epoch
-// machinery, and merging a split key's accumulators across a concurrent
-// shard hand-off (cross-shard coordination) is explicitly deferred to a
-// follow-up. It is also incompatible with WithWorkSteal: a stolen task
-// escapes its queue's FIFO order, which the drain-barrier argument needs.
+// WithSplitPhase is incompatible with WithMigration (one reason, stated on
+// the epoch type) and with WithWorkSteal: a stolen task escapes its queue's
+// FIFO order, which the drain-barrier argument needs.
 
 // CommutativeWorkload is a Workload whose ops can be split-phase-absorbed:
 // CommutativeOps maps each mergeable opcode to its splitphase.Kind. Ops
@@ -202,43 +191,13 @@ type splitKey struct {
 	settled atomic.Bool
 	// rr scatters commutative ops round-robin across worker queues.
 	rr atomic.Uint32
-
-	mu   sync.Mutex
-	held []envelope
-}
-
-// park appends env to the key's hold queue, honouring the depth bound
-// (0 = unbounded). It reports false when the queue is at the bound — the
-// dispatcher applies its backpressure policy and must NOT fall through to a
-// worker queue.
-func (sk *splitKey) park(env envelope, bound int) bool {
-	sk.mu.Lock()
-	defer sk.mu.Unlock()
-	if bound > 0 && len(sk.held) >= bound {
-		return false
-	}
-	sk.held = append(sk.held, env)
-	return true
-}
-
-// forcePark appends env unconditionally: the worker-side path, where the
-// envelope has already been dequeued and consumed — dropping it would lose
-// an accepted task, so the bound does not apply.
-func (sk *splitKey) forcePark(env envelope) {
-	sk.mu.Lock()
-	sk.held = append(sk.held, env)
-	sk.mu.Unlock()
-}
-
-// take removes and returns the current hold-queue generation. Unlike a
-// migration fence the key stays split, so parking continues — later parkers
-// form the next generation and wait for the next epoch.
-func (sk *splitKey) take() []envelope {
-	sk.mu.Lock()
-	held := sk.held
-	sk.held = nil
-	sk.mu.Unlock()
-	return held
+	// hold parks the key's non-commutative (or demote-window) tasks. It is
+	// never closed: the key stays split across epochs, so tasks parking after
+	// a capture form the next generation. Dispatch parks under the depth
+	// bound; a worker re-parking a dequeued straggler parks unbounded — the
+	// envelope is already consumed, so dropping it would lose an accepted
+	// task.
+	hold holdQueue
 }
 
 // splitTable is the immutable published table: entries sorted by key for
@@ -269,7 +228,7 @@ func (t *splitTable) lookup(key uint64) *splitKey {
 // and the epoch-merge coordinator goroutine. Present (non-nil on the
 // Executor) only under WithSplitPhase.
 type splitRunner struct {
-	e   *Executor
+	epoch
 	cfg splitConfig
 	det *splitphase.Detector
 	// kinds is CommutativeOps resolved into a dense opcode table.
@@ -278,11 +237,8 @@ type splitRunner struct {
 	// construction, cached to skip the per-merge assertion).
 	merge []SplitMergeWorkload
 
-	// gate orders dispatch against table changes and hold-queue captures,
-	// exactly like the migrator's: every dispatch holds the read side across
-	// its table-lookup + enqueue/park, so a capture or a table swap (write
-	// side) never interleaves with a half-routed task.
-	gate  sync.RWMutex
+	// table is read by dispatch under the epoch's read gate, so a capture or
+	// a table swap (write side) never interleaves with a half-routed task.
 	table atomic.Pointer[splitTable]
 	// wake nudges the coordinator when a task parks (capacity 1; a full
 	// channel means a merge is already pending).
@@ -303,19 +259,17 @@ type splitRunner struct {
 	// active.
 	idle atomic.Bool
 
-	// low counts consecutive below-demote-share folds per split key
-	// (coordinator-only state).
+	// low counts consecutive below-demote-share folds per split key, and
+	// all lists every worker queue for the epoch drain (commutative ops
+	// scatter to all of them). Coordinator-only, built on first use.
 	low map[uint64]int
-	// threads are coordinator-owned STM threads, one per shard, for merge
-	// installs (lazily built; coordinator-only).
-	threads map[int]*stm.Thread
+	all []int
 
 	promoted     atomic.Uint64
 	demoted      atomic.Uint64
 	mergedEpochs atomic.Uint64
 	parkedTasks  atomic.Uint64
 	mergeNs      atomic.Uint64
-	lastErr      atomic.Pointer[error]
 }
 
 // newSplitRunner validates the configuration and workloads and builds the
@@ -347,13 +301,11 @@ func newSplitRunner(cfg *execConfig, shards []shardState) (*splitRunner, error) 
 		return nil, fmt.Errorf("core: SplitKeys lists %d keys, more than SplitMaxKeys %d", len(sc.static), sc.maxKeys)
 	}
 	s := &splitRunner{
-		cfg:     sc,
-		det:     splitphase.NewDetector(cfg.workers, sc.reservoir, sc.seed),
-		merge:   make([]SplitMergeWorkload, len(shards)),
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
-		low:     make(map[uint64]int),
-		threads: make(map[int]*stm.Thread),
+		cfg:   sc,
+		det:   splitphase.NewDetector(cfg.workers, sc.reservoir, sc.seed),
+		merge: make([]SplitMergeWorkload, len(shards)),
+		wake:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
 	}
 	var kinds map[Op]splitphase.Kind
 	for i := range shards {
@@ -462,75 +414,25 @@ func (s *splitRunner) route(worker int, t Task) (splitAction, *splitKey, splitph
 	return splitActLocal, sk, kind
 }
 
-// dispatchSplit is dispatch under WithSplitPhase: the table lookup and the
-// enqueue/park happen under the runner's read gate, so a hold-queue capture
-// or table swap (write gate) never interleaves with a half-routed task —
-// the same discipline as dispatchGated, with the split table in place of
-// the migration fence. Commutative ops on a split key scatter round-robin
-// across ALL worker queues (each worker absorbs them into its own
-// accumulator slot); everything else on a split key parks. The backpressure
-// wait happens outside the gate.
-func (e *Executor) dispatchSplit(env envelope, ctx context.Context) error {
-	s := e.split
-	var b backoff
-	for attempt := 0; ; attempt++ {
-		s.gate.RLock()
-		// Sample into the adaptive histogram on the first attempt only;
-		// backpressure retries re-route without re-sampling.
-		var w int
-		if attempt == 0 {
-			w = e.pick(env.task.Key)
-		} else {
-			w = e.repick(env.task.Key)
-		}
-		full := false
-		if sk := s.lookup(env.task.Key); sk != nil {
-			if !sk.demoting.Load() && s.kinds[env.task.Op] != splitphase.KindNone {
-				w = int(sk.rr.Add(1)) % len(e.queues)
-			} else if sk.park(env, e.cfg.maxDepth) {
-				s.gate.RUnlock()
-				e.submitted.Add(1)
-				s.parkedTasks.Add(1)
-				s.requestMerge()
-				return nil
-			} else {
-				// Hold queue at its bound: backpressure, but NEVER a worker
-				// queue — the key's pre-merge state must stay ahead of it.
-				full = true
-			}
-		}
-		if !full && (e.cfg.maxDepth <= 0 || e.queues[w].Len() < e.cfg.maxDepth) {
-			e.queues[w].Put(env)
-			s.gate.RUnlock()
-			e.submitted.Add(1)
-			e.wakeWorker(w)
-			return nil
-		}
-		s.gate.RUnlock()
-		if e.cfg.backpressure == BackpressureReject {
-			e.decInflight(1)
-			e.rejected.Add(1)
-			return ErrQueueFull
-		}
-		if e.state.Load() == stateStopped {
-			e.decInflight(1)
-			return ErrStopped
-		}
-		select {
-		case <-ctx.Done():
-			e.decInflight(1)
-			return ctx.Err()
-		default:
-		}
-		if full {
-			// Hold-queue bound: space comes from the coordinator's next
-			// capture, not a worker dequeue — the space event would never
-			// fire. Keep the timed backoff here.
-			b.wait()
-		} else {
-			e.waitSpace(w, ctx)
-		}
+// divert is the split table's answer to dispatch (under the read gate):
+// commutative ops on a split key scatter round-robin across ALL worker
+// queues (each worker absorbs them into its own accumulator slot);
+// everything else on a split key parks on the key's hold queue and nudges
+// the coordinator. Keys not in the table go where the scheduler picked.
+func (s *splitRunner) divert(env *envelope, w int) (int, parkResult) {
+	sk := s.lookup(env.task.Key)
+	if sk == nil {
+		return w, parkMiss
 	}
+	if !sk.demoting.Load() && s.kinds[env.task.Op] != splitphase.KindNone {
+		return int(sk.rr.Add(1)) % len(s.e.queues), parkMiss
+	}
+	res := sk.hold.park(*env, s.e.cfg.maxDepth)
+	if res == parkHeld {
+		s.parkedTasks.Add(1)
+		s.requestMerge()
+	}
+	return w, res
 }
 
 // splitIdleTicks is how many consecutive quiescent epochs the coordinator
@@ -627,11 +529,12 @@ func (s *splitRunner) busyCheck() bool {
 }
 
 // tick runs one coordinator epoch: fold the detector (promotions and demote
-// marks), capture the hold queues, drain every worker queue behind a
-// barrier, fold the accumulators into the owning shards' stores, then
-// demote marked keys and release the captured tasks to their owners. The
-// return reports whether the epoch found work — loop()'s deep-idle counter
-// feeds on consecutive false returns.
+// marks), then — if the table holds parked tasks, dirty accumulators or a
+// pending demotion — one epoch.run: capture the hold queues, drain every
+// worker queue, fold the accumulators into the owning shards' stores, demote
+// marked keys and release the captured tasks to their owners. The return
+// reports whether the epoch found work — loop()'s deep-idle counter feeds on
+// consecutive false returns.
 func (s *splitRunner) tick() bool {
 	e := s.e
 	s.refold()
@@ -650,110 +553,92 @@ func (s *splitRunner) tick() bool {
 		return false // quiescent epoch: nothing held, nothing dirty
 	}
 	start := time.Now()
-	// Capture one hold-queue generation per key under the write gate: every
-	// op enqueued before a captured task was enqueued under the read gate,
-	// strictly before this acquisition — so it is in a worker queue (or an
-	// accumulator) that the barriers below will cover. Tasks parking after
-	// the capture form the next generation and wait one more epoch.
-	captured := make([][]envelope, len(tbl.keys))
-	s.gate.Lock()
-	for i, sk := range tbl.keys {
-		captured[i] = sk.take()
-	}
-	s.gate.Unlock()
-	// Drain: one FIFO barrier per worker queue (commutative ops scatter to
-	// all of them). When they have all run, every pre-capture op has been
-	// executed, locally absorbed, or parked into the next generation.
-	if !s.barrierAll() {
-		s.abortCaptured(captured)
-		return true
-	}
-	// Deterministic stop re-check: halt's sweep signals unexecuted barriers
-	// too, so the waits above may have been satisfied by a stopping
-	// executor — a stopped executor must not install merges or mutate stats
-	// after Stop/Drain returned.
-	select {
-	case <-e.stopped:
-		s.abortCaptured(captured)
-		return true
-	default:
-	}
-	// Merge: fold each key's accumulators and install into the owning
-	// shard's store on a coordinator-owned thread. settled flips true first:
-	// after this epoch's barriers, no pre-promotion straggler remains in any
-	// queue, so a worker dequeuing a non-commutative envelope for this key
-	// from now on is holding a coordinator release.
-	for _, sk := range tbl.keys {
-		sk.settled.Store(true)
-		agg, ok := sk.acc.Take()
-		if !ok {
-			continue
-		}
-		shard := e.shardOf(e.repick(sk.key))
-		if err := s.merge[shard].ApplyMerged(s.thOf(shard), sk.key, agg); err != nil {
-			// Deltas are never lost: they rejoin the accumulator and the
-			// next epoch retries the install.
-			sk.acc.Restore(agg)
-			s.fail(fmt.Errorf("core: split merge key %d into shard %d: %w", sk.key, shard, err))
+	if s.all == nil {
+		for w := range e.queues {
+			s.all = append(s.all, w)
 		}
 	}
-	select {
-	case <-e.stopped:
-		s.abortCaptured(captured)
-		return true
-	default:
-	}
-	// Finalize under the write gate: demote marked keys (their residual
-	// parkers join the release), publish the new table, then release every
-	// captured task to its owner queue in park order — no new task can slip
-	// ahead, dispatchers are excluded until the unlock, and workers route
-	// released envelopes by the table published here.
-	s.gate.Lock()
-	var demoted int
-	if demotePending {
-		next := &splitTable{keys: make([]*splitKey, 0, len(tbl.keys))}
-		for _, sk := range tbl.keys {
-			if sk.demoting.Load() {
-				demoted++
-				delete(s.low, sk.key)
-				continue
+	demoted := 0
+	ok := s.run(
+		func() [][]envelope {
+			// One hold-queue generation per key, under the write gate: every
+			// op enqueued before a captured task was enqueued under the read
+			// gate, strictly before this acquisition — so it is in a worker
+			// queue (or an accumulator) the drain barriers will cover. Tasks
+			// parking after the capture form the next generation and wait one
+			// more epoch.
+			captured := make([][]envelope, len(tbl.keys))
+			for i, sk := range tbl.keys {
+				captured[i] = sk.hold.take(false)
 			}
-			next.keys = append(next.keys, sk)
-		}
-		s.table.Store(next)
+			return captured
+		},
+		s.all,
+		func() {
+			// settled flips true first: after this epoch's barriers, no
+			// pre-promotion straggler remains in any queue, so a worker
+			// dequeuing a non-commutative envelope for this key from now on
+			// is holding a coordinator release.
+			for _, sk := range tbl.keys {
+				sk.settled.Store(true)
+				s.install(sk, "merge")
+			}
+		},
+		func(captured [][]envelope) {
+			// Demote marked keys (their residual parkers join the release)
+			// and publish the new table BEFORE any release is re-enqueued:
+			// workers route released envelopes by the table published here.
+			if demotePending {
+				next := &splitTable{keys: make([]*splitKey, 0, len(tbl.keys))}
+				for _, sk := range tbl.keys {
+					if sk.demoting.Load() {
+						demoted++
+						delete(s.low, sk.key)
+						continue
+					}
+					next.keys = append(next.keys, sk)
+				}
+				s.table.Store(next)
+			}
+			for i, sk := range tbl.keys {
+				envs := captured[i]
+				if sk.demoting.Load() {
+					// Residual generation parked during the demote window:
+					// the key leaves the table, so nothing would ever capture
+					// it again.
+					envs = append(envs, sk.hold.take(false)...)
+				}
+				s.release(e.repick(sk.key), envs)
+			}
+		})
+	if ok {
+		s.demoted.Add(uint64(demoted))
+		s.mergedEpochs.Add(1)
+		s.mergeNs.Add(uint64(time.Since(start)))
 	}
-	for i, sk := range tbl.keys {
-		envs := captured[i]
-		if sk.demoting.Load() {
-			// Residual generation parked during the demote window: release
-			// it too — the key leaves the table, so nothing would ever
-			// capture it again.
-			envs = append(envs, sk.take()...)
-		}
-		if len(envs) == 0 {
-			continue
-		}
-		owner := e.repick(sk.key)
-		for _, env := range envs {
-			e.queues[owner].Put(env)
-		}
-		e.wakeWorker(owner)
-	}
-	s.gate.Unlock()
-	s.demoted.Add(uint64(demoted))
-	s.mergedEpochs.Add(1)
-	s.mergeNs.Add(uint64(time.Since(start)))
 	return true
+}
+
+// install folds sk's accumulators and installs the aggregate into the owning
+// shard's store on a coordinator-owned thread. Deltas are never lost: on
+// error they rejoin the accumulator and the next epoch retries the install.
+func (s *splitRunner) install(sk *splitKey, what string) {
+	agg, ok := sk.acc.Take()
+	if !ok {
+		return
+	}
+	shard := s.e.shardOf(s.e.repick(sk.key))
+	if err := s.merge[shard].ApplyMerged(s.thread(shard), sk.key, agg); err != nil {
+		sk.acc.Restore(agg)
+		s.fail(fmt.Errorf("core: split %s key %d into shard %d: %w", what, sk.key, shard, err))
+	}
 }
 
 // pending reports whether the table holds any work a merge epoch would
 // perform: parked tasks or dirty accumulators.
 func (s *splitRunner) pending(tbl *splitTable) bool {
 	for _, sk := range tbl.keys {
-		sk.mu.Lock()
-		held := len(sk.held) > 0
-		sk.mu.Unlock()
-		if held || sk.acc.Dirty() {
+		if !sk.hold.empty() || sk.acc.Dirty() {
 			return true
 		}
 	}
@@ -763,10 +648,10 @@ func (s *splitRunner) pending(tbl *splitTable) bool {
 // refold folds the detector window (if full) and applies its decisions:
 // promote keys above the promote share (bounded by maxKeys), and mark keys
 // below the demote share for grace consecutive folds as demoting. Static
-// keys never demote. Promotions publish a new table under the write gate;
-// no quiesce beyond the gate is needed — ops dispatched before the publish
-// legally serialize before the split window (they run or park as
-// stragglers ahead of the first epoch's barriers).
+// keys never demote. Promotions publish a new table and quiesce; nothing
+// more is needed — ops dispatched before the publish legally serialize
+// before the split window (they run or park as stragglers ahead of the first
+// epoch's barriers).
 func (s *splitRunner) refold() {
 	shares, _, ok := s.det.Fold(s.cfg.window)
 	if !ok {
@@ -778,12 +663,15 @@ func (s *splitRunner) refold() {
 			continue
 		}
 		if shares[sk.key] < s.cfg.demoteShare {
+			if s.low == nil {
+				s.low = make(map[uint64]int)
+			}
 			s.low[sk.key]++
 			if s.low[sk.key] >= s.cfg.demoteGrace {
 				sk.demoting.Store(true)
 			}
 		} else {
-			s.low[sk.key] = 0
+			delete(s.low, sk.key)
 		}
 	}
 	type cand struct {
@@ -816,42 +704,9 @@ func (s *splitRunner) refold() {
 		})
 	}
 	sort.Slice(next.keys, func(a, b int) bool { return next.keys[a].key < next.keys[b].key })
-	s.gate.Lock()
 	s.table.Store(next)
-	s.gate.Unlock()
+	s.quiesce()
 	s.promoted.Add(uint64(len(cands)))
-}
-
-// barrierAll enqueues one drain barrier per worker queue and waits for all
-// of them; false means the executor stopped first.
-func (s *splitRunner) barrierAll() bool {
-	e := s.e
-	chans := make([]chan struct{}, len(e.queues))
-	for i := range e.queues {
-		done := make(chan struct{})
-		chans[i] = done
-		e.queues[i].Put(envelope{barrier: func() { close(done) }})
-		e.wakeWorker(i)
-	}
-	for _, ch := range chans {
-		select {
-		case <-ch:
-		case <-e.stopped:
-			return false
-		}
-	}
-	return true
-}
-
-// abortCaptured settles a tick cut short by executor stop: the captured
-// generations were removed from their hold queues, so halt's sweep cannot
-// see them — abandon them here with ErrStopped.
-func (s *splitRunner) abortCaptured(captured [][]envelope) {
-	for _, envs := range captured {
-		for _, env := range envs {
-			s.e.abandon(0, env, ErrStopped)
-		}
-	}
 }
 
 // flushFinal installs every accumulator's remaining aggregate at shutdown
@@ -863,53 +718,9 @@ func (s *splitRunner) abortCaptured(captured [][]envelope) {
 // the coordinator dead there is no concurrency left: no new Apply can race
 // the Take, and the coordinator's threads are free to reuse.
 func (s *splitRunner) flushFinal() {
-	e := s.e
 	for _, sk := range s.table.Load().keys {
-		agg, ok := sk.acc.Take()
-		if !ok {
-			continue
-		}
-		shard := e.shardOf(e.repick(sk.key))
-		if err := s.merge[shard].ApplyMerged(s.thOf(shard), sk.key, agg); err != nil {
-			s.fail(fmt.Errorf("core: split final flush key %d into shard %d: %w", sk.key, shard, err))
-		}
+		s.install(sk, "final flush")
 	}
-}
-
-// takeHeld strips every split key's hold queue (halt path); the flattened
-// envelopes are abandoned by the caller. Racing parkers land in queues halt
-// is already sweeping or in hold queues a later halt iteration re-strips.
-func (s *splitRunner) takeHeld() []envelope {
-	var out []envelope
-	for _, sk := range s.table.Load().keys {
-		out = append(out, sk.take()...)
-	}
-	return out
-}
-
-// thOf returns the coordinator's STM thread for a shard (coordinator
-// goroutine only).
-func (s *splitRunner) thOf(shard int) *stm.Thread {
-	th, ok := s.threads[shard]
-	if !ok {
-		th = s.e.shards[shard].stm.NewThread()
-		s.threads[shard] = th
-	}
-	return th
-}
-
-// fail records the most recent merge error (stats/debugging).
-func (s *splitRunner) fail(err error) {
-	p := &err
-	s.lastErr.Store(p)
-}
-
-// Err returns the most recent merge error, if any.
-func (s *splitRunner) Err() error {
-	if p := s.lastErr.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // stats snapshots the split-phase counters.

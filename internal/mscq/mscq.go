@@ -8,6 +8,14 @@
 // makes progress. Go's garbage collector plays the role of the original
 // algorithm's counted pointers: nodes are never reused while reachable, so
 // the ABA problem cannot arise.
+//
+// One step is ordered differently from the paper. Michael & Scott read the
+// dequeued value BEFORE the head CAS, because a node that loses the race may
+// be recycled under them. Here a node cannot be recycled, so Dequeue reads
+// (and clears) next.value only AFTER winning the CAS: exactly one dequeuer
+// ever touches a node's value, ordered after the enqueuer's write by the
+// next-pointer publication, and losers never load a field the winner is
+// zeroing.
 package mscq
 
 import "sync/atomic"
@@ -115,11 +123,12 @@ func (q *Queue[T]) Dequeue() (v T, ok bool) {
 			q.tail.CompareAndSwap(tail, next)
 			continue
 		}
-		value := next.value
 		if q.head.CompareAndSwap(head, next) {
 			q.size.Add(-1)
-			// Clear the value field so the dequeued payload is not
-			// kept alive by the new sentinel.
+			// Winner only (see the package doc): take the value, then clear
+			// the field so the dequeued payload is not kept alive by the new
+			// sentinel.
+			value := next.value
 			var zero T
 			next.value = zero
 			return value, true

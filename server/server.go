@@ -484,15 +484,10 @@ func (s *Server) serveReq(ctx context.Context, out *outQueue, inflight chan stru
 		}
 		out.push(s.taskResponse(id, res, res.Err))
 	}
-	var err error
-	if req.DeadlineNS != 0 {
-		// The wire deadline is RELATIVE to receipt; the executor sheds the
-		// task with ErrDeadlineExpired if it is still queued past it.
-		err = s.ex.SubmitFuncTimed(ctx, task, time.Duration(req.DeadlineNS), done)
-	} else {
-		err = s.ex.SubmitFunc(ctx, task, done)
-	}
-	if err != nil {
+	// The wire deadline is RELATIVE to receipt; the executor sheds the task
+	// with ErrDeadlineExpired if it is still queued past it. Zero (no
+	// deadline on the wire) is SubmitFuncTimed's "no deadline" too.
+	if err := s.ex.SubmitFuncTimed(ctx, task, time.Duration(req.DeadlineNS), done); err != nil {
 		out.push(s.submitError(id, err))
 	}
 	return true
