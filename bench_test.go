@@ -3,8 +3,8 @@
 // unit: sim_txn/s is throughput on the simulated 16-processor testbed (the
 // y axis of Figures 3 and 4), so the *shape* across sub-benchmarks — who
 // wins, by what factor, where curves flatten — is the reproduction, not the
-// ns/op column. EXPERIMENTS.md records the paper-vs-measured comparison;
-// `go run ./cmd/kbench -experiment all` prints the full tables.
+// ns/op column. `go run ./cmd/kbench -experiment all` prints the full
+// tables; DESIGN.md §7 maps each one to the paper artifact it reproduces.
 package kstm_test
 
 import (

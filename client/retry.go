@@ -52,16 +52,36 @@ func isRetryable(err error) bool {
 		return false
 	}
 	// Transport class: the connection died (or never came up) before a
-	// response — ErrClosed wraps the cause for calls that were in flight.
-	if errors.Is(err, ErrClosed) || errors.Is(err, ErrNoHealthyConn) ||
-		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, wire.ErrTruncated) || errors.Is(err, net.ErrClosed) ||
-		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) ||
+	// response.
+	if mayHaveReachedServer(err) || errors.Is(err, ErrNoHealthyConn) ||
 		errors.Is(err, syscall.ECONNREFUSED) {
 		return true
 	}
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
+}
+
+// mayHaveReachedServer reports the transport failures that can strike a call
+// already in flight — ErrClosed wraps the cause for those — so the server may
+// have executed the request and only its response was lost. Failures that
+// precede the send (ErrBusy, ErrNoHealthyConn, a refused or timed-out dial)
+// are not in this class.
+func mayHaveReachedServer(err error) bool {
+	return errors.Is(err, ErrClosed) ||
+		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, wire.ErrTruncated) || errors.Is(err, net.ErrClosed) ||
+		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
+}
+
+// replaySafe reports whether DoRetry may re-send t after err. OpAdd and
+// OpTopK are not idempotent: replaying one whose response was lost would
+// apply it twice, so they are retried only after failures that provably
+// preceded the send (DESIGN.md §10.3). Every other opcode is idempotent.
+func replaySafe(t kstm.Task, err error) bool {
+	if t.Op != kstm.OpAdd && t.Op != kstm.OpTopK {
+		return true
+	}
+	return !mayHaveReachedServer(err)
 }
 
 // isTransport reports the subset of retryable errors that indict the
@@ -166,6 +186,11 @@ const (
 // deadline shed) returns immediately: retrying those either cannot help or
 // is the caller's policy decision.
 //
+// OpAdd and OpTopK are at most once: after a failure that may have reached
+// the server (the connection died with the call in flight) DoRetry returns
+// the error instead of replaying them, since the server may already have
+// applied the op (replaySafe).
+//
 // Retries draw on the Doer's shared budget when it has one (*Client and
 // *Pool do): when the budget runs dry the error surfaces instead of
 // retrying, so a fleet cannot retry-storm a recovering server. A server-
@@ -186,7 +211,7 @@ func DoRetry(ctx context.Context, d Doer, t kstm.Task) (Result, error) {
 			}
 			return res, nil
 		}
-		if !isRetryable(err) {
+		if !isRetryable(err) || !replaySafe(t, err) {
 			return res, err
 		}
 		if budgeted && !budget.retrySpend() {

@@ -109,6 +109,56 @@ func TestDoRetryRetriesTransient(t *testing.T) {
 	}
 }
 
+// TestDoRetryAtMostOnceOps: for every (op, first error) pair, count how many
+// times DoRetry calls Do when the first attempt fails and the second would
+// succeed. OpAdd and OpTopK are not idempotent, so a failure that may have
+// reached the server (the connection died with the call in flight) must not
+// replay them — a lost ack would otherwise apply the op twice. Failures that
+// precede the send retry for every op, and idempotent ops retry as before.
+func TestDoRetryAtMostOnceOps(t *testing.T) {
+	failures := []struct {
+		err      error
+		inFlight bool // the request may have reached the server
+	}{
+		{ErrClosed, true},
+		{fmt.Errorf("%w: %w", ErrClosed, io.EOF), true},
+		{io.EOF, true},
+		{io.ErrUnexpectedEOF, true},
+		{wire.ErrTruncated, true},
+		{syscall.ECONNRESET, true},
+		{syscall.EPIPE, true},
+		{net.ErrClosed, true},
+		{ErrBusy, false},
+		{ErrNoHealthyConn, false},
+		{syscall.ECONNREFUSED, false},
+		{&net.OpError{Op: "dial", Err: timeoutErr{}}, false},
+	}
+	ops := []kstm.Op{
+		kstm.OpInsert, kstm.OpDelete, kstm.OpLookup, kstm.OpNoop,
+		kstm.OpAdd, kstm.OpMax, kstm.OpMin, kstm.OpTopK,
+	}
+	for _, op := range ops {
+		atMostOnce := op == kstm.OpAdd || op == kstm.OpTopK
+		for _, f := range failures {
+			wantCalls := 2
+			if atMostOnce && f.inFlight {
+				wantCalls = 1
+			}
+			d := &fakeDoer{errs: []error{f.err}, budget: newRetryBudget()}
+			_, err := DoRetry(context.Background(), d, kstm.Task{Key: 1, Op: op, Arg: 1})
+			if d.calls != wantCalls {
+				t.Errorf("%v after %v: Do called %d times, want %d", op, f.err, d.calls, wantCalls)
+			}
+			if wantCalls == 1 && !errors.Is(err, f.err) {
+				t.Errorf("%v after %v: DoRetry = %v, want the transport error", op, f.err, err)
+			}
+			if wantCalls == 2 && err != nil {
+				t.Errorf("%v after %v: DoRetry = %v, want success on retry", op, f.err, err)
+			}
+		}
+	}
+}
+
 // TestDoRetryBudgetExhaustion: once the shared budget dips to half, retries
 // are denied and the transient error surfaces; successes refund it.
 func TestDoRetryBudgetExhaustion(t *testing.T) {

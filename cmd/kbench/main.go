@@ -7,23 +7,13 @@
 //	kbench -experiment all -runs 10 -mode sim
 //	kbench -experiment fig3-exponential -mode real -tasks 50000
 //	kbench -experiment fig4-overhead -csv
-//	kbench -experiment open-submit -tasks 50000
-//	kbench -experiment sharding -tasks 20000 -json > BENCH_smoke.json
-//	kbench -experiment network -tasks 20000
-//	kbench -experiment migration -tasks 20000
-//	kbench -trend bench/*.json BENCH_smoke.json
+//	kbench -experiment sharding,faults -runs 1 -tasks 2000
 //
-// open-submit exercises the open Executor API (Submit / SubmitAll from
-// goroutine-per-client traffic) on the real executor regardless of -mode;
-// network drives the same workload through the kstmd wire protocol over
-// loopback TCP; migration A/Bs sharded re-adaptation under key drift with
-// shard-state migration off vs. on (DESIGN.md §4.1); see DESIGN.md §3 and
-// "Network front-end".
-//
-// -trend folds archived -json snapshots (CI's BENCH_smoke.json artifacts,
-// the bench/ directory) into a perf-trajectory table: one row per snapshot,
-// one column per experiment configuration. Corrupt or duplicate snapshot
-// files are skipped with a per-file warning rather than aborting the table.
+// sharding (shared vs. per-worker STM) and faults (the serving stack under
+// injected transport faults) run the real executor regardless of -mode;
+// they are the two beyond-paper questions no BENCHMARK.json workload asks.
+// Every other claim beyond the paper is measured by BENCHMARK.json's
+// workloads (benchmark/README.md), not here.
 //
 // In sim mode (default) experiments run on the deterministic discrete-event
 // model of the paper's 16-processor SunFire 6800 testbed, so the figure
@@ -33,10 +23,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -63,18 +51,11 @@ func run(args []string) error {
 		tasks      = fs.Int("tasks", 20000, "tasks per data point in real mode")
 		seed       = fs.Uint64("seed", 1, "base PRNG seed")
 		csv        = fs.Bool("csv", false, "emit CSV instead of text tables")
-		asJSON     = fs.Bool("json", false, "emit one machine-readable JSON document instead of text tables")
-		trend      = fs.Bool("trend", false, "fold -json snapshot files (args or globs) into a perf-trajectory table")
-		gate       = fs.Float64("gate", 0, "with -trend: fail when a gated experiment's series drops more than this percent vs the previous snapshot (0 = off)")
-		gateExps   = fs.String("gate-experiments", "sharding,batching,contention,wake-latency", "with -trend -gate: comma-separated experiment IDs the gate applies to")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *trend {
-		return runTrend(os.Stdout, fs.Args(), *csv, *gate, *gateExps)
-	}
 	if *list {
 		fmt.Println("Available experiments (see DESIGN.md §7 for the paper mapping):")
 		for _, e := range harness.Experiments() {
@@ -109,8 +90,7 @@ func run(args []string) error {
 	if *experiment == "all" {
 		tables, err = harness.RunAll(opts)
 	} else {
-		// -experiment accepts a comma-separated list, so one CI artifact
-		// can archive several experiments' tables (e.g. sharding,network).
+		// -experiment accepts a comma-separated list (e.g. sharding,faults).
 		for _, id := range strings.Split(*experiment, ",") {
 			id = strings.TrimSpace(id)
 			if id == "" {
@@ -132,9 +112,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *asJSON {
-		return writeJSON(os.Stdout, *experiment, opts, tables)
-	}
 	for _, t := range tables {
 		if *csv {
 			fmt.Printf("# %s — %s\n", t.ID, t.Title)
@@ -145,47 +122,6 @@ func run(args []string) error {
 		}
 	}
 	return nil
-}
-
-// jsonReport is the -json document: enough provenance to compare runs over
-// time (CI archives one per build as BENCH_smoke.json) plus every result
-// table verbatim — for the sharding experiment that includes throughput and
-// the wait/service latency percentiles per mode.
-type jsonReport struct {
-	Experiment string      `json:"experiment"`
-	Mode       string      `json:"mode"`
-	Runs       int         `json:"runs"`
-	RealTasks  int         `json:"real_tasks"`
-	Seed       uint64      `json:"seed"`
-	Threads    []int       `json:"threads"`
-	Tables     []jsonTable `json:"tables"`
-}
-
-type jsonTable struct {
-	ID    string      `json:"id"`
-	Title string      `json:"title"`
-	Cols  []string    `json:"cols"`
-	Rows  [][]float64 `json:"rows"`
-	Notes []string    `json:"notes,omitempty"`
-}
-
-func writeJSON(w io.Writer, experiment string, o harness.Options, tables []*harness.Table) error {
-	rep := jsonReport{
-		Experiment: experiment,
-		Mode:       string(o.Mode),
-		Runs:       o.Runs,
-		RealTasks:  o.RealTasks,
-		Seed:       o.Seed,
-		Threads:    o.Threads,
-	}
-	for _, t := range tables {
-		rep.Tables = append(rep.Tables, jsonTable{
-			ID: t.ID, Title: t.Title, Cols: t.Cols, Rows: t.Rows, Notes: t.Notes,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 func parseThreads(s string) ([]int, error) {

@@ -18,8 +18,8 @@
 //
 // Error construction on a failure return (`return fmt.Errorf(...)`) is
 // tolerated: it executes once per failure, not per operation. The runtime
-// AllocsPerRun gates in bench/ remain the ground truth; this analyzer turns
-// the same budget into a build break (bench/README.md).
+// AllocsPerRun gates in internal/core remain the ground truth; this analyzer
+// turns the same budget into a build break (DESIGN.md §8.6).
 package hotpathalloc
 
 import (

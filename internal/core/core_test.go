@@ -306,36 +306,10 @@ func TestRunCountCompletesExactly(t *testing.T) {
 	}
 }
 
-func TestRunTimedStops(t *testing.T) {
-	w := newCountingWorkload()
-	cfg := validConfig(w)
-	pool, err := NewPool(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	res, err := pool.Run(50 * time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := time.Since(start); e > 2*time.Second {
-		t.Fatalf("run took %v", e)
-	}
-	if res.Completed == 0 {
-		t.Fatal("timed run completed nothing")
-	}
-	if res.Elapsed < 50*time.Millisecond {
-		t.Errorf("Elapsed = %v < window", res.Elapsed)
-	}
-}
-
 func TestRunRejectsBadArgs(t *testing.T) {
 	pool, err := NewPool(validConfig(newCountingWorkload()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := pool.Run(0); err == nil {
-		t.Error("Run(0) succeeded")
 	}
 	if _, err := pool.RunCount(0); err == nil {
 		t.Error("RunCount(0) succeeded")
@@ -434,23 +408,6 @@ func TestWorkStealingDrainsImbalance(t *testing.T) {
 	others := res.Completed - res.PerWorker[0]
 	if others == 0 {
 		t.Error("stealing workers completed nothing")
-	}
-}
-
-func TestCentralModelUsesDispatcher(t *testing.T) {
-	w := newCountingWorkload()
-	cfg := validConfig(w)
-	cfg.Model = ModelCentral
-	pool, err := NewPool(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pool.RunCount(3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != 3000 {
-		t.Fatalf("Completed = %d", res.Completed)
 	}
 }
 

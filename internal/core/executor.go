@@ -152,12 +152,6 @@ func WithSTM(s *stm.STM) Option { return func(c *execConfig) { c.stm = s } }
 // WithWorkloadFactory is given.
 func WithWorkload(w Workload) Option { return func(c *execConfig) { c.workload = w } }
 
-// WithLegacyWorkload sets a pre-v2 value-less workload, adapting it in
-// place; completed tasks carry nil values.
-func WithLegacyWorkload(w LegacyWorkload) Option {
-	return func(c *execConfig) { c.workload = AdaptLegacy(w) }
-}
-
 // WithWorkloadFactory sets the shard-local workload builder. Required for
 // ShardPerWorker (each worker executes NewShard(worker)); under ShardShared
 // it is called once, NewShard(0), for all workers. Mutually exclusive with

@@ -13,27 +13,26 @@ import (
 // Model selects the executor architecture of Figure 1.
 type Model string
 
-// The three executor models.
+// The two executor models the paper measures. Figure 1b's centralized
+// executor thread is drawn in the paper but never measured; it is not built
+// (DESIGN.md §2).
 const (
 	// ModelNoExecutor: each thread generates and synchronously executes
-	// its own transactions (Figure 1a). No queuing overhead; no load
-	// balancing; parallelism limited to the producer count.
+	// its own transactions (Figure 1a) — Figure 4's baseline. No queuing
+	// overhead; no load balancing; parallelism limited to the worker count.
 	ModelNoExecutor Model = "noexecutor"
-	// ModelCentral: a single executor thread takes tasks from all
-	// producers and dispatches to workers (Figure 1b).
-	ModelCentral Model = "central"
 	// ModelParallel: the executor runs inline in every producer thread
 	// (Figure 1c) — the model used for all the paper's measurements.
 	ModelParallel Model = "parallel"
 )
 
 // Models lists the executor models.
-func Models() []Model { return []Model{ModelNoExecutor, ModelCentral, ModelParallel} }
+func Models() []Model { return []Model{ModelNoExecutor, ModelParallel} }
 
-// defaultMaxQueueDepth bounds per-worker queues so that a fast producer
-// cannot consume unbounded memory during a timed run; producers spin-yield
-// at the bound. The paper's 10-second Java runs relied on producers and
-// workers being roughly matched.
+// defaultMaxQueueDepth bounds per-worker queues so that producers running
+// ahead of the workers cannot consume unbounded memory; producers block at
+// the bound. The paper's Java runs relied on producers and workers being
+// roughly matched.
 const defaultMaxQueueDepth = 8192
 
 // Config describes one executor experiment.
@@ -69,12 +68,12 @@ type Config struct {
 	SortBatch int
 }
 
-// Pool is the closed-world benchmark harness retained from the paper's
-// timed-driver shape: producers synthesize tasks internally and Run reports
-// aggregate throughput. It is now a thin compatibility wrapper over the
-// open Executor engine — each Run builds a fresh Executor, feeds it from
-// the configured producers, and reports the same Result as before. New code
-// that has its own callers should use NewExecutor and Submit directly.
+// Pool is the closed-world driver the paper's figures run: producers
+// synthesize tasks internally and RunCount reports aggregate throughput. It
+// is a thin wrapper over the open Executor engine — each run builds a fresh
+// Executor, feeds it from the configured producers, and reports a Result.
+// New code that has its own callers should use NewExecutor and Submit
+// directly.
 type Pool struct {
 	cfg      Config
 	maxDepth int
@@ -100,7 +99,7 @@ func NewPool(cfg Config) (*Pool, error) {
 	switch cfg.Model {
 	case ModelNoExecutor:
 		// Scheduler and producers are unused; workers self-produce.
-	case ModelCentral, ModelParallel:
+	case ModelParallel:
 		if cfg.Producers <= 0 {
 			return nil, fmt.Errorf("core: Config.Producers = %d, want > 0", cfg.Producers)
 		}
@@ -123,44 +122,27 @@ func NewPool(cfg Config) (*Pool, error) {
 	return &Pool{cfg: cfg, maxDepth: maxDepth}, nil
 }
 
-// Run executes the workload for roughly d — the paper's timed-driver shape:
-// start producers and workers, run the window, stop everything, report.
-func (p *Pool) Run(d time.Duration) (Result, error) {
-	if d <= 0 {
-		return Result{}, fmt.Errorf("core: non-positive run duration %v", d)
-	}
-	return p.execute(d, -1)
-}
-
-// RunCount executes exactly n tasks and reports the elapsed time; used by
-// deterministic tests and testing.B benchmarks.
+// RunCount executes exactly n tasks and reports the elapsed time: start
+// producers and workers, stop the instant the n-th task completes, report.
 func (p *Pool) RunCount(n int) (Result, error) {
 	if n <= 0 {
 		return Result{}, fmt.Errorf("core: non-positive task count %d", n)
 	}
-	return p.execute(0, int64(n))
+	if p.cfg.Model == ModelNoExecutor {
+		return p.runNoExecutor(int64(n))
+	}
+	return p.runParallel(int64(n))
 }
 
-// quota tracks counted-mode production and completion budgets.
-type quota struct {
-	counted   bool
-	remaining atomic.Int64 // tasks left to produce
-}
+// quota is a run's production budget: producers claim one task at a time
+// until it is exhausted.
+type quota struct{ remaining atomic.Int64 }
 
 // claim reserves one task to produce; it returns false when the budget is
-// exhausted. In timed mode it always succeeds.
-func (q *quota) claim() bool {
-	if !q.counted {
-		return true
-	}
-	return q.remaining.Add(-1) >= 0
-}
+// exhausted.
+func (q *quota) claim() bool { return q.remaining.Add(-1) >= 0 }
 
-func (p *Pool) execute(d time.Duration, count int64) (Result, error) {
-	if p.cfg.Model == ModelNoExecutor {
-		return p.executeNoExecutor(d, count)
-	}
-
+func (p *Pool) runParallel(count int64) (Result, error) {
 	depth := p.maxDepth
 	if depth == 0 {
 		depth = -1 // Pool semantics: 0 means "bound disabled" post-validation.
@@ -179,17 +161,15 @@ func (p *Pool) execute(d time.Duration, count int64) (Result, error) {
 		return Result{}, err
 	}
 
-	q := &quota{counted: count > 0}
-	if q.counted {
-		q.remaining.Store(count)
-		// Stop the engine the instant the last task completes so that
-		// RunCount's elapsed time measures exactly n tasks.
-		var done atomic.Int64
-		done.Store(count)
-		ex.onDone = func() {
-			if done.Add(-1) == 0 {
-				ex.markStopped()
-			}
+	q := &quota{}
+	q.remaining.Store(count)
+	// Stop the engine the instant the last task completes so that
+	// RunCount's elapsed time measures exactly n tasks.
+	var done atomic.Int64
+	done.Store(count)
+	ex.onDone = func() {
+		if done.Add(-1) == 0 {
+			ex.markStopped()
 		}
 	}
 
@@ -198,45 +178,19 @@ func (p *Pool) execute(d time.Duration, count int64) (Result, error) {
 		return Result{}, err
 	}
 	var producers sync.WaitGroup
-	switch p.cfg.Model {
-	case ModelParallel:
-		for i := 0; i < p.cfg.Producers; i++ {
-			producers.Add(1)
-			go func(i int) {
-				defer producers.Done()
-				p.parallelProducer(ex, q, i)
-			}(i)
-		}
-	case ModelCentral:
-		inbox, err := queue.New[Task](p.cfg.QueueKind)
-		if err != nil {
-			ex.halt()
-			return Result{}, err
-		}
-		ev := newInboxEvents()
-		for i := 0; i < p.cfg.Producers; i++ {
-			producers.Add(1)
-			go func(i int) {
-				defer producers.Done()
-				p.centralProducer(ex, q, i, inbox, ev)
-			}(i)
-		}
+	for i := 0; i < p.cfg.Producers; i++ {
 		producers.Add(1)
-		go func() {
+		go func(i int) {
 			defer producers.Done()
-			p.dispatcher(ex, inbox, ev)
-		}()
+			p.parallelProducer(ex, q, i)
+		}(i)
 	}
 
-	if q.counted {
-		// Producers exhaust the budget; completion of the last task (or
-		// the first fatal error) flips the engine to stopped. Block on
-		// the signal instead of spinning — a busy-wait here would steal
-		// a core from the very run being measured.
-		<-ex.Stopped()
-	} else {
-		time.Sleep(d)
-	}
+	// Producers exhaust the budget; completion of the last task (or the
+	// first fatal error) flips the engine to stopped. Block on the signal
+	// instead of spinning — a busy-wait here would steal a core from the
+	// very run being measured.
+	<-ex.Stopped()
 	ex.halt()
 	producers.Wait()
 	elapsed := time.Since(start)
@@ -244,7 +198,7 @@ func (p *Pool) execute(d time.Duration, count int64) (Result, error) {
 	return p.buildResult(ex, elapsed), ex.Err()
 }
 
-// buildResult converts engine counters into the legacy Result shape. The
+// buildResult converts engine counters into the Result shape. The
 // Pool always builds shared-mode executors, so shard 0 holds the run's STM
 // baseline.
 func (p *Pool) buildResult(ex *Executor, elapsed time.Duration) Result {
@@ -301,94 +255,16 @@ func (p *Pool) parallelProducer(ex *Executor, q *quota, i int) {
 	}
 }
 
-// inboxEvents is the central model's park/wake pair: items wakes the
-// dispatcher after a producer Put, space wakes a depth-blocked producer
-// after a dispatcher Get. Both are reusable one-token channels (the
-// Future.sem discipline) and both waits are level-triggered — the waiter
-// re-checks its condition, so a stale token costs one re-check and a
-// missed token is re-sent by the other side's next operation. Every Put
-// and every Get signals unconditionally: a non-blocking send into a full
-// cap-1 channel is free, and it removes any window between the waiter's
-// condition check and its block.
-type inboxEvents struct {
-	items chan struct{}
-	space chan struct{}
-}
-
-func newInboxEvents() *inboxEvents {
-	return &inboxEvents{
-		items: make(chan struct{}, 1),
-		space: make(chan struct{}, 1),
-	}
-}
-
-func signal(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
-}
-
-// centralProducer feeds the shared inbox (Figure 1b). At the depth bound it
-// blocks on the space event instead of spinning: the dispatcher signals
-// after every Get, admitting one producer per freed slot; ex.Stopped()
-// unblocks everyone at shutdown.
-func (p *Pool) centralProducer(ex *Executor, q *quota, i int, inbox queue.Queue[Task], ev *inboxEvents) {
-	src := p.cfg.NewSource(i)
-	for !ex.stopping() {
-		if !q.claim() {
-			return
-		}
-		t := src.Next()
-		if p.maxDepth > 0 {
-			for inbox.Len() >= p.maxDepth && !ex.stopping() {
-				select {
-				case <-ev.space:
-				case <-ex.Stopped():
-				}
-			}
-		}
-		inbox.Put(t)
-		signal(ev.items)
-	}
-}
-
-// dispatcher is the centralized executor thread (Figure 1b); tasks count as
-// produced when it hands them to a worker queue, as in the parallel model. An
-// empty inbox parks on the items event — producers Put before they signal,
-// so either this Get observes the task or the signal lands after it.
-func (p *Pool) dispatcher(ex *Executor, inbox queue.Queue[Task], ev *inboxEvents) {
-	for {
-		t, ok := inbox.Get()
-		if !ok {
-			if ex.stopping() {
-				return
-			}
-			select {
-			case <-ev.items:
-			case <-ex.Stopped():
-			}
-			continue
-		}
-		signal(ev.space)
-		if !ex.inject(t) {
-			return
-		}
-	}
-}
-
-// executeNoExecutor is Figure 1a: each worker generates and synchronously
-// executes its own transactions — no queues, no dispatch, no engine.
-func (p *Pool) executeNoExecutor(d time.Duration, count int64) (Result, error) {
-	q := &quota{counted: count > 0}
-	var done atomic.Int64
-	var stop atomic.Bool
+// runNoExecutor is Figure 1a: each worker generates and synchronously
+// executes its own transactions — no queues, no dispatch, no engine. The
+// run ends when the quota is exhausted; every claimed task completes before
+// its worker claims the next.
+func (p *Pool) runNoExecutor(count int64) (Result, error) {
+	q := &quota{}
+	q.remaining.Store(count)
+	var stop atomic.Bool // set by the first workload error
 	var produced atomic.Uint64
 	var workErr atomic.Pointer[error]
-	if q.counted {
-		q.remaining.Store(count)
-		done.Store(count)
-	}
 	completed := make([]paddedCounter, p.cfg.Workers)
 
 	stmBefore := p.cfg.STM.Stats()
@@ -414,20 +290,10 @@ func (p *Pool) executeNoExecutor(d time.Duration, count int64) (Result, error) {
 					return
 				}
 				completed[i].n.Add(1)
-				if q.counted && done.Add(-1) == 0 {
-					stop.Store(true)
-					return
-				}
 			}
 		}(i)
 	}
-	if q.counted {
-		wg.Wait()
-	} else {
-		time.Sleep(d)
-		stop.Store(true)
-		wg.Wait()
-	}
+	wg.Wait()
 	elapsed := time.Since(start)
 
 	perWorker := make([]uint64, len(completed))

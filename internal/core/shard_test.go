@@ -278,42 +278,6 @@ func TestTypedResultRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAdaptLegacyWorkload(t *testing.T) {
-	legacy := legacyCounter{}
-	ex, err := NewExecutor(WithLegacyWorkload(&legacy), WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := ex.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	res, err := ex.Submit(ctx, Task{Key: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != nil {
-		t.Errorf("legacy workload value = %v, want nil", res.Value)
-	}
-	if err := ex.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if legacy.n != 1 {
-		t.Errorf("legacy executions = %d", legacy.n)
-	}
-	// The adapter also works explicitly.
-	if AdaptLegacy(&legacy) == nil {
-		t.Error("AdaptLegacy returned nil")
-	}
-}
-
-type legacyCounter struct{ n int }
-
-func (l *legacyCounter) Execute(th *stm.Thread, t Task) error {
-	l.n++
-	return nil
-}
-
 // TestSubmitAllPartialFutures pins the SubmitAll contract on each of its
 // paths (plain grouped splice; per-task under a migration fence and under a
 // split table): when the batch stops early the returned slice stays

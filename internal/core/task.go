@@ -7,8 +7,8 @@
 // Three dispatch policies are provided, matching §3.2: round-robin
 // (keyless), fixed equal-width key ranges, and the adaptive PD-partition
 // that samples the key distribution and equalizes per-worker probability
-// mass. Three executor models are provided, matching Figure 1: no executor,
-// a centralized executor thread, and parallel executors inlined in the
+// mass. Pool drives the two executor models of Figure 1 the paper measures:
+// no executor (Figure 4's baseline) and parallel executors inlined in the
 // producers (the configuration used for the paper's results).
 package core
 
@@ -113,25 +113,6 @@ type WorkloadFunc func(th *stm.Thread, t Task) (any, error)
 
 // Execute implements Workload.
 func (f WorkloadFunc) Execute(th *stm.Thread, t Task) (any, error) { return f(th, t) }
-
-// LegacyWorkload is the pre-v2 workload shape: execution without a result
-// value. Existing implementations keep compiling against this interface and
-// join the executor through AdaptLegacy.
-type LegacyWorkload interface {
-	Execute(th *stm.Thread, t Task) error
-}
-
-// legacyAdapter lifts a LegacyWorkload into the typed interface with a nil
-// value on every task.
-type legacyAdapter struct{ w LegacyWorkload }
-
-func (a legacyAdapter) Execute(th *stm.Thread, t Task) (any, error) {
-	return nil, a.w.Execute(th, t)
-}
-
-// AdaptLegacy wraps a pre-v2 value-less workload as a Workload; every
-// completed task carries a nil Value.
-func AdaptLegacy(w LegacyWorkload) Workload { return legacyAdapter{w: w} }
 
 // WorkloadFactory builds shard-local workloads for sharded executors: under
 // ShardPerWorker the executor calls NewShard once per worker, and the

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"kstm/internal/core"
 	"kstm/internal/dist"
 	"kstm/internal/queue"
-	"kstm/internal/rng"
 	"kstm/internal/sim"
 	"kstm/internal/stats"
 	"kstm/internal/stm"
@@ -157,46 +155,10 @@ func Experiments() []Experiment {
 			Run:   runSortBatchAblation,
 		},
 		Experiment{
-			ID:    "open-submit",
-			Title: "Open submission: per-client Submit vs. batched SubmitAll (real executor)",
-			Paper: "beyond the paper: open Executor API (ROADMAP)",
-			Run:   runOpenSubmit,
-		},
-		Experiment{
 			ID:    "sharding",
 			Title: "Shared STM vs. per-worker sharded STM, gaussian keys (real executor)",
 			Paper: "beyond the paper: sharded executor v2 (ROADMAP)",
 			Run:   runSharding,
-		},
-		Experiment{
-			ID:    "network",
-			Title: "In-process submission vs. loopback wire protocol (kstmd front-end)",
-			Paper: "beyond the paper: network front-end (ROADMAP)",
-			Run:   runNetwork,
-		},
-		Experiment{
-			ID:    "migration",
-			Title: "Sharded re-adaptation under key drift: state migration off vs. on",
-			Paper: "beyond the paper: epoch-fenced shard-state migration (ROADMAP)",
-			Run:   runMigration,
-		},
-		Experiment{
-			ID:    "batching",
-			Title: "Per-task vs. batched submission, in-process and over the wire",
-			Paper: "beyond the paper: hot-path batching overhaul (ROADMAP)",
-			Run:   runBatching,
-		},
-		Experiment{
-			ID:    "contention",
-			Title: "Zipf-skewed counters: split-phase execution off vs. on",
-			Paper: "beyond the paper: split-phase execution for contended keys (ROADMAP)",
-			Run:   runContentionSplit,
-		},
-		Experiment{
-			ID:    "wake-latency",
-			Title: "Submit round trip against a parked vs. hot executor",
-			Paper: "beyond the paper: event-driven dispatch (ROADMAP)",
-			Run:   runWakeLatency,
 		},
 		Experiment{
 			ID:    "faults",
@@ -695,121 +657,6 @@ func runSortBatchAblation(o Options) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// runOpenSubmit measures the open Executor API under goroutine-per-client
-// traffic: external clients call Submit (request/response) or SubmitAll
-// (batched) against an adaptive executor, instead of the closed-world
-// producer loops every paper experiment uses. The adaptive scheduler
-// learns its PD-partition from the live submissions.
-func runOpenSubmit(o Options) ([]*Table, error) {
-	const workers, clients = 8, 16
-	t := &Table{
-		ID: "open-submit",
-		Title: fmt.Sprintf("Open submission, hash table, adaptive, %d workers, %d clients (real)",
-			workers, clients),
-		Cols: []string{"dist", "submit", "submitall", "imbalance"},
-	}
-	for di, d := range dist.Names() {
-		var syncThr, batchThr, imb []float64
-		for r := 0; r < max(1, o.Runs); r++ {
-			thr1, im, err := openSubmitPoint(o, d, workers, clients, false, o.Seed+uint64(r))
-			if err != nil {
-				return nil, err
-			}
-			thr2, _, err := openSubmitPoint(o, d, workers, clients, true, o.Seed+uint64(r))
-			if err != nil {
-				return nil, err
-			}
-			syncThr = append(syncThr, thr1)
-			batchThr = append(batchThr, thr2)
-			imb = append(imb, im)
-		}
-		t.Rows = append(t.Rows, []float64{float64(di),
-			stats.Summarize(syncThr).Mean, stats.Summarize(batchThr).Mean, stats.Summarize(imb).Mean})
-	}
-	t.Notes = append(t.Notes,
-		"dist: 0=uniform 1=gaussian 2=exponential",
-		"submit: one synchronous Submit per client request; submitall: clients batch and await futures",
-		"imbalance is per-worker completion balance under the live-learned adaptive partition")
-	return []*Table{t}, nil
-}
-
-// openSubmitPoint runs one open-submission configuration and returns
-// throughput plus the final per-worker load imbalance.
-func openSubmitPoint(o Options, distName string, workers, clients int, batched bool, seed uint64) (thr, imb float64, err error) {
-	// A reduced sample threshold lets adaptation land within CI-sized
-	// traffic; production callers keep the paper's 10,000 default.
-	ex, keyFn, err := NewOpenExecutor(txds.KindHashTable, core.SchedAdaptive, workers, core.WithThreshold(1000))
-	if err != nil {
-		return 0, 0, err
-	}
-	ctx := context.Background()
-	if err := ex.Start(ctx); err != nil {
-		return 0, 0, err
-	}
-	per := max(1, o.RealTasks/clients)
-	makeTask := func(src dist.Source) core.Task {
-		k, insert := dist.Split(src.Next())
-		op := core.OpDelete
-		if insert {
-			op = core.OpInsert
-		}
-		return core.Task{Key: keyFn(k), Op: op, Arg: k}
-	}
-	errCh := make(chan error, clients)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			src, err := dist.ByName(distName, seed+uint64(c)*0x9e37)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			if batched {
-				tasks := make([]core.Task, per)
-				for i := range tasks {
-					tasks[i] = makeTask(src)
-				}
-				futs, err := ex.SubmitAll(ctx, tasks)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				for _, f := range futs {
-					if _, err := f.Wait(ctx); err != nil {
-						errCh <- err
-						return
-					}
-				}
-				return
-			}
-			for i := 0; i < per; i++ {
-				if _, err := ex.Submit(ctx, makeTask(src)); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	if err := ex.Drain(); err != nil {
-		return 0, 0, err
-	}
-	select {
-	case err := <-errCh:
-		return 0, 0, err
-	default:
-	}
-	st := ex.Stats()
-	elapsed := time.Since(start)
-	if elapsed <= 0 {
-		return 0, st.LoadImbalance(), nil
-	}
-	return float64(st.Completed) / elapsed.Seconds(), st.LoadImbalance(), nil
-}
-
 // runSharding is the executor-v2 acceptance experiment: the Gaussian
 // adaptive hash-table workload at 8 workers, shared single-STM mode against
 // ShardPerWorker, reporting throughput and the wait/service latency
@@ -857,7 +704,7 @@ func runSharding(o Options) ([]*Table, error) {
 
 // ShardingPoint runs one shared-vs-sharded configuration under open
 // goroutine-per-client submission and returns the final ExecStats and the
-// load phase's wall-clock. Exported for the harness tests and kbench -json.
+// load phase's wall-clock. Exported for the harness tests.
 func ShardingPoint(o Options, distName string, mode core.ShardMode, workers, clients int, seed uint64) (core.ExecStats, time.Duration, error) {
 	var (
 		ex    *core.Executor
@@ -915,145 +762,6 @@ func ShardingPoint(o Options, distName string, mode core.ShardMode, workers, cli
 	default:
 	}
 	return ex.Stats(), elapsed, nil
-}
-
-// runMigration is the tentpole acceptance experiment: ShardPerWorker with
-// re-adaptation under a drifting Gaussian key stream, with shard-state
-// migration off (the DESIGN.md §4.1 visibility trade) and on (epoch-fenced
-// hand-off). Clients insert fresh keys and re-look-up their own earlier
-// inserts; since nothing ever deletes, every lookup miss is a visibility
-// error — a key stranded in a shard its range was re-routed away from.
-// Wait percentiles double as the pause measure: a parked task's wait
-// includes its time on the fence's hold queue.
-func runMigration(o Options) ([]*Table, error) {
-	const workers, clients = 8, 8
-	t := &Table{
-		ID: "migration",
-		Title: fmt.Sprintf("Sharded re-adaptation, drifting gaussian, migration off vs. on, %d workers, %d clients (real)",
-			workers, clients),
-		Cols: []string{"mode", "throughput", "vis_errors", "epochs", "keys_moved", "pause_ms",
-			"wait_p50_us", "wait_p95_us", "wait_p99_us"},
-	}
-	for mi, mode := range []core.MigrationMode{core.MigrateOff, core.MigrateOnRepartition} {
-		var thr, errs []float64
-		var last core.ExecStats
-		// One unrecorded warmup run per mode, mirroring runSharding.
-		if _, _, _, err := MigrationPoint(o, mode, workers, clients, o.Seed); err != nil {
-			return nil, err
-		}
-		for r := 0; r < max(1, o.Runs); r++ {
-			st, vis, elapsed, err := MigrationPoint(o, mode, workers, clients, o.Seed+uint64(r))
-			if err != nil {
-				return nil, err
-			}
-			if elapsed > 0 {
-				thr = append(thr, float64(st.Completed)/elapsed.Seconds())
-			}
-			errs = append(errs, float64(vis))
-			last = st
-		}
-		us := func(d time.Duration) float64 { return float64(d.Microseconds()) }
-		epochs := float64(last.Migrations.Epochs)
-		if mode == core.MigrateOff {
-			// Off mode still re-partitions; count the scheduler's epochs so
-			// the A/B shows both sides adapting.
-			epochs = float64(last.SchedulerEpochs)
-		}
-		t.Rows = append(t.Rows, []float64{float64(mi), stats.Summarize(thr).Mean,
-			stats.Summarize(errs).Mean, epochs, float64(last.Migrations.KeysMoved),
-			float64(last.Migrations.PauseNs) / 1e6,
-			us(last.Wait.P50), us(last.Wait.P95), us(last.Wait.P99)})
-	}
-	t.Notes = append(t.Notes,
-		"mode: 0=MigrateOff (re-routes ranges without their state — the §4.1 trade) 1=MigrateOnRepartition (epoch-fenced hand-off)",
-		"vis_errors: lookups of a client's own earlier insert that missed (mean per run); nothing deletes, so every miss is a stranded key",
-		"epochs/keys_moved/pause_ms are the final run's ExecStats.Migrations (off mode reports scheduler re-partitions as epochs)",
-		"wait percentiles include hold-queue time for fenced tasks; only moved ranges pause")
-	return []*Table{t}, nil
-}
-
-// MigrationPoint runs one migration-experiment configuration and returns the
-// final ExecStats, the visibility-error count, and the load wall-clock.
-// Exported for the harness tests and kbench -json.
-func MigrationPoint(o Options, mode core.MigrationMode, workers, clients int, seed uint64) (core.ExecStats, uint64, time.Duration, error) {
-	// A low threshold gives several re-adaptation windows within CI-sized
-	// traffic; production callers keep the paper's 10,000 default.
-	const threshold = 1500
-	ex, keyFn, err := NewMigratableShardedExecutor(txds.KindHashTable, workers, mode,
-		core.WithThreshold(threshold), core.WithReAdaptation())
-	if err != nil {
-		return core.ExecStats{}, 0, 0, err
-	}
-	ctx := context.Background()
-	if err := ex.Start(ctx); err != nil {
-		return core.ExecStats{}, 0, 0, err
-	}
-	total := max(clients, o.RealTasks)
-	per := total / clients
-	// The key stream drifts as a function of GLOBAL progress: a Gaussian
-	// whose mean slides from 1/8 to 7/8 of the key space over the run, so
-	// every adaptation window sees a different mass profile and the learned
-	// partitions genuinely move.
-	var progress atomic.Uint64
-	const (
-		keyStart, keyEnd = 8192.0, 57344.0
-		keyStddev        = 3000.0
-	)
-	var visErrors atomic.Uint64
-	errCh := make(chan error, clients)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			r := rng.New(seed + uint64(c)*0x9e37)
-			var inserted []uint32
-			for i := 0; i < per; i++ {
-				frac := float64(progress.Add(1)) / float64(total)
-				mean := keyStart + frac*(keyEnd-keyStart)
-				kf := mean + keyStddev*r.NormFloat64()
-				if kf < 0 {
-					kf = 0
-				}
-				if kf > dist.MaxKey {
-					kf = dist.MaxKey
-				}
-				k := uint32(kf)
-				if _, err := ex.Submit(ctx, core.Task{Key: keyFn(k), Op: core.OpInsert, Arg: k}); err != nil {
-					errCh <- err
-					return
-				}
-				inserted = append(inserted, k)
-				if i%4 == 3 {
-					// Re-read one of this client's own earlier inserts.
-					q := inserted[r.Intn(len(inserted))]
-					res, err := ex.Submit(ctx, core.Task{Key: keyFn(q), Op: core.OpLookup, Arg: q})
-					if err != nil {
-						errCh <- err
-						return
-					}
-					if found, _ := res.Value.(bool); !found {
-						visErrors.Add(1)
-					}
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	if err := ex.Drain(); err != nil {
-		return core.ExecStats{}, 0, 0, err
-	}
-	elapsed := time.Since(start)
-	select {
-	case err := <-errCh:
-		return core.ExecStats{}, 0, 0, err
-	default:
-	}
-	if err := ex.MigrationErr(); err != nil {
-		return core.ExecStats{}, 0, 0, err
-	}
-	return ex.Stats(), visErrors.Load(), elapsed, nil
 }
 
 // RunAll executes every experiment and returns the tables in registry

@@ -19,7 +19,8 @@ type Table struct {
 	// Cols[0] names the x column (e.g. "threads"); the rest name series.
 	Cols []string
 	Rows [][]float64
-	// Notes carry paper-vs-measured commentary into EXPERIMENTS.md.
+	// Notes carry paper-vs-measured commentary into kbench's output; DESIGN.md
+	// §7 maps each table to its paper artifact.
 	Notes []string
 }
 

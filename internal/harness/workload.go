@@ -80,12 +80,11 @@ func (d *DictWorkload) Execute(th *stm.Thread, t core.Task) (any, error) {
 // sharded configuration's total footprint equal to the shared one instead
 // of multiplying it by the worker count.
 //
-// A migratable factory (NewMigratableDictFactory) instead keeps every shard
-// hash table at the prototype size: shard-state migration moves keys by
-// scheduling-key range, so every shard must agree with the dispatch
-// partition — and with each other — on the key→bucket mapping. The other
-// structures schedule by the dictionary key itself and need no such
-// alignment.
+// A migratable factory (NewKeyRangeDictFactory) instead keeps every shard
+// hash table at the prototype size and moves keys by dictionary-key range,
+// so every shard agrees with the dispatch partition — and with each other —
+// on which keys a range holds. The other structures schedule by the
+// dictionary key itself and need no such alignment.
 type DictFactory struct {
 	kind    txds.Kind
 	buckets int // per-shard hash-table size; 0 = the structure default
@@ -107,16 +106,6 @@ func NewDictFactory(kind txds.Kind, workers int) *DictFactory {
 		f.buckets = shardedBuckets(workers)
 	}
 	return f
-}
-
-// NewMigratableDictFactory returns a factory whose shards support
-// core.ShardStore hand-off in the STRUCTURE's scheduling space: dictionary
-// keys for the ordered structures, bucket indices for the hash table.
-// Pair it with a dispatcher whose transaction keys live in that space
-// (NewMigratableShardedExecutor's keyFn does; hash tables then dispatch on
-// Hash output over [0, buckets-1]).
-func NewMigratableDictFactory(kind txds.Kind) *DictFactory {
-	return &DictFactory{kind: kind}
 }
 
 // NewKeyRangeDictFactory returns a migratable factory whose stores
@@ -188,7 +177,7 @@ func (f *DictFactory) Shard(worker int) txds.IntSet {
 // shard. It returns nil — disabling migration at executor validation — when
 // the shard structure does not implement txds.RangeStore, or when hash-table
 // shards were right-sized (their bucket spaces then disagree with the
-// dispatch partition's; use NewMigratableDictFactory).
+// dispatch partition's; use NewKeyRangeDictFactory).
 func (f *DictFactory) Store(worker int) core.ShardStore {
 	if f.kind == txds.KindHashTable && f.buckets > 0 {
 		return nil
@@ -351,39 +340,6 @@ func NewOpenExecutor(kind txds.Kind, sched core.SchedulerKind, workers int, opts
 		core.WithWorkers(workers),
 		core.WithSchedulerKind(sched, 0, maxKey, opts...),
 	)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ex, keyFn, nil
-}
-
-// NewMigratableShardedExecutor assembles a ShardPerWorker adaptive executor
-// whose shards support epoch-fenced state hand-off (migratable DictFactory:
-// structure defaults in every shard, so hash-table shards share the
-// prototype's bucket space). mode selects whether the hand-off runs —
-// MigrateOff keeps the §4 visibility trade on an otherwise identical
-// configuration, which is exactly the A/B the migration experiment needs.
-func NewMigratableShardedExecutor(kind txds.Kind, workers int, mode core.MigrationMode, opts ...core.AdaptiveOption) (ex *core.Executor, keyFn func(uint32) uint64, err error) {
-	proto, err := txds.New(kind)
-	if err != nil {
-		return nil, nil, err
-	}
-	keyFn = func(k uint32) uint64 { return uint64(k) }
-	maxKey := uint64(dist.MaxKey)
-	if ht, ok := proto.(*txds.HashTable); ok {
-		keyFn = func(k uint32) uint64 { return uint64(ht.Hash(k)) }
-		maxKey = uint64(ht.Buckets() - 1)
-	}
-	eopts := []core.Option{
-		core.WithSharding(core.ShardPerWorker),
-		core.WithWorkloadFactory(NewMigratableDictFactory(kind)),
-		core.WithWorkers(workers),
-		core.WithSchedulerKind(core.SchedAdaptive, 0, maxKey, opts...),
-	}
-	if mode != "" && mode != core.MigrateOff {
-		eopts = append(eopts, core.WithMigration(mode))
-	}
-	ex, err = core.NewExecutor(eopts...)
 	if err != nil {
 		return nil, nil, err
 	}

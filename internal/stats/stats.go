@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics the paper's data collection
 // uses (§4.3: "we take the mean throughput of ten runs"), plus confidence
-// intervals and speedup helpers for EXPERIMENTS.md tables.
+// intervals and speedup helpers for kbench's tables (DESIGN.md §7).
 package stats
 
 import (

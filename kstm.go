@@ -52,12 +52,12 @@
 // ExecStats then reports per-shard counters and wait/service latency
 // percentiles (p50/p95/p99) for both modes.
 //
-// The paper's closed-world benchmark harness survives as a wrapper on the
+// The paper's closed-world benchmark driver survives as a wrapper on the
 // same engine:
 //
 //	sched, _ := kstm.NewScheduler(kstm.SchedAdaptive, 0, kstm.MaxKey, 8)
 //	pool, _ := kstm.NewPool(kstm.Config{ ... Scheduler: sched ... })
-//	r, _ := pool.Run(10 * time.Second)
+//	r, _ := pool.RunCount(100000)
 //	fmt.Println(r.Throughput())
 //
 // See examples/ for complete programs and DESIGN.md for the architecture
@@ -188,8 +188,8 @@ var NewSkipList = txds.NewSkipList
 //	...
 //	ex.Drain()
 //
-// The closed-world Pool below is retained as a compatibility wrapper for
-// the paper's timed benchmark drives; it runs on the same engine.
+// The closed-world Pool below is the driver the paper's figures run; it
+// runs on the same engine.
 
 // Executor is the open key-based executor: Submit routes each task to a
 // worker by its transaction key through the configured dispatch policy.
@@ -205,7 +205,6 @@ var NewExecutor = core.NewExecutor
 var (
 	WithSTM             = core.WithSTM
 	WithWorkload        = core.WithWorkload
-	WithLegacyWorkload  = core.WithLegacyWorkload
 	WithWorkloadFactory = core.WithWorkloadFactory
 	WithSharding        = core.WithSharding
 	WithWorkers         = core.WithWorkers
@@ -428,12 +427,6 @@ type Workload = core.Workload
 // WorkloadFunc adapts a function to Workload.
 type WorkloadFunc = core.WorkloadFunc
 
-// LegacyWorkload is the pre-v2 value-less workload shape.
-type LegacyWorkload = core.LegacyWorkload
-
-// AdaptLegacy wraps a LegacyWorkload as a Workload with nil task values.
-var AdaptLegacy = core.AdaptLegacy
-
 // WorkloadFactory builds shard-local workloads for ShardPerWorker.
 type WorkloadFactory = core.WorkloadFactory
 
@@ -456,10 +449,9 @@ const (
 // Model selects the executor architecture of Figure 1.
 type Model = core.Model
 
-// Executor models.
+// Executor models: Figure 1a (no executor) and Figure 1c (parallel).
 const (
 	ModelNoExecutor = core.ModelNoExecutor
-	ModelCentral    = core.ModelCentral
 	ModelParallel   = core.ModelParallel
 )
 
