@@ -28,6 +28,54 @@ func TestRBTreeContainsAllocs(t *testing.T) {
 	}
 }
 
+// TestRBTreeNoopUpdateAllocs: an insert of a present key and a delete of an
+// absent one search read-only and acquire nothing, so, like a lookup, they
+// allocate nothing.
+func TestRBTreeNoopUpdateAllocs(t *testing.T) {
+	tree, th := prefilledRBTree(t)
+	present, absent := splitPrefilledKeys(t, tree, th, 1000)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range []struct {
+		name string
+		keys []uint32
+		op   func(uint32) (bool, error)
+	}{
+		{"Insert of a present key", present, func(k uint32) (bool, error) { return tree.Insert(th, k) }},
+		{"Delete of an absent key", absent, func(k uint32) (bool, error) { return tree.Delete(th, k) }},
+	} {
+		i := 0
+		avg := testing.AllocsPerRun(1000, func() {
+			changed, err := c.op(c.keys[i%len(c.keys)])
+			if err != nil || changed {
+				t.Fatalf("%s: (%v, %v), want (false, nil)", c.name, changed, err)
+			}
+			i++
+		})
+		if avg != 0 {
+			t.Errorf("%s allocates %.2f objects/op, want 0", c.name, avg)
+		}
+	}
+}
+
+// TestRBTreeUpdateAllocs: an effective insert and the delete that undoes it
+// allocate a Tx each, the new leaf, and a locator and a clone per node
+// written — about 15 per pair, since only nodes whose colour or links change
+// are written.
+func TestRBTreeUpdateAllocs(t *testing.T) {
+	tree, th := prefilledRBTree(t)
+	_, absent := splitPrefilledKeys(t, tree, th, 1000)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	i := 0
+	avg := testing.AllocsPerRun(1000, func() {
+		insertThenDelete(t, tree, th, absent[i%len(absent)])
+		i++
+	})
+	t.Logf("insert + delete of an absent key: %.2f objects/pair", avg)
+	if avg > 20 {
+		t.Fatalf("insert + delete allocates %.2f objects/pair, want <= 20", avg)
+	}
+}
+
 // TestRBTreePrefillFootprint: what stays reachable after the prefill is the
 // tree — nodes, their current locators and the transactions those name —
 // not every read set that built it (more than 100 MiB before a finished Tx

@@ -1,6 +1,7 @@
 package txds
 
 import (
+	"errors"
 	"fmt"
 
 	"kstm/internal/stm"
@@ -12,12 +13,13 @@ import (
 // that are numerically close share most of their path, which is why key
 // proximity predicts conflicts well here (§4.4).
 //
-// Insertion and deletion are single-pass top-down algorithms (in the style
-// of Cormen et al.'s exercises as popularized by the jsw/Eternally
-// Confuzzled tutorial): rebalancing happens on the way down with a sliding
-// window of at most four ancestors, so no parent stack is needed and the
-// write set stays proportional to the number of recolourings and rotations
-// actually performed.
+// Insertion and deletion search first, then fix up bottom-up (Cormen et
+// al.'s RB-INSERT-FIXUP and RB-DELETE-FIXUP). The search is read-only and
+// records its path on the stack, since nodes have no parent pointers; the
+// fix-up climbs that path. The write set is the nodes whose colour or links
+// change — near the key unless recolouring climbs — and an insert of a
+// present key or a delete of an absent one acquires nothing and commits
+// read-only (DESIGN.md §1.2).
 type RBTree struct {
 	root *stm.Object // holds *rbRoot
 }
@@ -43,6 +45,21 @@ type rbNode struct {
 func cloneRBNode(v any) any {
 	c := *v.(*rbNode)
 	return &c
+}
+
+// rbMaxDepth bounds a search path: a red-black tree of n < 2³² nodes is at
+// most 2·log2(n+1) deep.
+const rbMaxDepth = 64
+
+var errRBDepth = errors.New("rbtree: search path deeper than rbMaxDepth")
+
+// rbPath is a search path from the root: obj[i] is the node at depth i and
+// dir[i] the side taken from it. It holds object identities, never
+// versions: once the transaction has rotated past a node, a version read on
+// the way down is stale, so every node is re-opened through the Tx.
+type rbPath struct {
+	obj [rbMaxDepth]*stm.Object
+	dir [rbMaxDepth]int
 }
 
 // NewRBTree returns an empty tree.
@@ -85,38 +102,89 @@ func isRed(tx *stm.Tx, obj *stm.Object) (bool, error) {
 	return n.red, nil
 }
 
-// rotateSingle rotates the subtree rooted at obj away from dir and returns
-// the new subtree root. It recolours per the top-down protocol: the old
-// root becomes red, the new root black.
-func rotateSingle(tx *stm.Tx, obj *stm.Object, dir int) (*stm.Object, error) {
+// paint sets obj's colour, writing the node only if the colour changes.
+func paint(tx *stm.Tx, obj *stm.Object, red bool) error {
+	cur, err := isRed(tx, obj)
+	if err != nil || cur == red {
+		return err
+	}
 	n, err := writeNode(tx, obj)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	save := n.kids[1-dir]
-	s, err := writeNode(tx, save)
-	if err != nil {
-		return nil, err
-	}
-	n.kids[1-dir] = s.kids[dir]
-	s.kids[dir] = obj
-	n.red = true
-	s.red = false
-	return save, nil
+	n.red = red
+	return nil
 }
 
-// rotateDouble performs the two-step rotation for the zig-zag cases.
-func rotateDouble(tx *stm.Tx, obj *stm.Object, dir int) (*stm.Object, error) {
+// search descends from the root toward k, recording the path in p. It
+// returns the depth of the node holding k and that node's version, or the
+// depth at which k would be attached and nil.
+func (t *RBTree) search(tx *stm.Tx, p *rbPath, k int64) (int, *rbNode, error) {
+	rv, err := tx.Read(t.root)
+	if err != nil {
+		return 0, nil, err
+	}
+	obj := rv.(*rbRoot).child
+	for d := 0; d < rbMaxDepth; d++ {
+		if obj == nil {
+			return d, nil, nil
+		}
+		n, err := readNode(tx, obj)
+		if err != nil {
+			return 0, nil, err
+		}
+		p.obj[d] = obj
+		if n.key == k {
+			return d, n, nil
+		}
+		p.dir[d] = 0
+		if n.key < k {
+			p.dir[d] = 1
+		}
+		obj = n.kids[p.dir[d]]
+	}
+	return 0, nil, errRBDepth
+}
+
+// relink points the link into depth i at obj: the link from the node at
+// depth i-1, or the root holder's at depth 0, which is therefore written
+// only when the root object changes.
+func (t *RBTree) relink(tx *stm.Tx, p *rbPath, i int, obj *stm.Object) error {
+	if i == 0 {
+		w, err := tx.Write(t.root)
+		if err != nil {
+			return err
+		}
+		w.(*rbRoot).child = obj
+		return nil
+	}
+	n, err := writeNode(tx, p.obj[i-1])
+	if err != nil {
+		return err
+	}
+	n.kids[p.dir[i-1]] = obj
+	return nil
+}
+
+// rotate lifts the child on side up of the node at depth i into its place,
+// and the path follows: p.obj[i] becomes the lifted node. The lifted node
+// takes the old one's colour, and the old one becomes red if red is set and
+// black otherwise.
+func (t *RBTree) rotate(tx *stm.Tx, p *rbPath, i, up int, red bool) error {
+	obj := p.obj[i]
 	n, err := writeNode(tx, obj)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sub, err := rotateSingle(tx, n.kids[1-dir], 1-dir)
+	s := n.kids[up]
+	sn, err := writeNode(tx, s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	n.kids[1-dir] = sub
-	return rotateSingle(tx, obj, dir)
+	n.kids[up], sn.kids[1-up] = sn.kids[1-up], obj
+	sn.red, n.red = n.red, red
+	p.obj[i] = s
+	return t.relink(tx, p, i, s)
 }
 
 // Insert implements IntSet.
@@ -125,157 +193,66 @@ func (t *RBTree) Insert(th *stm.Thread, key uint32) (bool, error) {
 	var added bool
 	err := th.Atomic(func(tx *stm.Tx) error {
 		added = false
-		rv, err := tx.Read(t.root)
-		if err != nil {
+		var p rbPath
+		d, n, err := t.search(tx, &p, k)
+		if err != nil || n != nil {
 			return err
 		}
-		origRoot := rv.(*rbRoot).child
-		if origRoot == nil {
-			w, err := tx.Write(t.root)
-			if err != nil {
-				return err
-			}
-			w.(*rbRoot).child = newRBNodeObj(k, false)
-			added = true
-			return nil
-		}
-
-		// Transient false head: private to this attempt, so writes to
-		// it never conflict. Its right child is the tree root.
-		head := stm.NewObject(&rbNode{key: -1, kids: [2]*stm.Object{nil, origRoot}}, cloneRBNode)
-		var (
-			gObj *stm.Object // grandparent
-			tObj = head      // great-grandparent
-			pObj *stm.Object // parent
-			qObj = origRoot  // current
-			dir  int
-			last int
-		)
-		for {
-			var qKey int64
-			var qKids [2]*stm.Object
-			if qObj == nil {
-				// Insert a new red node under p.
-				qObj = newRBNodeObj(k, true)
-				pw, err := writeNode(tx, pObj)
-				if err != nil {
-					return err
-				}
-				pw.kids[dir] = qObj
-				added = true
-				qKey = k
-			} else {
-				qv, err := readNode(tx, qObj)
-				if err != nil {
-					return err
-				}
-				qKey, qKids = qv.key, qv.kids
-				lRed, err := isRed(tx, qKids[0])
-				if err != nil {
-					return err
-				}
-				rRed, err := isRed(tx, qKids[1])
-				if err != nil {
-					return err
-				}
-				if lRed && rRed {
-					// Colour flip on the way down.
-					qw, err := writeNode(tx, qObj)
-					if err != nil {
-						return err
-					}
-					qw.red = true
-					for _, kid := range qKids {
-						kw, err := writeNode(tx, kid)
-						if err != nil {
-							return err
-						}
-						kw.red = false
-					}
-				}
-			}
-
-			// Fix a red-red violation between q and p. Violations
-			// only arise at depth >= 2, so g and t are non-nil here.
-			qRed, err := isRed(tx, qObj)
-			if err != nil {
-				return err
-			}
-			pRed, err := isRed(tx, pObj)
-			if err != nil {
-				return err
-			}
-			if pObj != nil && qRed && pRed {
-				tv, err := readNode(tx, tObj)
-				if err != nil {
-					return err
-				}
-				dir2 := 0
-				if tv.kids[1] == gObj {
-					dir2 = 1
-				}
-				pv, err := readNode(tx, pObj)
-				if err != nil {
-					return err
-				}
-				var sub *stm.Object
-				if qObj == pv.kids[last] {
-					sub, err = rotateSingle(tx, gObj, 1-last)
-				} else {
-					sub, err = rotateDouble(tx, gObj, 1-last)
-				}
-				if err != nil {
-					return err
-				}
-				tw, err := writeNode(tx, tObj)
-				if err != nil {
-					return err
-				}
-				tw.kids[dir2] = sub
-			}
-
-			if qKey == k {
-				break
-			}
-			last = dir
-			dir = 0
-			if qKey < k {
-				dir = 1
-			}
-			if gObj != nil {
-				tObj = gObj
-			}
-			gObj, pObj = pObj, qObj
-			qObj = qKids[dir]
-		}
-
-		// Re-root if rotations moved the root, and force it black.
-		hv, err := readNode(tx, head)
-		if err != nil {
+		obj := newRBNodeObj(k, d > 0)
+		if err := t.relink(tx, &p, d, obj); err != nil {
 			return err
 		}
-		newRoot := hv.kids[1]
-		if newRoot != origRoot {
-			w, err := tx.Write(t.root)
-			if err != nil {
-				return err
-			}
-			w.(*rbRoot).child = newRoot
-		}
-		rootRed, err := isRed(tx, newRoot)
-		if err != nil {
-			return err
-		}
-		if rootRed {
-			rw, err := writeNode(tx, newRoot)
-			if err != nil {
-				return err
-			}
-			rw.red = false
-		}
-		return nil
+		p.obj[d] = obj
+		added = true
+		return t.insertFixup(tx, &p, d)
 	})
 	return added, err
+}
+
+// insertFixup restores the invariants after the red node at depth i was
+// attached. While the node's parent is red: a red uncle turns the parent
+// and uncle black and the grandparent red, and the violation climbs two
+// levels; otherwise at most two rotations end it.
+func (t *RBTree) insertFixup(tx *stm.Tx, p *rbPath, i int) error {
+	for ; i >= 2; i -= 2 {
+		parentRed, err := isRed(tx, p.obj[i-1])
+		if err != nil || !parentRed {
+			return err
+		}
+		g, side := p.obj[i-2], p.dir[i-2]
+		gv, err := readNode(tx, g)
+		if err != nil {
+			return err
+		}
+		uncle := gv.kids[1-side]
+		uncleRed, err := isRed(tx, uncle)
+		if err != nil {
+			return err
+		}
+		if !uncleRed {
+			// An inner child first rotates outward; then the parent
+			// rotates above the grandparent.
+			if p.dir[i-1] != side {
+				if err := t.rotate(tx, p, i-1, p.dir[i-1], true); err != nil {
+					return err
+				}
+			}
+			return t.rotate(tx, p, i-2, side, true)
+		}
+		if err := paint(tx, p.obj[i-1], false); err != nil {
+			return err
+		}
+		if err := paint(tx, uncle, false); err != nil {
+			return err
+		}
+		if err := paint(tx, g, true); err != nil {
+			return err
+		}
+	}
+	if i == 0 {
+		return paint(tx, p.obj[0], false)
+	}
+	return nil
 }
 
 // Delete implements IntSet.
@@ -284,225 +261,123 @@ func (t *RBTree) Delete(th *stm.Thread, key uint32) (bool, error) {
 	var removed bool
 	err := th.Atomic(func(tx *stm.Tx) error {
 		removed = false
-		rv, err := tx.Read(t.root)
+		var p rbPath
+		d, yv, err := t.search(tx, &p, k)
+		if err != nil || yv == nil {
+			return err
+		}
+		// The node at depth z holds k; the node spliced out, y, ends up
+		// at depth d with version yv.
+		z := d
+		if yv.kids[0] != nil && yv.kids[1] != nil {
+			// Two children: the in-order successor, which has no
+			// left child, gives up its key and is spliced out instead.
+			p.dir[d] = 1
+			for y := yv.kids[1]; ; y = yv.kids[0] {
+				if d++; d == rbMaxDepth {
+					return errRBDepth
+				}
+				if yv, err = readNode(tx, y); err != nil {
+					return err
+				}
+				p.obj[d], p.dir[d] = y, 0
+				if yv.kids[0] == nil {
+					break
+				}
+			}
+			zw, err := writeNode(tx, p.obj[z])
+			if err != nil {
+				return err
+			}
+			zw.key = yv.key
+		}
+		child := yv.kids[0]
+		if child == nil {
+			child = yv.kids[1]
+		}
+		if err := t.relink(tx, &p, d, child); err != nil {
+			return err
+		}
+		// Acquire the spliced-out node too, as the sorted list does: its
+		// version changes as it leaves the tree, so no transaction that
+		// read or acquired it commits, whatever path led it there.
+		yw, err := writeNode(tx, p.obj[d])
 		if err != nil {
 			return err
 		}
-		origRoot := rv.(*rbRoot).child
-		if origRoot == nil {
+		yw.kids = [2]*stm.Object{}
+		removed = true
+		if yv.red {
 			return nil
 		}
+		return t.deleteFixup(tx, &p, d-1, child)
+	})
+	return removed, err
+}
 
-		head := stm.NewObject(&rbNode{key: -1, kids: [2]*stm.Object{nil, origRoot}}, cloneRBNode)
-		var (
-			qObj = head
-			pObj *stm.Object // parent
-			gObj *stm.Object // grandparent
-			fObj *stm.Object // node holding the target key, if found
-			dir  = 1
-			last int
-		)
-		for {
-			qv, err := readNode(tx, qObj)
-			if err != nil {
-				return err
-			}
-			if qv.kids[dir] == nil {
-				break
-			}
-			last = dir
-			gObj, pObj = pObj, qObj
-			qObj = qv.kids[dir]
-			qv, err = readNode(tx, qObj)
-			if err != nil {
-				return err
-			}
-			dir = 0
-			if qv.key < k {
-				dir = 1
-			}
-			if qv.key == k {
-				fObj = qObj
-			}
-
-			// Push a red down to q so the final removal deletes a
-			// red node (or recolours trivially).
-			qDirRed, err := isRed(tx, qv.kids[dir])
-			if err != nil {
-				return err
-			}
-			if qv.red || qDirRed {
-				continue
-			}
-			oppRed, err := isRed(tx, qv.kids[1-dir])
-			if err != nil {
-				return err
-			}
-			if oppRed {
-				sub, err := rotateSingle(tx, qObj, dir)
-				if err != nil {
-					return err
-				}
-				pw, err := writeNode(tx, pObj)
-				if err != nil {
-					return err
-				}
-				pw.kids[last] = sub
-				pObj = sub
-				continue
-			}
-			pv, err := readNode(tx, pObj)
-			if err != nil {
-				return err
-			}
-			sObj := pv.kids[1-last]
-			if sObj == nil {
-				continue
-			}
-			sv, err := readNode(tx, sObj)
-			if err != nil {
-				return err
-			}
-			sLastRed, err := isRed(tx, sv.kids[last])
-			if err != nil {
-				return err
-			}
-			sOppRed, err := isRed(tx, sv.kids[1-last])
-			if err != nil {
-				return err
-			}
-			if !sLastRed && !sOppRed {
-				// Colour flip.
-				pw, err := writeNode(tx, pObj)
-				if err != nil {
-					return err
-				}
-				pw.red = false
-				sw, err := writeNode(tx, sObj)
-				if err != nil {
-					return err
-				}
-				sw.red = true
-				qw, err := writeNode(tx, qObj)
-				if err != nil {
-					return err
-				}
-				qw.red = true
-				continue
-			}
-			gv, err := readNode(tx, gObj)
-			if err != nil {
-				return err
-			}
-			dir2 := 0
-			if gv.kids[1] == pObj {
-				dir2 = 1
-			}
-			var sub *stm.Object
-			if sLastRed {
-				sub, err = rotateDouble(tx, pObj, last)
-			} else {
-				sub, err = rotateSingle(tx, pObj, last)
-			}
-			if err != nil {
-				return err
-			}
-			gw, err := writeNode(tx, gObj)
-			if err != nil {
-				return err
-			}
-			gw.kids[dir2] = sub
-			// Ensure correct colouring: q and the new subtree root
-			// are red, the new root's children black.
-			qw, err := writeNode(tx, qObj)
-			if err != nil {
-				return err
-			}
-			qw.red = true
-			subw, err := writeNode(tx, sub)
-			if err != nil {
-				return err
-			}
-			subw.red = true
-			for _, kid := range subw.kids {
-				if kid == nil {
-					continue
-				}
-				kw, err := writeNode(tx, kid)
-				if err != nil {
-					return err
-				}
-				kw.red = false
-			}
-		}
-
-		// Replace the found node's key with q's and splice q out.
-		if fObj != nil {
-			qv, err := readNode(tx, qObj)
-			if err != nil {
-				return err
-			}
-			fw, err := writeNode(tx, fObj)
-			if err != nil {
-				return err
-			}
-			fw.key = qv.key
-			pv, err := readNode(tx, pObj)
-			if err != nil {
-				return err
-			}
-			pdir := 0
-			if pv.kids[1] == qObj {
-				pdir = 1
-			}
-			qdir := 0
-			if qv.kids[0] == nil {
-				qdir = 1
-			}
-			pw, err := writeNode(tx, pObj)
-			if err != nil {
-				return err
-			}
-			pw.kids[pdir] = qv.kids[qdir]
-			// Write-acquire the removed node so transactions that
-			// read it (and might update a detached node) fail
-			// validation, as in the sorted list.
-			qw, err := writeNode(tx, qObj)
-			if err != nil {
-				return err
-			}
-			qw.kids = [2]*stm.Object{}
-			removed = true
-		}
-
-		hv, err := readNode(tx, head)
+// deleteFixup restores the black height after a black node was spliced out
+// from below the node at depth i, leaving x — which may be nil, so it is
+// tracked by its position — one black short; i < 0 means x is the root.
+// CLRS's four sibling cases: a red sibling is rotated up (1); a black
+// sibling with black children turns red and the deficit climbs (2);
+// otherwise at most two more rotations end it (3, 4).
+func (t *RBTree) deleteFixup(tx *stm.Tx, p *rbPath, i int, x *stm.Object) error {
+	for i >= 0 {
+		xRed, err := isRed(tx, x)
 		if err != nil {
 			return err
 		}
-		newRoot := hv.kids[1]
-		if newRoot != origRoot {
-			w, err := tx.Write(t.root)
-			if err != nil {
+		if xRed {
+			break
+		}
+		parent, side := p.obj[i], p.dir[i]
+		pv, err := readNode(tx, parent)
+		if err != nil {
+			return err
+		}
+		w := pv.kids[1-side]
+		wv, err := readNode(tx, w)
+		if err != nil {
+			return err
+		}
+		if wv.red { // case 1: x's new sibling is the old one's black child
+			if err := t.rotate(tx, p, i, 1-side, true); err != nil {
 				return err
 			}
-			w.(*rbRoot).child = newRoot
+			p.dir[i] = side
+			i++
+			p.obj[i], p.dir[i] = parent, side
+			continue
 		}
-		if newRoot != nil {
-			rootRed, err := isRed(tx, newRoot)
-			if err != nil {
+		near, far := wv.kids[side], wv.kids[1-side]
+		nearRed, err := isRed(tx, near)
+		if err != nil {
+			return err
+		}
+		farRed, err := isRed(tx, far)
+		if err != nil {
+			return err
+		}
+		if !nearRed && !farRed { // case 2
+			if err := paint(tx, w, true); err != nil {
 				return err
 			}
-			if rootRed {
-				rw, err := writeNode(tx, newRoot)
-				if err != nil {
-					return err
-				}
-				rw.red = false
-			}
+			x, i = parent, i-1
+			continue
 		}
-		return nil
-	})
-	return removed, err
+		if !farRed { // case 3: the path turns toward the sibling
+			p.dir[i], p.obj[i+1] = 1-side, w
+			if err := t.rotate(tx, p, i+1, side, true); err != nil {
+				return err
+			}
+			far = w
+		}
+		if err := paint(tx, far, false); err != nil { // case 4
+			return err
+		}
+		return t.rotate(tx, p, i, 1-side, false)
+	}
+	return paint(tx, x, false)
 }
 
 // Contains implements IntSet.
