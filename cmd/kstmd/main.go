@@ -277,8 +277,8 @@ func drain(ex *kstm.Executor, timeout time.Duration) error {
 func logStats(ex *kstm.Executor, srv *server.Server) {
 	st := ex.Stats()
 	ss := srv.Stats()
-	log.Printf("kstmd: state=%s conns=%d/%d req=%d resp=%d completed=%d cancelled=%d/%d busy=%d deadline=%d/%d admitted=%d admit_rej=%d failed=%d/%d stopped=%d badreq=%d proto_err=%d imbalance=%.2f wait_p95=%v svc_p95=%v migrations=%d/%dkeys/%v split=%dkeys/%depochs/%dparked/%v",
-		st.State, ss.OpenConns, ss.Conns, ss.Requests, ss.Responses,
+	log.Printf("kstmd: state=%s conns=%d/%d req=%d resp=%d inline=%d/%d completed=%d cancelled=%d/%d busy=%d deadline=%d/%d admitted=%d admit_rej=%d failed=%d/%d stopped=%d badreq=%d proto_err=%d imbalance=%.2f wait_p95=%v svc_p95=%v migrations=%d/%dkeys/%v split=%dkeys/%depochs/%dparked/%v",
+		st.State, ss.OpenConns, ss.Conns, ss.Requests, ss.Responses, st.Borrowed, ss.Inline,
 		st.Completed, st.Cancelled, ss.Cancelled, ss.Busy,
 		st.DeadlineExpired, ss.Deadline, ss.Admitted, ss.AdmitRejected,
 		st.Failed, ss.Failed,

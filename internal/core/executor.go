@@ -275,6 +275,10 @@ type Executor struct {
 	// onDone, if set before Start, runs after every task completion; the
 	// legacy counted-run harness uses it to stop at an exact task quota.
 	onDone func()
+	// borrowOK, fixed at Start, reports whether SubmitFuncOrRun may borrow
+	// a parked owner at all: no epoch gate, no work-steal, no SortBatch and
+	// no onDone hook.
+	borrowOK bool
 }
 
 // envelope carries a task through a worker queue together with its
@@ -326,7 +330,8 @@ type workerCounters struct {
 	empty     atomic.Uint64
 	steals    atomic.Uint64
 	deadline  atomic.Uint64
-	_         [16]byte
+	borrowed  atomic.Uint64
+	_         [8]byte
 }
 
 // shardState is one partition of the executor's transactional state: the
@@ -500,6 +505,7 @@ func (e *Executor) Start(ctx context.Context) error {
 	if ctx == nil {
 		ctx = backgroundCtx
 	}
+	e.borrowOK = e.epoch == nil && !e.cfg.workSteal && e.cfg.sortBatch <= 1 && e.onDone == nil
 	if !e.state.CompareAndSwap(stateNew, stateRunning) {
 		return ErrAlreadyStarted
 	}
@@ -578,6 +584,27 @@ func (e *Executor) submit(ctx context.Context, t Task, budget time.Duration, cb 
 	if ctx == nil {
 		ctx = backgroundCtx
 	}
+	env, err := e.admit(ctx, t, budget)
+	if err != nil {
+		return nil, err
+	}
+	if cb != nil {
+		// Conditional on purpose: a pooled shell's cb is already nil, and the
+		// shell's cache line was last written by the worker that settled it —
+		// SubmitAsync must not pull it across cores just to store a nil.
+		env.fut.cb = cb
+	}
+	if err := e.post(env, ctx); err != nil {
+		return nil, err
+	}
+	return env.fut, nil
+}
+
+// admit is the submission prologue shared by submit and SubmitFuncOrRun:
+// count in flight, check the state, take a shell, stamp, set the deadline.
+//
+//kstmvet:hotpath
+func (e *Executor) admit(ctx context.Context, t Task, budget time.Duration) (envelope, error) {
 	// Count the submission in flight BEFORE the state check: atomics are
 	// sequentially consistent, so either this submitter observes a
 	// non-running state and backs out, or Drain/halt observe the
@@ -587,28 +614,28 @@ func (e *Executor) submit(ctx context.Context, t Task, budget time.Duration, cb 
 	e.inflight.Add(1)
 	if e.state.Load() != stateRunning {
 		e.decInflight(1)
-		return nil, ErrNotRunning
+		return envelope{}, ErrNotRunning
 	}
 	fut := newFuture()
-	if cb != nil {
-		// Conditional on purpose: a pooled shell's cb is already nil, and the
-		// shell's cache line was last written by the worker that settled it —
-		// SubmitAsync must not pull it across cores just to store a nil.
-		fut.cb = cb
-	}
 	enq := time.Since(e.base) //kstmvet:ignore the one clock read per submission the latency accounting budgets for (DESIGN.md §5)
 	if budget > 0 {
 		fut.deadline = enq + budget
 	}
-	if err := e.dispatch(envelope{task: t, fut: fut, ctx: ctx, enq: enq}, ctx); err != nil {
-		// Never shared: the envelope did not reach a queue, so the shell
-		// can go straight back to the pool.
-		fut.cb = nil
-		fut.deadline = 0
-		fut.discard()
-		return nil, err
+	return envelope{task: t, fut: fut, ctx: ctx, enq: enq}, nil
+}
+
+// post dispatches an admitted envelope; on failure dispatch has released the
+// in-flight count and the never-shared shell goes straight back to the pool.
+//
+//kstmvet:hotpath
+func (e *Executor) post(env envelope, ctx context.Context) error {
+	if err := e.dispatch(env, ctx); err != nil {
+		env.fut.cb = nil
+		env.fut.deadline = 0
+		env.fut.discard()
+		return err
 	}
-	return fut, nil
+	return nil
 }
 
 // SubmitFunc dispatches one task and invokes done with its TaskResult when
@@ -646,6 +673,55 @@ func (e *Executor) SubmitFuncTimed(ctx context.Context, t Task, budget time.Dura
 	}
 	_, err := e.submit(ctx, t, budget, done)
 	return err
+}
+
+// SubmitFuncOrRun is SubmitFuncTimed for a depth-1 caller — one with nothing
+// else in flight that would wait for the result anyway. When the task's owner
+// worker is parked with an empty queue, the calling goroutine borrows it
+// (caller-runs, DESIGN.md §5.4): it executes the task itself with the
+// worker's thread, shard and counters and returns the result with ran=true,
+// and done is never called. Otherwise the task is queued exactly as
+// SubmitFuncTimed queues it (ran=false, done settles it later) and err
+// reports acceptance.
+//
+// A borrowed task counts as submitted and completed like a queued one, plus
+// ExecStats.Borrowed. The call never borrows under migration or split phase,
+// with work-steal, with SortBatch > 1, or behind a busy owner.
+//
+//kstmvet:hotpath
+func (e *Executor) SubmitFuncOrRun(ctx context.Context, t Task, budget time.Duration, done func(TaskResult)) (res TaskResult, ran bool, err error) {
+	if done == nil {
+		return TaskResult{}, false, fmt.Errorf("core: SubmitFuncOrRun requires a non-nil callback")
+	}
+	if ctx == nil {
+		ctx = backgroundCtx
+	}
+	env, err := e.admit(ctx, t, budget)
+	if err != nil {
+		return TaskResult{}, false, err
+	}
+	if e.borrowOK {
+		// Route without sampling: a declined borrow goes through dispatch,
+		// whose first pick samples the key.
+		if w := e.repick(t.Key); e.borrow(w) {
+			if _, ok := e.cfg.scheduler.(interface{ Repick(uint64) int }); ok {
+				// The sample dispatch's first pick would have taken (for the
+				// other schedulers repick already was that Pick).
+				e.cfg.scheduler.Pick(t.Key)
+			}
+			e.submitted.Add(1)
+			wc := &e.wstats[w]
+			wc.borrowed.Add(1)
+			// The enq stamp is the service start: nothing sat in between.
+			e.execOne(w, &e.shards[e.shardOf(w)], e.wakes[w].th, wc, &env, env.enq)
+			e.release(w)
+			res = env.fut.res
+			env.fut.consume()
+			return res, true, nil
+		}
+	}
+	env.fut.cb = done
+	return TaskResult{}, false, e.post(env, ctx)
 }
 
 // SubmitAll dispatches a batch, amortizing the per-call overhead for
@@ -987,6 +1063,9 @@ const drainBatch = 32
 func (e *Executor) worker(i int) {
 	sh := &e.shards[e.shardOf(i)]
 	th := sh.stm.NewThread() //kstmvet:ignore one transactional thread per worker lifetime, not per task
+	// Published before the first park (the idleParked store orders it): a
+	// borrower executes with this thread (wake.go).
+	e.wakes[i].th = th
 	wc := &e.wstats[i]
 	// SortBatch, when set, bounds the drain exactly (its contract is "drain
 	// up to n and key-order them"); otherwise drain the default batch.
@@ -1426,7 +1505,8 @@ type ExecStats struct {
 	Scheduler string
 	// Sharding is the state-partitioning mode (shared or perworker).
 	Sharding ShardMode
-	// Submitted counts tasks accepted into worker queues.
+	// Submitted counts tasks accepted into worker queues or run by a
+	// borrower (Borrowed).
 	Submitted uint64
 	// Rejected counts ErrQueueFull rejections.
 	Rejected uint64
@@ -1447,6 +1527,10 @@ type ExecStats struct {
 	// never executed, but they are counted apart: sheds measure overload
 	// (queue time exceeding client budgets), not client intent.
 	DeadlineExpired uint64
+	// Borrowed counts tasks a SubmitFuncOrRun caller ran itself on a parked
+	// owner's execution state (caller-runs); they are also in Submitted and,
+	// once run, in Completed or Cancelled like any other task.
+	Borrowed uint64
 	// InFlight is the current accepted-but-unfinished count.
 	InFlight int64
 	// PerWorker holds per-worker completion counts.
@@ -1542,6 +1626,7 @@ func (e *Executor) Stats() ExecStats {
 		s.Cancelled += wc.cancelled.Load()
 		s.Failed += wc.failed.Load()
 		s.DeadlineExpired += wc.deadline.Load()
+		s.Borrowed += wc.borrowed.Load()
 		s.EmptyPolls += wc.empty.Load()
 		s.Steals += wc.steals.Load()
 	}

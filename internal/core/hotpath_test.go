@@ -100,6 +100,33 @@ func TestSubmitFuncTimedAllocs(t *testing.T) {
 	}
 }
 
+// TestSubmitFuncOrRunAllocs pins the caller-runs path at zero allocations: a
+// borrowed task takes a pooled shell, runs on the parked worker's state and
+// returns its result — no queue node, no wake, and the prebuilt callback is
+// never called.
+func TestSubmitFuncOrRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ex := hotpathExecutor(t, 1)
+	ctx := context.Background()
+	cb := func(TaskResult) { t.Error("callback ran for a borrowed task") }
+	waitParked(t, ex, 1)
+	run := func() {
+		// Every call finds the worker parked: no borrowed task ever wakes it.
+		if _, ran, err := ex.SubmitFuncOrRun(ctx, Task{Key: 7, Op: OpNoop}, time.Minute, cb); err != nil || !ran {
+			t.Fatalf("SubmitFuncOrRun on a parked worker: ran=%v err=%v, want a borrowed task", ran, err)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		run()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if avg := testing.AllocsPerRun(500, run); avg != 0 {
+		t.Fatalf("borrowed SubmitFuncOrRun allocates %.2f objects/op, want 0", avg)
+	}
+}
+
 // TestSubmitAllAmortizedQueueOps asserts the batch contract directly: a
 // SubmitAll batch performs ONE queue operation per destination worker (the
 // contiguous PutAll splice), not one per task.

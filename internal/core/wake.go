@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
+
+	"kstm/internal/stm"
 )
 
 // Event-driven dispatch (DESIGN.md §5.4). Idle workers used to poll their
@@ -40,11 +43,35 @@ import (
 // wake-free: a Submit into a busy executor costs one atomic load here, no
 // CAS, no channel operation, no allocation — preserving the Submit =
 // 1 alloc/op gate (hotpath_test.go).
+//
+// Caller-runs (DESIGN.md §5.4). A depth-1 submitter whose key's owner is
+// parked with an empty queue borrows the owner instead of waking it: the CAS
+// parked→borrowed hands it the worker's thread, shard, counters and
+// histograms for one task, and release stores parked again:
+//
+//	borrower:                       enqueuer (wake side, unchanged):
+//	  idle.CAS(parked, borrowed)      queue.Put(env)
+//	  run one task                    idle.CAS(parked, active) fails
+//	  idle.Store(idleParked)            while borrowed: nobody woken
+//	  re-poll queue (Len), state
+//	  non-empty or not running → tryWake
+//
+// Release is the park handshake again — publish parked, then read the
+// queue, against Put, then read the flag — so an enqueue that found the
+// word borrowed is seen by release's read and woken there.
+//
+// Ownership invariant: a worker's thread, counters and histograms are
+// touched only by whoever moved the idle word out of idleParked. The
+// worker's every exit from parkWorker goes through reclaim, which waits
+// out a borrower (one task) before claiming idleActive.
 
 // Worker idle states (workerWake.idle).
 const (
 	idleActive uint32 = iota
 	idleParked
+	// idleBorrowed: a caller-runs borrower holds the parked worker's
+	// execution state for one task (borrow / release).
+	idleBorrowed
 )
 
 // parkSpins is how many Gosched-only empty polls a worker tolerates before
@@ -60,7 +87,8 @@ const parkSpins = 64
 //
 //kstmvet:padalign
 type workerWake struct {
-	// idle is the worker's idle-state word: idleActive or idleParked.
+	// idle is the worker's idle-state word: idleActive, idleParked or
+	// idleBorrowed.
 	idle atomic.Uint32
 	// spaceWaiters counts submitters blocked on this worker's full queue.
 	spaceWaiters atomic.Int32
@@ -69,7 +97,10 @@ type workerWake struct {
 	// space is the reusable one-token space channel (worker → blocked
 	// submitters); level-triggered, waiters re-check the depth bound.
 	space chan struct{}
-	_     [40]byte
+	// th is the worker's transactional thread, published by the worker
+	// before its first park so a borrower can execute with it.
+	th *stm.Thread
+	_  [32]byte
 }
 
 // initWakes builds the per-worker wake state and the drain-completion
@@ -170,11 +201,10 @@ func (e *Executor) parkWorker(i int, wc *workerCounters) (envelope, bool) {
 	}
 	select {
 	case <-ws.token:
-		if ws.idle.CompareAndSwap(idleParked, idleActive) {
-			// Stale token from an earlier aborted park: nobody CAS'd us
-			// active, so this is a self-unpark — we own the decrement.
-			e.parked.Add(-1)
-		}
+		// A waker's token finds the word active. A stale token from an
+		// earlier aborted park finds it parked (or borrowed): reclaim makes
+		// that a self-unpark, after any borrower is done.
+		e.reclaim(ws)
 	case <-e.stopped:
 		e.unparkSelf(ws)
 	}
@@ -202,12 +232,65 @@ func (e *Executor) parkAbort() bool {
 // token sent after this drain is the bounded stale-token case parkWorker
 // reconciles.)
 func (e *Executor) unparkSelf(ws *workerWake) {
-	if ws.idle.CompareAndSwap(idleParked, idleActive) {
-		e.parked.Add(-1)
-	}
+	e.reclaim(ws)
 	select {
 	case <-ws.token:
 	default:
+	}
+}
+
+// reclaim is the worker's half of the ownership invariant, run on every exit
+// from parkWorker: wait while a borrower holds the word (bounded by the one
+// task it runs), then take it from parked to active. If a waker's CAS already
+// made the worker active, the waker owns the decrement; otherwise the worker
+// does.
+func (e *Executor) reclaim(ws *workerWake) {
+	for {
+		switch ws.idle.Load() {
+		case idleActive:
+			return
+		case idleParked:
+			if ws.idle.CompareAndSwap(idleParked, idleActive) {
+				e.parked.Add(-1)
+				return
+			}
+		default:
+			runtime.Gosched()
+		}
+	}
+}
+
+// borrow claims parked worker w for the calling goroutine (caller-runs): the
+// CAS parked→borrowed, where tryWake would CAS parked→active. A claimed
+// worker whose queue holds work is released at once — a borrowed task never
+// jumps work already queued for its worker. The parked count is left alone:
+// to every enqueuer the worker is still parked, just not wakeable until
+// release.
+//
+//kstmvet:hotpath
+func (e *Executor) borrow(w int) bool {
+	if !e.wakes[w].idle.CompareAndSwap(idleParked, idleBorrowed) {
+		return false
+	}
+	if e.queues[w].Len() != 0 {
+		e.release(w)
+		return false
+	}
+	return true
+}
+
+// release hands a borrowed worker back: store parked, then read the queue
+// and the state. An enqueuer that saw the word borrowed woke nobody, and a
+// Drain or last-finisher broadcast that saw it borrowed was lost too, so
+// either condition wakes the worker here. Under borrowing the worker is its
+// queue's only consumer (work-steal is off) and it is blocked, so a Put that
+// completed before the enqueuer read the flag is counted in Len.
+//
+//kstmvet:hotpath
+func (e *Executor) release(w int) {
+	e.wakes[w].idle.Store(idleParked)
+	if e.queues[w].Len() != 0 || e.state.Load() != stateRunning {
+		e.tryWake(w)
 	}
 }
 

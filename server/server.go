@@ -51,6 +51,10 @@ type Stats struct {
 	Requests uint64
 	// Responses counts response frames written (all statuses).
 	Responses uint64
+	// Inline counts responses the read loop wrote itself: a lone request
+	// that ran on the reader (caller-runs, DESIGN.md §5.2), answered with
+	// no hand-off to the writer. A subset of Responses.
+	Inline uint64
 	// Busy / Stopped / BadRequest / Failed count non-OK responses by
 	// status. Cancelled counts tasks abandoned by per-connection
 	// cancellation; delivery of their StatusCancelled frames is
@@ -148,7 +152,7 @@ type Server struct {
 	conns     sync.WaitGroup
 	closed    atomic.Bool
 
-	nConns, nOpen, nReq, nResp                 atomic.Uint64
+	nConns, nOpen, nReq, nResp, nInline        atomic.Uint64
 	nBusy, nCancel, nStopped, nBadReq, nFailed atomic.Uint64
 	nDeadline, nAdmit, nAdmitRej               atomic.Uint64
 	nProtoErr                                  atomic.Uint64
@@ -257,6 +261,7 @@ func (s *Server) Stats() Stats {
 		OpenConns:      s.nOpen.Load(),
 		Requests:       s.nReq.Load(),
 		Responses:      s.nResp.Load(),
+		Inline:         s.nInline.Load(),
 		Busy:           s.nBusy.Load(),
 		Cancelled:      s.nCancel.Load(),
 		Stopped:        s.nStopped.Load(),
@@ -281,9 +286,12 @@ type connState struct {
 	out      *outQueue
 	br       *bufio.Reader
 	bw       *bufio.Writer
-	scratch  []byte          // frame-decode buffer (read loop)
-	encBuf   []byte          // frame-encode buffer (writer)
-	batch    []wire.Response // writer's take() swap buffer
+	// wmu serializes the writer and the read loop's inline responses on bw
+	// and encBuf: each holds it around its own encode, write and flush.
+	wmu     sync.Mutex
+	scratch []byte          // frame-decode buffer (read loop)
+	encBuf  []byte          // frame-encode buffer (under wmu)
+	batch   []wire.Response // writer's take() swap buffer
 }
 
 var connPool = sync.Pool{New: func() any {
@@ -314,7 +322,8 @@ func (cs *connState) recycle() {
 // through the executor's callback API (SubmitFunc — no Future, no bridge
 // goroutine per request), and a writer draining the connection's response
 // queue. Task completions run a small callback on the settling worker that
-// parks the response on the queue and returns.
+// parks the response on the queue and returns. A lone request may instead
+// run on this read loop and be answered from it (serveReq).
 func (s *Server) handle(conn net.Conn) {
 	// The connection context cancels when the read loop exits (drop, EOF,
 	// protocol error) or the server closes: tasks this connection queued
@@ -336,6 +345,8 @@ func (s *Server) handle(conn net.Conn) {
 	cs := connPool.Get().(*connState)
 	inflight := cs.inflight
 	out := cs.out
+	// Before the writer starts: the read loop may write inline responses.
+	cs.bw.Reset(conn)
 	// batchOK flips once the peer sends a batch frame: only then may the
 	// writer coalesce responses into TypeBatchResponse frames (older
 	// clients would drop the connection on an unknown frame type).
@@ -344,7 +355,7 @@ func (s *Server) handle(conn net.Conn) {
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		s.writeLoop(conn, cs, &batchOK, cancel)
+		s.writeLoop(cs, &batchOK, cancel)
 	}()
 
 	// Admission bucket: single-owner (only this read loop touches it), so
@@ -374,13 +385,16 @@ readLoop:
 		}
 		switch frame.Type {
 		case wire.TypeRequest, wire.TypeRequestDeadline:
-			if !s.serveReq(ctx, out, inflight, admit, frame.Req) {
+			// Lone: nothing of this connection's in flight and no next frame
+			// already read, so the client waits on this answer alone.
+			lone := len(inflight) == 0 && cs.br.Buffered() == 0
+			if !s.serveReq(ctx, cancel, cs, admit, frame.Req, lone) {
 				break readLoop
 			}
 		case wire.TypeBatchRequest, wire.TypeBatchRequestDeadline:
 			batchOK.Store(true)
 			for _, req := range frame.Reqs {
-				if !s.serveReq(ctx, out, inflight, admit, req) {
+				if !s.serveReq(ctx, cancel, cs, admit, req, false) {
 					break readLoop
 				}
 			}
@@ -396,7 +410,8 @@ readLoop:
 	// still in flight settle later on their workers: their callbacks see
 	// the dead context, record the fate in the stats, and release their
 	// slots; a push that races the writer's exit parks harmlessly on the
-	// orphaned queue until both are collected.
+	// orphaned queue until both are collected. (An inline task ran to its
+	// end on this goroutine before the loop could exit.)
 	cancel()
 	out.close()
 	writerWG.Wait()
@@ -418,9 +433,13 @@ readLoop:
 const maxInflightPerConn = 1024
 
 // serveReq validates and submits one request, enqueueing the response (or
-// arranging the completion callback to). It returns false only when the
-// connection is being torn down.
-func (s *Server) serveReq(ctx context.Context, out *outQueue, inflight chan struct{}, admit *tokenBucket, req wire.Request) bool {
+// arranging the completion callback to). A lone request goes through
+// SubmitFuncOrRun: if it ran on this goroutine (its owner worker was parked),
+// the read loop writes the response itself and the next frame is read only
+// after that (DESIGN.md §5.2). It returns false only when the connection is
+// being torn down.
+func (s *Server) serveReq(ctx context.Context, cancel context.CancelFunc, cs *connState, admit *tokenBucket, req wire.Request, lone bool) bool {
+	out, inflight := cs.out, cs.inflight
 	s.nReq.Add(1)
 	select {
 	case inflight <- struct{}{}:
@@ -467,18 +486,8 @@ func (s *Server) serveReq(ctx context.Context, out *outQueue, inflight chan stru
 	id := req.ID
 	done := func(res kstm.TaskResult) {
 		// Runs on the settling worker: park the response and return. On a
-		// dead connection there is no one left to tell — classify the
-		// task's true fate for the stats (mirroring the executor's own
-		// Completed/Cancelled split) and release the slot directly.
-		if ctx.Err() != nil {
-			switch {
-			case errors.Is(res.Err, kstm.ErrStopped):
-				s.nStopped.Add(1)
-			case errors.Is(res.Err, kstm.ErrDeadlineExpired):
-				s.nDeadline.Add(1)
-			case errors.Is(res.Err, context.Canceled), errors.Is(res.Err, context.DeadlineExceeded):
-				s.nCancel.Add(1)
-			}
+		// dead connection release the slot directly.
+		if s.settledDead(ctx, res) {
 			<-inflight
 			return
 		}
@@ -487,10 +496,62 @@ func (s *Server) serveReq(ctx context.Context, out *outQueue, inflight chan stru
 	// The wire deadline is RELATIVE to receipt; the executor sheds the task
 	// with ErrDeadlineExpired if it is still queued past it. Zero (no
 	// deadline on the wire) is SubmitFuncTimed's "no deadline" too.
-	if err := s.ex.SubmitFuncTimed(ctx, task, time.Duration(req.DeadlineNS), done); err != nil {
+	budget := time.Duration(req.DeadlineNS)
+	var err error
+	if lone {
+		var res kstm.TaskResult
+		var ran bool
+		if res, ran, err = s.ex.SubmitFuncOrRun(ctx, task, budget, done); ran {
+			if !s.settledDead(ctx, res) {
+				s.writeInline(cs, cancel, s.taskResponse(id, res, res.Err))
+			}
+			// Released after the write: an empty semaphore still proves
+			// nobody can touch cs (handle's recycle argument).
+			<-inflight
+			return true
+		}
+	} else {
+		err = s.ex.SubmitFuncTimed(ctx, task, budget, done)
+	}
+	if err != nil {
 		out.push(s.submitError(id, err))
 	}
 	return true
+}
+
+// settledDead reports whether a settled task's connection is already dead.
+// There is then no one left to tell, so it classifies the task's true fate
+// for the stats (mirroring the executor's own Completed/Cancelled split); the
+// caller releases the slot.
+func (s *Server) settledDead(ctx context.Context, res kstm.TaskResult) bool {
+	if ctx.Err() == nil {
+		return false
+	}
+	switch {
+	case errors.Is(res.Err, kstm.ErrStopped):
+		s.nStopped.Add(1)
+	case errors.Is(res.Err, kstm.ErrDeadlineExpired):
+		s.nDeadline.Add(1)
+	case errors.Is(res.Err, context.Canceled), errors.Is(res.Err, context.DeadlineExceeded):
+		s.nCancel.Add(1)
+	}
+	return true
+}
+
+// writeInline writes and flushes one response from the read loop under the
+// connection's write mutex. A write error cancels the connection, as it does
+// in the writer.
+func (s *Server) writeInline(cs *connState, cancel context.CancelFunc, resp wire.Response) {
+	cs.wmu.Lock()
+	var err error
+	if cs.encBuf, err = s.writeOne(cs.bw, cs.encBuf, resp); err == nil {
+		s.nInline.Add(1)
+		err = cs.bw.Flush()
+	}
+	cs.wmu.Unlock()
+	if err != nil {
+		cancel()
+	}
 }
 
 // tokenBucket is serveReq's per-connection admission meter, in the virtual-
@@ -609,16 +670,14 @@ func (q *outQueue) take(into []wire.Response) ([]wire.Response, bool) {
 // burst either way. A write failure cancels the connection (the read loop
 // and pending callbacks then unwind) and the loop keeps draining — slots
 // must keep flowing back so the handler's semaphore reclaim terminates.
-func (s *Server) writeLoop(conn net.Conn, cs *connState, batchOK *atomic.Bool, cancel context.CancelFunc) {
+func (s *Server) writeLoop(cs *connState, batchOK *atomic.Bool, cancel context.CancelFunc) {
 	out, inflight := cs.out, cs.inflight
 	bw := cs.bw
-	bw.Reset(conn)
-	buf := cs.encBuf
 	batch := cs.batch
 	defer func() {
-		// Hand the (possibly grown) scratch buffers back for reuse by the
-		// next connection this state serves.
-		cs.encBuf, cs.batch = buf, batch
+		// Hand the (possibly grown) swap buffer back for reuse by the next
+		// connection this state serves.
+		cs.batch = batch
 	}()
 	dead := false
 	for {
@@ -626,20 +685,24 @@ func (s *Server) writeLoop(conn net.Conn, cs *connState, batchOK *atomic.Bool, c
 		batch, closed = out.take(batch)
 		if closed {
 			if !dead {
+				cs.wmu.Lock()
 				bw.Flush()
+				cs.wmu.Unlock()
 			}
 			return
 		}
 		if !dead {
 			var werr error
+			cs.wmu.Lock()
 			if batchOK.Load() && len(batch) > 1 {
-				buf, werr = s.writeBatched(bw, buf, batch)
+				cs.encBuf, werr = s.writeBatched(bw, cs.encBuf, batch)
 			} else {
-				buf, werr = s.writeSingles(bw, buf, batch)
+				cs.encBuf, werr = s.writeSingles(bw, cs.encBuf, batch)
 			}
 			if werr == nil {
 				werr = bw.Flush()
 			}
+			cs.wmu.Unlock()
 			if werr != nil {
 				// Socket gone: tear the connection down but keep
 				// consuming (and releasing slots) until the handler
@@ -673,22 +736,31 @@ func (s *Server) sanitize(resp wire.Response) wire.Response {
 // bursts instead of re-allocated per burst.
 func (s *Server) writeSingles(bw *bufio.Writer, buf []byte, batch []wire.Response) ([]byte, error) {
 	for _, resp := range batch {
-		resp = s.sanitize(resp)
-		b, err := wire.AppendResponse(buf[:0], resp)
-		if err != nil {
-			// Sanitized responses encode; a failure here is a bug, but
-			// answer the request rather than wedge the connection.
-			b, _ = wire.AppendResponse(buf[:0], wire.Response{
-				ID: resp.ID, Status: wire.StatusError, Msg: "encode error",
-			})
+		var err error
+		if buf, err = s.writeOne(bw, buf, resp); err != nil {
+			return buf, err
 		}
-		buf = b
-		if _, werr := bw.Write(b); werr != nil {
-			return buf, werr
-		}
-		s.nResp.Add(1)
 	}
 	return buf, nil
+}
+
+// writeOne writes one TypeResponse frame, returning the (possibly grown)
+// encode buffer.
+func (s *Server) writeOne(bw *bufio.Writer, buf []byte, resp wire.Response) ([]byte, error) {
+	resp = s.sanitize(resp)
+	b, err := wire.AppendResponse(buf[:0], resp)
+	if err != nil {
+		// Sanitized responses encode; a failure here is a bug, but answer
+		// the request rather than wedge the connection.
+		b, _ = wire.AppendResponse(buf[:0], wire.Response{
+			ID: resp.ID, Status: wire.StatusError, Msg: "encode error",
+		})
+	}
+	if _, werr := bw.Write(b); werr != nil {
+		return b, werr
+	}
+	s.nResp.Add(1)
+	return b, nil
 }
 
 // writeBatched packs a burst into TypeBatchResponse frames, splitting at the

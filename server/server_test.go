@@ -249,15 +249,38 @@ func TestManyClientsPipelined(t *testing.T) {
 // queues deterministically.
 type gateWorkload struct {
 	gate     chan struct{}
+	entered  atomic.Int64
 	executed atomic.Int64
 }
 
 func newGate() *gateWorkload { return &gateWorkload{gate: make(chan struct{})} }
 
 func (g *gateWorkload) Execute(th *stm.Thread, task kstm.Task) (any, error) {
+	g.entered.Add(1)
 	<-g.gate
 	g.executed.Add(1)
 	return true, nil
+}
+
+// pinWorker occupies an executor's single worker with one gated task,
+// submitted in-process: a gated WIRE request would be a lone request on a
+// parked owner, run on its connection's reader, and nothing behind it on that
+// connection would be read. The wire requests a test sends afterwards thus
+// take the queue path it is about. The returned future settles on release.
+func pinWorker(t *testing.T, ex *kstm.Executor, entered func() bool) *kstm.Future {
+	t.Helper()
+	pin, err := ex.SubmitAsync(context.Background(), kstm.Task{Key: 0, Op: kstm.OpLookup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !entered() {
+		if time.Now().After(deadline) {
+			t.Fatal("pinned task never started")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return pin
 }
 
 // TestBusyResponse: with a single worker held at a gate and a queue bound of
@@ -279,9 +302,9 @@ func TestBusyResponse(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 
-	// Fill: one task occupies the worker, one sits queued. (The worker may
-	// dequeue the first before the second arrives, so allow a third to
-	// saturate deterministically.)
+	// Fill: the in-process pin occupies the worker, one wire request sits
+	// queued, the rest are busy.
+	pin := pinWorker(t, ex, func() bool { return gate.entered.Load() == 1 })
 	var pending []*client.Call
 	busy := 0
 	for i := 0; i < 16; i++ {
@@ -292,8 +315,12 @@ func TestBusyResponse(t *testing.T) {
 		pending = append(pending, call)
 	}
 	// Wait for every response slot to resolve busy-or-queued: with depth 1
-	// and one gated worker at most 2 can be in flight; the rest are busy.
+	// and one gated worker at most 1 wire request can be in flight; the rest
+	// are busy.
 	gate.release()
+	if _, err := pin.Wait(ctx); err != nil {
+		t.Fatalf("pinned task: %v", err)
+	}
 	completed := 0
 	for _, call := range pending {
 		if _, err := call.Wait(ctx); errors.Is(err, client.ErrBusy) {
@@ -338,17 +365,19 @@ func TestConnDropDoesNotWedgeDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	pin := pinWorker(t, ex, func() bool { return gate.entered.Load() == 1 })
 	const n = 100
 	for i := 0; i < n; i++ {
 		if _, err := c.DoAsync(ctx, kstm.Task{Key: 1, Arg: uint32(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Wait until the server has accepted the submissions, then vanish.
+	// Wait until the server has accepted the submissions (plus the pin),
+	// then vanish.
 	deadline := time.Now().Add(5 * time.Second)
-	for ex.Stats().Submitted < n {
+	for ex.Stats().Submitted < n+1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("server accepted %d/%d submissions", ex.Stats().Submitted, n)
+			t.Fatalf("server accepted %d/%d submissions", ex.Stats().Submitted-1, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -375,9 +404,12 @@ func TestConnDropDoesNotWedgeDrain(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Drain wedged after mid-flight connection drop")
 	}
+	if _, err := pin.Wait(ctx); err != nil {
+		t.Fatalf("pinned task: %v", err)
+	}
 	st := ex.Stats()
-	if st.Completed+st.Cancelled != n {
-		t.Errorf("Completed %d + Cancelled %d != %d submitted", st.Completed, st.Cancelled, n)
+	if st.Completed+st.Cancelled != n+1 {
+		t.Errorf("Completed %d + Cancelled %d != %d submitted (+1 pin)", st.Completed, st.Cancelled, n)
 	}
 	if st.Cancelled == 0 {
 		t.Error("no tasks were cancelled by the connection drop")
@@ -681,10 +713,11 @@ func TestShardedServer(t *testing.T) {
 // server's deadline counters advance.
 func TestDeadlineShedOverWire(t *testing.T) {
 	release := make(chan struct{})
-	var executed atomic.Int64
+	var entered, executed atomic.Int64
 	exOpts := []kstm.Option{
 		kstm.WithWorkload(kstm.WorkloadFunc(func(_ *stm.Thread, tk kstm.Task) (any, error) {
 			if tk.Key == 0 {
+				entered.Add(1)
 				<-release
 				return true, nil
 			}
@@ -702,12 +735,10 @@ func TestDeadlineShedOverWire(t *testing.T) {
 	}
 	defer c.Close()
 
-	blocker, err := c.DoAsync(context.Background(), kstm.Task{Key: 0, Op: kstm.OpLookup})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The victim pipelines behind the blocker on the same connection and
-	// the same (single) worker queue; its 5ms budget expires while queued.
+	// The blocker is pinWorker's in-process task (Key 0).
+	blocker := pinWorker(t, ex, func() bool { return entered.Load() == 1 })
+	// The victim queues behind the blocker on the same (single) worker; its
+	// 5ms budget expires while queued.
 	dctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	victim, err := c.DoAsync(dctx, kstm.Task{Key: 1, Op: kstm.OpLookup})
 	if err != nil {
@@ -776,5 +807,38 @@ func TestAdmissionRejectsOverBudget(t *testing.T) {
 	ss := srv.Stats()
 	if ss.Admitted < 3 || ss.AdmitRejected < 1 {
 		t.Errorf("Admitted = %d (want >= 3), AdmitRejected = %d (want >= 1)", ss.Admitted, ss.AdmitRejected)
+	}
+}
+
+// TestLoneRequestRunsOnReader: a window-1 client's requests find their owner
+// parked, so each runs on the connection's reader and is answered from it —
+// correct values, and nearly every task borrowed and written inline.
+func TestLoneRequestRunsOnReader(t *testing.T) {
+	ex, srv, addr, shutdown := startServer(t, dictExecutorOpts(t))
+	defer shutdown()
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	const n = 200
+	for i := 0; i < n; i++ {
+		k := uint32(i % 50)
+		want := i < 50 // first insert of each key reports "was absent"
+		if got, err := c.DoBool(ctx, kstm.Task{Key: uint64(k), Op: kstm.OpInsert, Arg: k}); err != nil || got != want {
+			t.Fatalf("insert %d = %v, %v; want %v, nil", i, got, err, want)
+		}
+	}
+	st, ss := ex.Stats(), srv.Stats()
+	t.Logf("borrowed %d, inline %d of %d", st.Borrowed, ss.Inline, n)
+	if st.Borrowed < n*9/10 {
+		t.Errorf("ExecStats.Borrowed = %d, want >= %d of %d window-1 requests", st.Borrowed, n*9/10, n)
+	}
+	if ss.Inline != st.Borrowed {
+		t.Errorf("server Stats.Inline = %d, want ExecStats.Borrowed = %d", ss.Inline, st.Borrowed)
+	}
+	if st.Completed != n || ss.Responses != n {
+		t.Errorf("Completed/Responses = %d/%d, want %d each", st.Completed, ss.Responses, n)
 	}
 }
