@@ -51,14 +51,14 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("kstmd", flag.ContinueOnError)
 	var (
-		addr      = fs.String("addr", ":7707", "listen address")
-		workers   = fs.Int("workers", 0, "worker threads (0 = GOMAXPROCS)")
-		structure = fs.String("structure", "hashtable", "structure: hashtable, rbtree, sortedlist, skiplist, or counters (keyed aggregates)")
-		sharding  = fs.String("sharding", "shared", "state partitioning: shared or perworker")
-		depth     = fs.Int("queue-depth", 4096, "per-worker queue bound (busy above it)")
-		threshold = fs.Int("threshold", 10000, "adaptive sample threshold (the paper's 10000)")
-		migrate   = fs.Bool("migrate", false, "move shard state on re-partition (requires -sharding perworker); keeps read-your-writes across adaptations")
-		readapt   = fs.Bool("readapt", false, "re-estimate the key distribution every threshold samples instead of adapting once")
+		addr       = fs.String("addr", ":7707", "listen address")
+		workers    = fs.Int("workers", 0, "worker threads (0 = GOMAXPROCS)")
+		structure  = fs.String("structure", "hashtable", "structure: hashtable, rbtree, sortedlist, skiplist, or counters (keyed aggregates)")
+		sharding   = fs.String("sharding", "shared", "state partitioning: shared or perworker")
+		depth      = fs.Int("queue-depth", 4096, "per-worker queue bound (busy above it)")
+		threshold  = fs.Int("threshold", 10000, "adaptive sample threshold (the paper's 10000)")
+		migrate    = fs.Bool("migrate", false, "move shard state on re-partition (requires -sharding perworker); keeps read-your-writes across adaptations")
+		readapt    = fs.Bool("readapt", false, "re-estimate the key distribution every threshold samples instead of adapting once")
 		split      = fs.Bool("split", false, "split-phase execution for contended keys (requires -structure counters)")
 		statsEach  = fs.Duration("stats", 0, "periodic stats line interval (0 = off)")
 		admitRate  = fs.Float64("admit-rate", 0, "per-connection admission rate, requests/sec (0 = no admission control)")

@@ -129,9 +129,8 @@ func BenchmarkSubmitFunc(b *testing.B) {
 	ex.Drain()
 }
 
-// BenchmarkSubmitAll sweeps batch sizes for the grouped batch path against
-// the same per-task loop the batching experiment uses; b.N counts TASKS so
-// ns/op is comparable across sizes.
+// BenchmarkSubmitAll sweeps batch sizes; b.N counts TASKS so ns/op is
+// comparable across sizes.
 func BenchmarkSubmitAll(b *testing.B) {
 	for _, size := range []int{1, 8, 64, 512} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
@@ -147,38 +146,6 @@ func BenchmarkSubmitAll(b *testing.B) {
 				futs, err := ex.SubmitAll(ctx, tasks)
 				if err != nil {
 					b.Fatal(err)
-				}
-				for _, f := range futs {
-					if _, err := f.Wait(ctx); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSubmitLoop is BenchmarkSubmitAll's per-task baseline: the same
-// batches submitted by a SubmitAsync loop.
-func BenchmarkSubmitLoop(b *testing.B) {
-	for _, size := range []int{8, 64, 512} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			ex := benchExecutor(b, 4)
-			ctx := context.Background()
-			tasks := make([]Task, size)
-			for i := range tasks {
-				tasks[i] = Task{Key: uint64(i*2654435761) & 65535, Op: OpNoop}
-			}
-			futs := make([]*Future, size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for n := 0; n < b.N; n += size {
-				for i, task := range tasks {
-					fut, err := ex.SubmitAsync(ctx, task)
-					if err != nil {
-						b.Fatal(err)
-					}
-					futs[i] = fut
 				}
 				for _, f := range futs {
 					if _, err := f.Wait(ctx); err != nil {

@@ -574,7 +574,7 @@ func (e *Executor) SubmitAsync(ctx context.Context, t Task) (*Future, error) {
 }
 
 // submit is the one submission core behind SubmitAsync, SubmitFunc,
-// SubmitFuncTimed and SubmitAll's per-task path: admission, shell, stamp,
+// SubmitFuncTimed and SubmitAll's loop: admission, shell, stamp,
 // dispatch, unwind. A non-nil cb makes the shell a callback carrier (the
 // returned Future is then the settler's, not the caller's); a positive budget
 // sets the queue deadline.
@@ -724,177 +724,41 @@ func (e *Executor) SubmitFuncOrRun(ctx context.Context, t Task, budget time.Dura
 	return TaskResult{}, false, e.post(env, ctx)
 }
 
-// SubmitAll dispatches a batch, amortizing the per-call overhead for
-// throughput-oriented callers: the batch is stamped with ONE clock read,
-// routed under one partition read, grouped by destination worker, and each
-// group lands in its queue as a single contiguous enqueue with one
-// in-flight/stat update — so the per-task cost is the queue append, not the
-// full dispatch stack. Tasks bound for the same worker keep their relative
-// order; tasks for different workers may be enqueued in any order.
+// SubmitAll dispatches a batch: it is a loop over SubmitAsync's submission
+// core, one admission, clock read, pick and dispatch per task, so a batch
+// behaves exactly as the same tasks submitted one SubmitAsync call at a time.
+// Tasks bound for the same worker keep their relative order. A batch may
+// straddle a re-partition (or a migration fence or split epoch): each task is
+// routed on the partition current when its own dispatch picks it.
 //
 // The returned slice is position-aligned with tasks: futs[i] is task i's
 // Future. On success every entry is non-nil. On error (ErrQueueFull under
 // BackpressureReject, ctx.Err on cancellation, ErrNotRunning/ErrStopped past
-// Drain/Stop) entries for tasks that were never submitted are nil; the
-// non-nil futures are live and settle normally — each completes when its
-// task executes (or with ErrStopped if the executor halts first) — so
-// callers must still Wait them; dropping them leaks no resources but loses
-// those tasks' results.
+// Drain/Stop) submission stops at the failing task, and the entries for it
+// and every later task are nil; under ErrQueueFull, ExecStats.Rejected
+// counts each of them. The non-nil futures are live and settle normally —
+// each completes when its task executes (or with ErrStopped if the executor
+// halts first) — so callers must still Wait them; dropping them leaks no
+// resources but loses those tasks' results.
 //
 //kstmvet:hotpath
 func (e *Executor) SubmitAll(ctx context.Context, tasks []Task) ([]*Future, error) {
 	if len(tasks) == 0 {
 		return nil, nil
 	}
-	if ctx == nil {
-		ctx = backgroundCtx
-	}
 	futs := make([]*Future, len(tasks)) //kstmvet:ignore the position-aligned result slice SubmitAll's contract returns
-	if e.epoch != nil || len(tasks) == 1 {
-		// Per-task path. Under an epoch gate the fence/split-table ordering
-		// (pick under the read gate) is per task — batch grouping would route
-		// around an installing fence or a split key's hold queue; and for a
-		// one-task batch the grouping machinery costs more than it amortizes.
-		for i, t := range tasks {
-			fut, err := e.submit(ctx, t, 0, nil)
-			if err != nil {
-				if errors.Is(err, ErrQueueFull) {
-					// dispatch counted task i; the rest were never offered.
-					e.rejected.Add(uint64(len(tasks) - i - 1))
-				}
-				return futs, err
-			}
-			futs[i] = fut
-		}
-		return futs, nil
-	}
-	e.inflight.Add(int64(len(tasks)))
-	if e.state.Load() != stateRunning {
-		e.decInflight(int64(len(tasks)))
-		return futs, ErrNotRunning
-	}
-	// One index block serves the whole scatter: worker per task, original
-	// index per slot (for the position-aligned result and for nil-ing out
-	// unsubmitted slots on failure), and per-worker counts/cursors.
-	nW := len(e.queues)
-	idx := make([]int, 2*len(tasks)+2*nW) //kstmvet:ignore one index block amortized across the whole batch (§5: per-task cost is the queue append)
-	workerOf := idx[:len(tasks)]
-	origIdx := idx[len(tasks) : 2*len(tasks)]
-	counts := idx[2*len(tasks) : 2*len(tasks)+nW]
-	cursor := idx[2*len(tasks)+nW:]
-	e.pickAll(tasks, workerOf)
-	for _, w := range workerOf {
-		counts[w]++
-	}
-	sum := 0
-	for w, c := range counts {
-		cursor[w] = sum
-		sum += c
-	}
-	// Scatter into contiguous per-worker segments of one backing array;
-	// cursor[w] ends at each segment's END, so segment w is
-	// envs[cursor[w]-counts[w] : cursor[w]].
-	envs := make([]envelope, len(tasks)) //kstmvet:ignore the batch's scatter buffer, amortized across its tasks
-	now := time.Since(e.base)            //kstmvet:ignore one enq stamp for the whole batch — the amortization SubmitAll exists for
-	for i := range tasks {
-		w := workerOf[i]
-		fut := newFuture()
-		futs[i] = fut
-		envs[cursor[w]] = envelope{task: tasks[i], fut: fut, ctx: ctx, enq: now}
-		origIdx[cursor[w]] = i
-		cursor[w]++
-	}
-	for w := 0; w < nW; w++ {
-		if counts[w] == 0 {
-			continue
-		}
-		lo := cursor[w] - counts[w]
-		n, err := e.enqueueGroup(w, envs[lo:cursor[w]], ctx)
+	for i, t := range tasks {
+		fut, err := e.submit(ctx, t, 0, nil)
 		if err != nil {
-			// Segments are laid out in worker order, so everything not yet
-			// submitted — this group's remainder and every later group —
-			// is the contiguous tail of envs.
-			unsub := envs[lo+n:]
-			for j := range unsub {
-				futs[origIdx[lo+n+j]] = nil
-				unsub[j].fut.discard()
-			}
-			e.decInflight(int64(len(unsub)))
 			if errors.Is(err, ErrQueueFull) {
-				e.rejected.Add(uint64(len(unsub)))
+				// dispatch counted task i; the rest were never offered.
+				e.rejected.Add(uint64(len(tasks) - i - 1))
 			}
 			return futs, err
 		}
+		futs[i] = fut
 	}
 	return futs, nil
-}
-
-// enqueueGroup appends a contiguous batch onto one worker's queue, honouring
-// the depth bound per group: block mode feeds the queue in as-big-as-fits
-// chunks, reject mode returns ErrQueueFull with the count already enqueued.
-// The caller has counted the whole group in flight. Each spliced chunk
-// issues ONE wake — the single-wake-per-group half of SubmitAll's
-// amortization (an uncontended batch is one PutAll, one stat update, one
-// wake check).
-func (e *Executor) enqueueGroup(w int, group []envelope, ctx context.Context) (int, error) {
-	q := e.queues[w]
-	put := 0
-	for put < len(group) {
-		free := len(group) - put
-		if e.cfg.maxDepth > 0 {
-			free = e.cfg.maxDepth - q.Len()
-			if free <= 0 {
-				if e.cfg.backpressure == BackpressureReject {
-					return put, ErrQueueFull
-				}
-				if e.state.Load() == stateStopped {
-					return put, ErrStopped
-				}
-				select {
-				case <-ctx.Done():
-					return put, ctx.Err()
-				default:
-				}
-				e.waitSpace(w, ctx)
-				continue
-			}
-			if free > len(group)-put {
-				free = len(group) - put
-			}
-		}
-		q.PutAll(group[put : put+free])
-		e.submitted.Add(uint64(free))
-		e.wakeWorker(w)
-		put += free
-	}
-	return put, nil
-}
-
-// submitKeys is a reusable per-batch key buffer for pickAll; SubmitAll
-// batches are bounded only by the caller, so the pool keeps the steady-state
-// path allocation-free without pinning one large buffer per executor.
-var submitKeys = sync.Pool{New: func() any { return new([]uint64) }}
-
-// pickAll routes a batch: schedulers that support it (batchPicker) route the
-// whole slice under one partition read; others fall back to per-task Pick.
-func (e *Executor) pickAll(tasks []Task, out []int) {
-	if bp, ok := e.cfg.scheduler.(batchPicker); ok {
-		kp := submitKeys.Get().(*[]uint64)
-		keys := (*kp)[:0]
-		for i := range tasks {
-			keys = append(keys, tasks[i].Key)
-		}
-		bp.PickAll(keys, out)
-		*kp = keys
-		submitKeys.Put(kp)
-		for i, w := range out {
-			out[i] = e.clampWorker(w)
-		}
-		return
-	}
-	for i := range tasks {
-		out[i] = e.pick(tasks[i].Key)
-	}
 }
 
 // dispatch routes an envelope to its worker queue (or, under an epoch gate,

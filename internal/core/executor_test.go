@@ -197,10 +197,9 @@ func TestSubmitAsyncFuture(t *testing.T) {
 	// (the §3.5 settle-then-recycle contract).
 }
 
-// TestSubmitAllBatch runs one batch through each of SubmitAll's paths — the
-// grouped splice on a plain executor, the per-task path under a migration
+// TestSubmitAllBatch runs one batch on a plain executor, under a migration
 // fence (re-partitions fire mid-batch) and under a split table (adds absorb,
-// lookups park) — and requires every future to settle, once, with its own
+// lookups park), and requires every future to settle, once, with its own
 // task.
 func TestSubmitAllBatch(t *testing.T) {
 	const n = 300
@@ -497,6 +496,155 @@ func TestBackpressureBlockHonorsContext(t *testing.T) {
 	defer cancel()
 	if _, err := ex.SubmitAsync(ctx, Task{Key: 1}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("blocked submit with expiring ctx: %v", err)
+	}
+}
+
+// TestDispatchSamplesEachKeyOnce pins repick's contract: a task samples its
+// key into the adaptive histogram exactly once, however often its submitter
+// waits for queue space, on every submission path — SubmitAsync, SubmitAll,
+// and SubmitFuncOrRun both declined (queued behind a busy owner) and borrowed
+// (run on the caller). The threshold is out of reach, so no rebuild resets
+// the histogram and its total is the sample count.
+func TestDispatchSamplesEachKeyOnce(t *testing.T) {
+	const (
+		perPath = 3 // submitting goroutines per blocking path
+		perGo   = 8 // tasks per goroutine
+		borrows = 4
+	)
+	sched, err := NewAdaptive(0, 65535, 1, WithThreshold(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := newGateWorkload()
+	ex := startExecutor(t,
+		WithWorkload(gate),
+		WithWorkers(1),
+		WithScheduler(sched),
+		WithQueueDepth(1),
+		WithBackpressure(BackpressureBlock),
+	)
+	release := sync.OnceFunc(gate.release)
+	t.Cleanup(release) // before Stop, which joins the worker
+	ctx := context.Background()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	// Pin the worker inside the first task, with its queue empty.
+	first, err := ex.SubmitAsync(ctx, Task{Key: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the worker to take the first task", func() bool { return ex.queues[0].Len() == 0 })
+
+	var (
+		subs     sync.WaitGroup
+		settled  sync.WaitGroup
+		mu       sync.Mutex
+		futs     []*Future
+		declined atomic.Int64
+	)
+	keep := func(fs ...*Future) {
+		mu.Lock()
+		futs = append(futs, fs...)
+		mu.Unlock()
+	}
+	done := func(res TaskResult) {
+		if res.Err != nil {
+			t.Errorf("declined task settled with %v", res.Err)
+		}
+		settled.Done()
+	}
+	for g := 0; g < perPath; g++ {
+		subs.Add(3)
+		go func() {
+			defer subs.Done()
+			for i := 0; i < perGo; i++ {
+				f, err := ex.SubmitAsync(ctx, Task{Key: uint64(100 + i)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				keep(f)
+			}
+		}()
+		go func() {
+			defer subs.Done()
+			tasks := make([]Task, perGo)
+			for i := range tasks {
+				tasks[i] = Task{Key: uint64(200 + i)}
+			}
+			fs, err := ex.SubmitAll(ctx, tasks)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			keep(fs...)
+		}()
+		go func() {
+			defer subs.Done()
+			for i := 0; i < perGo; i++ {
+				settled.Add(1)
+				_, ran, err := ex.SubmitFuncOrRun(ctx, Task{Key: uint64(300 + i)}, 0, done)
+				if err != nil || ran {
+					settled.Done()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !ran {
+					declined.Add(1)
+				}
+			}
+		}()
+	}
+	// One submitter holds the queue's only slot; every other one waits for
+	// space before the worker moves at all.
+	waitFor("the submitters to block", func() bool {
+		return ex.wakes[0].spaceWaiters.Load() >= 3*perPath-1
+	})
+	release()
+	subs.Wait()
+	settled.Wait()
+	if _, err := first.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range futs {
+		if _, err := f.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if declined.Load() == 0 {
+		t.Fatal("no SubmitFuncOrRun call was declined: the queued path was not exercised")
+	}
+
+	waitFor("the worker to park", func() bool { return ex.parked.Load() == 1 })
+	ran := 0
+	for i := 0; i < borrows; i++ {
+		settled.Add(1)
+		_, r, err := ex.SubmitFuncOrRun(ctx, Task{Key: uint64(400 + i)}, 0, done)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r {
+			settled.Done()
+			ran++
+		}
+	}
+	settled.Wait()
+	if ran == 0 {
+		t.Fatal("no SubmitFuncOrRun call borrowed the parked worker: the borrowed path was not exercised")
+	}
+
+	want := uint64(1 + 3*perPath*perGo + borrows)
+	if got := sched.h.Total(); got != want {
+		t.Errorf("histogram holds %d samples for %d tasks, want one per task", got, want)
 	}
 }
 

@@ -127,71 +127,6 @@ func TestSubmitFuncOrRunAllocs(t *testing.T) {
 	}
 }
 
-// TestSubmitAllAmortizedQueueOps asserts the batch contract directly: a
-// SubmitAll batch performs ONE queue operation per destination worker (the
-// contiguous PutAll splice), not one per task.
-func TestSubmitAllAmortizedQueueOps(t *testing.T) {
-	var q countingQueue
-	ex, err := NewExecutor(
-		WithWorkload(WorkloadFunc(func(th *stm.Thread, task Task) (any, error) { return nil, nil })),
-		WithWorkers(1),
-		WithScheduler(mustScheduler(t)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Swap the worker queue for a counting wrapper BEFORE Start.
-	q.Queue = ex.queues[0]
-	ex.queues[0] = &q
-	if err := ex.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Stop()
-	ctx := context.Background()
-	tasks := make([]Task, 64)
-	for i := range tasks {
-		tasks[i] = Task{Key: uint64(i), Op: OpNoop}
-	}
-	futs, err := ex.SubmitAll(ctx, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range futs {
-		if _, err := f.Wait(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	puts, putAlls := q.puts.Load(), q.putAlls.Load()
-	if puts != 0 || putAlls != 1 {
-		t.Fatalf("batch of 64 to one worker: %d Put + %d PutAll calls, want 0 + 1", puts, putAlls)
-	}
-}
-
-func mustScheduler(t *testing.T) Scheduler {
-	t.Helper()
-	s, err := NewScheduler(SchedFixed, 0, 65535, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// countingQueue wraps a queue, counting enqueue operations.
-type countingQueue struct {
-	Queue interface {
-		Put(envelope)
-		PutAll([]envelope)
-		Get() (envelope, bool)
-		Len() int
-	}
-	puts, putAlls atomic.Int64
-}
-
-func (q *countingQueue) Put(v envelope)        { q.puts.Add(1); q.Queue.Put(v) }
-func (q *countingQueue) PutAll(v []envelope)   { q.putAlls.Add(1); q.Queue.PutAll(v) }
-func (q *countingQueue) Get() (envelope, bool) { return q.Queue.Get() }
-func (q *countingQueue) Len() int              { return q.Queue.Len() }
-
 // TestFutureRecycleHandshake hammers the settle-then-recycle handshake from
 // many submitters at once; under -race this is the no-settle-after-recycle
 // proof (a worker touching a recycled shell races the next owner's writes).

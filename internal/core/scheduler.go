@@ -18,15 +18,6 @@ type Scheduler interface {
 	Name() string
 }
 
-// batchPicker is the optional bulk-routing face of a scheduler: route a
-// whole batch of keys under ONE partition read, writing worker indexes into
-// out (len(out) == len(keys)). SubmitAll uses it so a batch pays the
-// dispatch-policy overhead once, not per task. All three built-in policies
-// implement it.
-type batchPicker interface {
-	PickAll(keys []uint64, out []int)
-}
-
 // SchedulerKind names a dispatch policy.
 type SchedulerKind string
 
@@ -63,15 +54,6 @@ func (r *RoundRobin) Pick(uint64) int {
 	return int((r.next.Add(1) - 1) % uint64(r.workers))
 }
 
-// PickAll implements batchPicker: one atomic add claims the batch's whole
-// slot range, preserving the cyclic assignment.
-func (r *RoundRobin) PickAll(keys []uint64, out []int) {
-	base := r.next.Add(uint64(len(keys))) - uint64(len(keys))
-	for i := range keys {
-		out[i] = int((base + uint64(i)) % uint64(r.workers))
-	}
-}
-
 // Name implements Scheduler.
 func (r *RoundRobin) Name() string { return string(SchedRoundRobin) }
 
@@ -92,14 +74,6 @@ func NewFixed(min, max uint64, workers int) (*Fixed, error) {
 
 // Pick implements Scheduler.
 func (f *Fixed) Pick(key uint64) int { return f.part.Pick(key) }
-
-// PickAll implements batchPicker; the partition is immutable, so this is a
-// plain loop with the bounds already in cache.
-func (f *Fixed) PickAll(keys []uint64, out []int) {
-	for i, k := range keys {
-		out[i] = f.part.Pick(k)
-	}
-}
 
 // Name implements Scheduler.
 func (f *Fixed) Name() string { return string(SchedFixed) }
@@ -251,28 +225,6 @@ func (a *Adaptive) maybeAdapt() {
 		a.h.Reset()
 	}
 	commit()
-}
-
-// PickAll implements batchPicker: the batch samples into the histogram as
-// Pick would, but routes every key on ONE load of the current partition, and
-// a threshold crossing rebuilds the partition once, after the batch — the
-// whole batch therefore routes on a single coherent partition (a swap that
-// would have landed mid-batch applies from the next dispatch instead, the
-// same staleness any concurrent submitter already tolerates).
-func (a *Adaptive) PickAll(keys []uint64, out []int) {
-	sampling := !a.adapted.Load() || a.readapt
-	if sampling {
-		for _, k := range keys {
-			a.h.Add(k)
-		}
-	}
-	p := a.current.Load()
-	for i, k := range keys {
-		out[i] = p.Pick(k)
-	}
-	if sampling && a.h.Total() >= a.threshold {
-		a.maybeAdapt()
-	}
 }
 
 // Repick returns the worker for key on the current partition WITHOUT

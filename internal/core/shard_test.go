@@ -278,9 +278,8 @@ func TestTypedResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSubmitAllPartialFutures pins the SubmitAll contract on each of its
-// paths (plain grouped splice; per-task under a migration fence and under a
-// split table): when the batch stops early the returned slice stays
+// TestSubmitAllPartialFutures pins the SubmitAll contract on a plain
+// executor, under a migration fence and under a split table: when the batch stops early the returned slice stays
 // position-aligned with the tasks — accepted tasks carry live futures that
 // settle normally once the executor gets to them, never-submitted tasks are
 // nil — the in-flight count returns to zero, and Rejected counts exactly the

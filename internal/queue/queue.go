@@ -12,10 +12,11 @@
 //
 // The interface is deliberately wake-free: the executor's event-driven
 // dispatch (core/wake.go, DESIGN.md §5.4) keeps its park/wake hooks on the
-// EXECUTOR side of every Put/PutAll, not inside the queue, so
-// implementations stay pure transports (and the amortized-queue-ops
-// contract — one PutAll per worker group, nothing else — stays testable by
-// wrapping a Queue). What the executor does rely on is that each kind's
+// EXECUTOR side of every Put, not inside the queue, so implementations stay
+// pure transports. The executor enqueues one task at a time (Put); PutAll
+// has no executor caller and stays as a measured transport primitive — the
+// repo benchmark's queue probe times a 64-element PutAll against Put. What
+// the executor does rely on is that each kind's
 // Get synchronizes with an earlier Put (mscq's seq-cst atomics, the ring's
 // mutex, the channel's internal ordering): a parked worker's final Get
 // after publishing its idle flag is guaranteed to observe any envelope
