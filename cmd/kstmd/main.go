@@ -169,10 +169,10 @@ const structureCounters = "counters"
 // buildExecutor assembles the executor for a dictionary structure, shared or
 // per-worker sharded, with reject-mode backpressure — a server sheds load
 // rather than stalling connection handlers. With migrate set, shards are
-// built migratable (hash tables at full prototype size) and the executor
-// runs the epoch-fenced hand-off on every re-partition. The counters
-// structure serves keyed aggregates instead, optionally under split-phase
-// execution for its contended keys.
+// built migratable (dictionary-key-range stores, sized per shard like the
+// rest) and the executor runs the epoch-fenced hand-off on every
+// re-partition. The counters structure serves keyed aggregates instead,
+// optionally under split-phase execution for its contended keys.
 func buildExecutor(structure string, mode kstm.ShardMode, workers, depth, threshold int, migrate, readapt, split bool) (*kstm.Executor, error) {
 	kind := txds.Kind(structure)
 	if split && structure != structureCounters {
@@ -221,7 +221,7 @@ func buildExecutor(structure string, mode kstm.ShardMode, workers, depth, thresh
 		if n <= 0 {
 			n = runtime.GOMAXPROCS(0)
 		}
-		factory := harness.NewDictFactory(kind, n)
+		factory := harness.NewDictFactory(kind)
 		if migrate {
 			// Wire clients dispatch on their own (key-masked) Task.Key —
 			// the dictionary key, not a hash output — so hand-off ranges

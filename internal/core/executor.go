@@ -154,8 +154,9 @@ func WithWorkload(w Workload) Option { return func(c *execConfig) { c.workload =
 
 // WithWorkloadFactory sets the shard-local workload builder. Required for
 // ShardPerWorker (each worker executes NewShard(worker)); under ShardShared
-// it is called once, NewShard(0), for all workers. Mutually exclusive with
-// WithWorkload.
+// it is called once, NewShard(0), for all workers. A factory that also
+// implements ShardSizer is told the worker count under ShardPerWorker before
+// its first shard is built. Mutually exclusive with WithWorkload.
 func WithWorkloadFactory(f WorkloadFactory) Option {
 	return func(c *execConfig) { c.factory = f }
 }
@@ -395,6 +396,9 @@ func NewExecutor(opts ...Option) (*Executor, error) {
 		}
 		if cfg.stm != nil {
 			return nil, fmt.Errorf("core: WithSTM is incompatible with ShardPerWorker (each worker owns a private STM instance)")
+		}
+		if sz, ok := cfg.factory.(ShardSizer); ok {
+			sz.SetShards(cfg.workers)
 		}
 		shards = make([]shardState, cfg.workers)
 		for i := range shards {

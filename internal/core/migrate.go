@@ -70,9 +70,9 @@ type Range struct{ Lo, Hi uint64 }
 // several disjoint ranges in ONE pass, returning the removed keys per range
 // (out[i] belongs to ranges[i]). When a re-partition moves more than one
 // range out of a shard, the migrator groups them and calls this once per
-// shard per epoch — for stores whose extraction is a full structure scan
-// (dictionary-key hash-table views), that turns O(ranges) scans inside the
-// fence window into one.
+// shard per epoch, so a store whose ranges share structure (the
+// dictionary-key hash-table view, where several ranges can hash to the same
+// buckets) visits that structure once inside the fence window.
 type RangeBatchStore interface {
 	ShardStore
 	ExtractRanges(th *stm.Thread, ranges []Range) ([][]uint32, error)
@@ -258,8 +258,9 @@ func (m *migrator) migrate(f *fence, start time.Time) {
 // moved. The fence guarantees no task for these ranges is executing, so the
 // only concurrency is with unmoved-range transactions (handled by the STM).
 // The ranges come grouped by their old owner so a shard whose store supports
-// batch extraction (RangeBatchStore) is scanned once per epoch, not once per
-// range — the multi-range re-partition saving that shrinks the fence window.
+// batch extraction (RangeBatchStore) is visited in one call per epoch, not
+// one per range — the multi-range re-partition saving that shrinks the
+// fence window.
 func (m *migrator) handoff(groups []fromGroup) (moved uint64) {
 	for _, g := range groups {
 		// Re-check stop at each shard boundary so a Stop() mid-hand-off stops

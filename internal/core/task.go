@@ -124,6 +124,14 @@ type WorkloadFactory interface {
 	NewShard(worker int) Workload
 }
 
+// ShardSizer is an optional WorkloadFactory face for factories whose shard
+// structures scale with the shard count: under ShardPerWorker the executor
+// calls SetShards once with its worker count, before the first NewShard, so
+// the factory cannot disagree with WithWorkers.
+type ShardSizer interface {
+	SetShards(n int)
+}
+
 // WorkloadFactoryFunc adapts a function to WorkloadFactory.
 type WorkloadFactoryFunc func(worker int) Workload
 

@@ -563,9 +563,12 @@ func driftingInsertLookup(t *testing.T, mode core.MigrationMode, workers, client
 // TestKeyRangeDictFactoryAliasing pins the kstmd store pairing: with
 // dict-key dispatch (Task.Key == Arg), hand-off ranges are dictionary-key
 // ranges — a hash-table store must move ONLY the keys in the range, not
-// every key aliased into the same buckets (k and k+30031 share a bucket).
+// every key aliased into the same bucket (k and k+Buckets() share one). The
+// key-range tables are sized for two shards, as an executor sizes them, so
+// each alias is derived from its own table.
 func TestKeyRangeDictFactoryAliasing(t *testing.T) {
 	f := NewKeyRangeDictFactory(txds.KindHashTable)
+	f.SetShards(2)
 	f.NewShard(0)
 	f.NewShard(1)
 	src, dst := f.Store(0), f.Store(1)
@@ -596,10 +599,11 @@ func TestKeyRangeDictFactoryAliasing(t *testing.T) {
 	}
 	// A full-size structure-space store keeps bucket semantics for executors
 	// that dispatch on keyFn = Hash: the same range moves the whole bucket.
-	g := NewDictFactory(txds.KindHashTable, 1)
+	g := NewDictFactory(txds.KindHashTable)
 	g.NewShard(0)
 	gt := g.Shard(0).(*txds.HashTable)
-	for _, k := range []uint32{7, alias} {
+	galias := uint32(gt.Buckets()) + 7 // same bucket as key 7 in this table
+	for _, k := range []uint32{7, galias} {
 		if _, err := gt.Insert(th, k); err != nil {
 			t.Fatal(err)
 		}
@@ -610,6 +614,43 @@ func TestKeyRangeDictFactoryAliasing(t *testing.T) {
 	}
 	if len(bkeys) != 2 {
 		t.Fatalf("bucket-space ExtractRange(0,1000) = %v, want both aliases", bkeys)
+	}
+}
+
+// TestNewExecutorSizesShards pins the ShardSizer contract: under
+// ShardPerWorker the executor tells both dictionary factories its worker
+// count, so every hash-table shard holds shardedBuckets(workers) buckets —
+// the key-range factory included, with its migratable store intact — while
+// a ShardShared executor's one table keeps the full size.
+func TestNewExecutorSizesShards(t *testing.T) {
+	const workers = 4
+	want := shardedBuckets(workers)
+	for name, f := range map[string]*DictFactory{
+		"structure": NewDictFactory(txds.KindHashTable),
+		"keyrange":  NewKeyRangeDictFactory(txds.KindHashTable),
+	} {
+		if _, err := core.NewExecutor(
+			core.WithSharding(core.ShardPerWorker),
+			core.WithWorkloadFactory(f),
+			core.WithWorkers(workers),
+		); err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < workers; w++ {
+			if got := f.Shard(w).(*txds.HashTable).Buckets(); got != want {
+				t.Errorf("%s shard %d: %d buckets, want %d", name, w, got, want)
+			}
+		}
+		if st := f.Store(0); (st != nil) != f.keyRange {
+			t.Errorf("%s: Store(0) = %v, want a store only for the key-range factory", name, st)
+		}
+	}
+	f := NewKeyRangeDictFactory(txds.KindHashTable)
+	if _, err := core.NewExecutor(core.WithWorkloadFactory(f), core.WithWorkers(workers)); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Shard(0).(*txds.HashTable).Buckets(); got != txds.DefaultBuckets {
+		t.Errorf("ShardShared table: %d buckets, want %d", got, txds.DefaultBuckets)
 	}
 }
 

@@ -76,14 +76,15 @@ func (d *DictWorkload) Execute(th *stm.Thread, t core.Task) (any, error) {
 // per-worker STM instances never share transactional objects. Dispatch
 // stays independent of the shard layout: the transaction-key function is
 // computed against a full-size prototype, while each shard hash table is
-// right-sized to its share of the keys (shardedBuckets), keeping the
-// sharded configuration's total footprint equal to the shared one instead
-// of multiplying it by the worker count.
+// right-sized to its share of the keys (shardedBuckets, from the worker
+// count the executor passes to SetShards), keeping the sharded
+// configuration's total footprint equal to the shared one instead of
+// multiplying it by the worker count.
 //
-// A migratable factory (NewKeyRangeDictFactory) instead keeps every shard
-// hash table at the prototype size and moves keys by dictionary-key range,
-// so every shard agrees with the dispatch partition — and with each other —
-// on which keys a range holds. The other structures schedule by the
+// A migratable factory (NewKeyRangeDictFactory) moves keys by dictionary-key
+// range, so every shard agrees with the dispatch partition — and with each
+// other — on which keys a range holds whatever its table size; its hash
+// tables are right-sized too. The other structures schedule by the
 // dictionary key itself and need no such alignment.
 type DictFactory struct {
 	kind    txds.Kind
@@ -96,16 +97,13 @@ type DictFactory struct {
 }
 
 // NewDictFactory returns a factory producing fresh kind-structures per
-// shard, sized for the given shard count (workers <= 1 keeps structure
-// defaults). Construction cannot fail for the kinds txds.New accepts; the
-// kind is validated by the first NewShard call, which panics on an unknown
-// kind exactly like an invalid executor configuration would.
-func NewDictFactory(kind txds.Kind, workers int) *DictFactory {
-	f := &DictFactory{kind: kind}
-	if kind == txds.KindHashTable && workers > 1 {
-		f.buckets = shardedBuckets(workers)
-	}
-	return f
+// shard. Shards keep the structure defaults until SetShards sizes them (the
+// executor calls it under ShardPerWorker). Construction cannot fail for the
+// kinds txds.New accepts; the kind is validated by the first NewShard call,
+// which panics on an unknown kind exactly like an invalid executor
+// configuration would.
+func NewDictFactory(kind txds.Kind) *DictFactory {
+	return &DictFactory{kind: kind}
 }
 
 // NewKeyRangeDictFactory returns a migratable factory whose stores
@@ -118,6 +116,15 @@ func NewDictFactory(kind txds.Kind, workers int) *DictFactory {
 // live unfenced traffic.
 func NewKeyRangeDictFactory(kind txds.Kind) *DictFactory {
 	return &DictFactory{kind: kind, keyRange: true}
+}
+
+// SetShards implements core.ShardSizer: hash-table shards are sized for n
+// shards (n <= 1 keeps the structure default).
+func (f *DictFactory) SetShards(n int) {
+	f.buckets = 0
+	if f.kind == txds.KindHashTable && n > 1 {
+		f.buckets = shardedBuckets(n)
+	}
 }
 
 // shardedBuckets returns a prime near DefaultBuckets/workers: each shard
@@ -175,11 +182,11 @@ func (f *DictFactory) Shard(worker int) txds.IntSet {
 
 // Store implements core.StoreFactory: the migratable face of the worker's
 // shard. It returns nil — disabling migration at executor validation — when
-// the shard structure does not implement txds.RangeStore, or when hash-table
-// shards were right-sized (their bucket spaces then disagree with the
-// dispatch partition's; use NewKeyRangeDictFactory).
+// the shard structure does not implement txds.RangeStore, or when
+// structure-space hash-table shards were right-sized (their bucket spaces
+// then disagree with the dispatch partition's; use NewKeyRangeDictFactory).
 func (f *DictFactory) Store(worker int) core.ShardStore {
-	if f.kind == txds.KindHashTable && f.buckets > 0 {
+	if f.kind == txds.KindHashTable && f.buckets > 0 && !f.keyRange {
 		return nil
 	}
 	set := f.Shard(worker)
@@ -198,8 +205,8 @@ func (f *DictFactory) Store(worker int) core.ShardStore {
 
 // keyRangeHashStore views a hash table through dictionary-key ranges
 // (ExtractKeyRange) instead of its native bucket ranges. It implements
-// txds.RangeBatchStore: a dictionary-key extraction is a full-table scan, so
-// batching an epoch's ranges into ExtractKeyRanges pays that scan once.
+// txds.RangeBatchStore: ExtractKeyRanges visits the union of an epoch's
+// bucket images, so buckets shared by several ranges are drained once.
 type keyRangeHashStore struct{ t *txds.HashTable }
 
 func (s keyRangeHashStore) ExtractRange(th *stm.Thread, lo, hi uint32) ([]uint32, error) {
@@ -364,7 +371,7 @@ func NewShardedExecutor(kind txds.Kind, sched core.SchedulerKind, workers int, o
 	}
 	ex, err = core.NewExecutor(
 		core.WithSharding(core.ShardPerWorker),
-		core.WithWorkloadFactory(NewDictFactory(kind, workers)),
+		core.WithWorkloadFactory(NewDictFactory(kind)),
 		core.WithWorkers(workers),
 		core.WithSchedulerKind(sched, 0, maxKey, opts...),
 	)

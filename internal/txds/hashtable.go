@@ -1,6 +1,9 @@
 package txds
 
 import (
+	"cmp"
+	"slices"
+
 	"kstm/internal/stm"
 )
 
@@ -197,63 +200,27 @@ func (t *HashTable) ExtractRange(th *stm.Thread, lo, hi uint32) ([]uint32, error
 // ExtractKeyRange removes and returns every DICTIONARY key in [lo, hi] —
 // for deployments that dispatch on the dictionary key itself rather than
 // the hash output (e.g. kstmd's wire clients, which choose their own
-// scheduling keys). A dictionary-key range is scattered across buckets, so
-// this scans the whole table, filtering per bucket; migration is rare and
-// fenced, so the O(buckets) pass is paid off the execution path.
+// scheduling keys). It visits only the buckets the range hashes to (see
+// keyImage), filtering per bucket so aliased keys stay where they are.
 func (t *HashTable) ExtractKeyRange(th *stm.Thread, lo, hi uint32) ([]uint32, error) {
-	var out []uint32
-	for i := range t.buckets {
-		obj := &t.buckets[i]
-		mark := len(out)
-		err := th.Atomic(func(tx *stm.Tx) error {
-			out = out[:mark]
-			v, err := tx.Read(obj)
-			if err != nil {
-				return err
-			}
-			hit := false
-			for _, k := range v.(*bucket).keys {
-				if k >= lo && k <= hi {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				return nil
-			}
-			w, err := tx.Write(obj)
-			if err != nil {
-				return err
-			}
-			bk := w.(*bucket)
-			kept := bk.keys[:0]
-			for _, k := range bk.keys {
-				if k >= lo && k <= hi {
-					out = append(out, k)
-				} else {
-					kept = append(kept, k)
-				}
-			}
-			bk.keys = kept
-			return nil
-		})
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	out, err := t.ExtractKeyRanges(th, []KeyRange{{Lo: lo, Hi: hi}})
+	return out[0], err
 }
 
-// ExtractKeyRanges is the batch form of ExtractKeyRange: one pass over the
-// table's buckets removes every dictionary key falling in ANY of the given
-// disjoint closed ranges, returning the removed keys per range (out[i]
-// belongs to ranges[i]). A multi-range re-partition epoch therefore costs
-// one O(buckets) scan instead of one per range — the fence-window saving
-// the epoch-fenced migrator batches for.
+// ExtractKeyRanges is the batch form of ExtractKeyRange: it removes every
+// dictionary key falling in ANY of the given disjoint closed ranges,
+// returning the removed keys per range (out[i] belongs to ranges[i]). It
+// visits the union of the ranges' bucket images, each bucket once and in
+// ascending order, one transaction per bucket — so a re-partition epoch
+// costs the width of what moves, not the table size.
 func (t *HashTable) ExtractKeyRanges(th *stm.Thread, ranges []KeyRange) ([][]uint32, error) {
 	out := make([][]uint32, len(ranges))
 	if len(ranges) == 0 {
 		return out, nil
+	}
+	spans := make([]bucketSpan, 0, 2*len(ranges))
+	for _, r := range ranges {
+		spans = t.keyImage(spans, r.Lo, r.Hi)
 	}
 	rangeOf := func(k uint32) int {
 		for i, r := range ranges {
@@ -264,51 +231,91 @@ func (t *HashTable) ExtractKeyRanges(th *stm.Thread, ranges []KeyRange) ([][]uin
 		return -1
 	}
 	marks := make([]int, len(ranges))
-	for b := range t.buckets {
-		obj := &t.buckets[b]
-		for i := range out {
-			marks[i] = len(out[i])
-		}
-		err := th.Atomic(func(tx *stm.Tx) error {
-			// An aborted attempt must not leave its appends.
+	for _, sp := range mergeSpans(spans) {
+		for b := sp.lo; b <= sp.hi; b++ { // hi < len(buckets): no wrap
+			obj := &t.buckets[b]
 			for i := range out {
-				out[i] = out[i][:marks[i]]
+				marks[i] = len(out[i])
 			}
-			v, err := tx.Read(obj)
-			if err != nil {
-				return err
-			}
-			hit := false
-			for _, k := range v.(*bucket).keys {
-				if rangeOf(k) >= 0 {
-					hit = true
-					break
+			err := th.Atomic(func(tx *stm.Tx) error {
+				// An aborted attempt must not leave its appends.
+				for i := range out {
+					out[i] = out[i][:marks[i]]
 				}
-			}
-			if !hit {
-				return nil // no write acquisition for untouched buckets
-			}
-			w, err := tx.Write(obj)
-			if err != nil {
-				return err
-			}
-			bk := w.(*bucket)
-			kept := bk.keys[:0]
-			for _, k := range bk.keys {
-				if ri := rangeOf(k); ri >= 0 {
-					out[ri] = append(out[ri], k)
-				} else {
-					kept = append(kept, k)
+				v, err := tx.Read(obj)
+				if err != nil {
+					return err
 				}
+				hit := false
+				for _, k := range v.(*bucket).keys {
+					if rangeOf(k) >= 0 {
+						hit = true
+						break
+					}
+				}
+				if !hit {
+					return nil // no write acquisition for untouched buckets
+				}
+				w, err := tx.Write(obj)
+				if err != nil {
+					return err
+				}
+				bk := w.(*bucket)
+				kept := bk.keys[:0]
+				for _, k := range bk.keys {
+					if ri := rangeOf(k); ri >= 0 {
+						out[ri] = append(out[ri], k)
+					} else {
+						kept = append(kept, k)
+					}
+				}
+				bk.keys = kept
+				return nil
+			})
+			if err != nil {
+				return out, err
 			}
-			bk.keys = kept
-			return nil
-		})
-		if err != nil {
-			return out, err
 		}
 	}
 	return out, nil
+}
+
+// bucketSpan is a closed run of bucket indices.
+type bucketSpan struct{ lo, hi uint32 }
+
+// keyImage appends the bucket runs that the dictionary keys in [lo, hi] hash
+// to. Hash(k) = k mod n, so a range narrower than n occupies the circular
+// run lo mod n … hi mod n — two spans when it wraps past the last bucket —
+// and a wider one covers every bucket. An empty range (lo > hi) adds none.
+// The width is computed in 64 bits, so hi = MaxUint32 cannot overflow it.
+func (t *HashTable) keyImage(spans []bucketSpan, lo, hi uint32) []bucketSpan {
+	if lo > hi {
+		return spans
+	}
+	last := uint32(len(t.buckets) - 1)
+	if uint64(hi)-uint64(lo) >= uint64(last) {
+		return append(spans, bucketSpan{0, last})
+	}
+	a, b := t.Hash(lo), t.Hash(hi)
+	if a <= b {
+		return append(spans, bucketSpan{a, b})
+	}
+	return append(spans, bucketSpan{a, last}, bucketSpan{0, b})
+}
+
+// mergeSpans sorts spans in place and coalesces overlapping or adjacent
+// runs, so every bucket of their union appears exactly once.
+func mergeSpans(spans []bucketSpan) []bucketSpan {
+	slices.SortFunc(spans, func(x, y bucketSpan) int { return cmp.Compare(x.lo, y.lo) })
+	merged := spans[:0]
+	for _, sp := range spans {
+		if m := len(merged); m > 0 && sp.lo <= merged[m-1].hi+1 {
+			merged[m-1].hi = max(merged[m-1].hi, sp.hi)
+			continue
+		}
+		merged = append(merged, sp)
+	}
+	return merged
 }
 
 // InstallKeys implements RangeStore.

@@ -55,10 +55,9 @@ type KeyRange struct{ Lo, Hi uint32 }
 
 // RangeBatchStore is the optional batch face of a RangeStore: extract
 // several disjoint ranges in ONE pass over the structure, returning the
-// removed keys per range (out[i] belongs to ranges[i]). Implementations
-// whose single-range extraction already scans the whole structure (the hash
-// table's dictionary-key view) cut a multi-range epoch's cost from one full
-// scan per range to one per epoch.
+// removed keys per range (out[i] belongs to ranges[i]). The hash table's
+// dictionary-key view implements it: ranges whose bucket images overlap
+// visit each shared bucket once instead of once per range.
 type RangeBatchStore interface {
 	RangeStore
 	ExtractRanges(th *stm.Thread, ranges []KeyRange) ([][]uint32, error)

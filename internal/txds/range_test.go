@@ -2,10 +2,12 @@ package txds
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
+	"kstm/internal/rng"
 	"kstm/internal/stm"
 )
 
@@ -297,4 +299,262 @@ func TestHashTableExtractKeyRanges(t *testing.T) {
 	if out, err := ht.ExtractKeyRanges(th, nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty ranges: %v, %v", out, err)
 	}
+}
+
+// imageRef is the reference bucket image of the dictionary-key range
+// [lo, hi] in an n-bucket table, computed independently of keyImage: bucket
+// b is hit iff the smallest key >= lo with key mod n == b is <= hi.
+func imageRef(n int, lo, hi uint32) map[int]bool {
+	img := make(map[int]bool)
+	if lo > hi {
+		return img
+	}
+	for b := 0; b < n; b++ {
+		first := uint64(lo) + (uint64(b)+uint64(n)-uint64(lo)%uint64(n))%uint64(n)
+		if first <= uint64(hi) {
+			img[b] = true
+		}
+	}
+	return img
+}
+
+// tableKeys returns the keys of want that ht holds, failing if ht holds any
+// key outside want.
+func tableKeys(t *testing.T, th *stm.Thread, ht *HashTable, want []uint32) []uint32 {
+	t.Helper()
+	var held []uint32
+	for _, k := range want {
+		found, err := ht.Contains(th, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if found {
+			held = append(held, k)
+		}
+	}
+	n, err := ht.Len(th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(held) {
+		t.Fatalf("table holds %d keys, %d of them expected", n, len(held))
+	}
+	return held
+}
+
+// sortedKeys returns a sorted copy of keys (nil for none).
+func sortedKeys(keys []uint32) []uint32 {
+	if len(keys) == 0 {
+		return nil
+	}
+	out := slices.Clone(keys)
+	slices.Sort(out)
+	return out
+}
+
+// TestHashTableExtractKeyRangeImage pins that dictionary-key extraction
+// visits exactly the buckets its ranges hash to — one committed transaction
+// per bucket of the union of their images, never the whole table — and
+// still moves exactly the in-range keys, leaving every aliased key put.
+func TestHashTableExtractKeyRangeImage(t *testing.T) {
+	const n = 31
+	const max32 = ^uint32(0)
+	r := rng.New(7)
+	keys := make(map[uint32]bool)
+	for len(keys) < 400 {
+		keys[uint32(r.Intn(40*n))] = true
+	}
+	for i := uint32(0); i < 8; i++ {
+		keys[max32-i*n] = true // aliases at the top of the key space
+	}
+	var all []uint32
+	for k := range keys {
+		all = append(all, k)
+	}
+	slices.Sort(all)
+	cases := []struct {
+		name   string
+		ranges []KeyRange
+	}{
+		{"narrow", []KeyRange{{Lo: 40, Hi: 45}}},
+		{"wrap", []KeyRange{{Lo: 58, Hi: 64}}},
+		{"wrap-to-zero", []KeyRange{{Lo: 61, Hi: 62}}},
+		{"width n-1", []KeyRange{{Lo: 100, Hi: 100 + n - 2}}},
+		{"width n", []KeyRange{{Lo: 100, Hi: 100 + n - 1}}},
+		{"width n+1", []KeyRange{{Lo: 100, Hi: 100 + n}}},
+		{"whole space", []KeyRange{{Lo: 0, Hi: max32}}},
+		{"top of space", []KeyRange{{Lo: max32 - 3*n, Hi: max32}}},
+		{"empty", []KeyRange{{Lo: 500, Hi: 400}}},
+		{"overlapping images", []KeyRange{{Lo: 10, Hi: 15}, {Lo: 41, Hi: 50}, {Lo: 70, Hi: 72}, {Lo: 900, Hi: 800}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := stm.New()
+			th := s.NewThread()
+			ht := NewHashTable(n)
+			if err := ht.InstallKeys(th, all); err != nil {
+				t.Fatal(err)
+			}
+			union := make(map[int]bool)
+			for _, kr := range tc.ranges {
+				for b := range imageRef(n, kr.Lo, kr.Hi) {
+					union[b] = true
+				}
+			}
+			before := s.Stats().Commits
+			var out [][]uint32
+			if len(tc.ranges) == 1 {
+				got, err := ht.ExtractKeyRange(th, tc.ranges[0].Lo, tc.ranges[0].Hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = [][]uint32{got}
+			} else {
+				var err error
+				if out, err = ht.ExtractKeyRanges(th, tc.ranges); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := s.Stats().Commits - before; got != uint64(len(union)) {
+				t.Errorf("extraction committed %d transactions, want %d (one per bucket of the image)", got, len(union))
+			}
+			var kept []uint32
+			want := make([][]uint32, len(tc.ranges))
+			for _, k := range all {
+				in := false
+				for i, kr := range tc.ranges {
+					if k >= kr.Lo && k <= kr.Hi {
+						want[i] = append(want[i], k)
+						in = true
+					}
+				}
+				if !in {
+					kept = append(kept, k)
+				}
+			}
+			for i := range tc.ranges {
+				if got := sortedKeys(out[i]); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("range %v extracted %v, want %v", tc.ranges[i], got, want[i])
+				}
+			}
+			if got := tableKeys(t, th, ht, all); !reflect.DeepEqual(sortedKeys(got), sortedKeys(kept)) {
+				t.Errorf("table kept %d keys, want %d (every out-of-range key, aliases included)", len(got), len(kept))
+			}
+		})
+	}
+}
+
+// FuzzKeyRangeExtractInstall moves the keys of up to two disjoint
+// dictionary-key ranges from one hash table into another of a different
+// size, as a migration epoch between differently sized shards does. The
+// move must keep the union of the two tables, take exactly the in-range
+// keys out of the source, and commit one transaction per bucket of the
+// ranges' image.
+func FuzzKeyRangeExtractInstall(f *testing.F) {
+	f.Add(uint64(1), uint8(40), uint16(31), uint16(17), uint32(0), uint32(100), uint32(200), uint32(260))
+	f.Add(uint64(2), uint8(200), uint16(7), uint16(97), uint32(25), uint32(33), uint32(34), uint32(40))
+	f.Add(uint64(3), uint8(90), uint16(1), uint16(2), uint32(5), uint32(5), uint32(9), uint32(1<<31))
+	f.Add(uint64(4), uint8(255), uint16(64), uint16(63), uint32(0), uint32(1<<31), uint32(1<<31), ^uint32(0))
+	f.Add(uint64(5), uint8(0), uint16(13), uint16(13), uint32(3), uint32(2), uint32(1), uint32(0))
+	f.Fuzz(func(t *testing.T, seed uint64, nkeys uint8, srcN, dstN uint16, a, b, c, d uint32) {
+		srcBuckets, dstBuckets := 1+int(srcN%257), 1+int(dstN%257)
+		ends := []uint32{a, b, c, d}
+		slices.Sort(ends)
+		ranges := []KeyRange{{Lo: ends[0], Hi: ends[1]}, {Lo: ends[2], Hi: ends[3]}}
+		if ranges[1].Lo <= ranges[0].Hi {
+			// Keep the ranges disjoint; at the top of the space the second
+			// one becomes empty (Lo > Hi).
+			ranges[1].Lo = ranges[0].Hi + 1
+			if ranges[0].Hi == ^uint32(0) {
+				ranges[1].Lo, ranges[1].Hi = 1, 0
+			}
+		}
+		// Keys cluster near the range ends and the low buckets, so ranges
+		// and aliases both hit; a few are drawn from the whole space.
+		r := rng.New(seed)
+		draw := func() uint32 {
+			switch r.Intn(3) {
+			case 0:
+				return ends[r.Intn(4)] + uint32(r.Intn(2*srcBuckets+1)) - uint32(srcBuckets)
+			case 1:
+				return uint32(r.Intn(4 * (srcBuckets + dstBuckets)))
+			default:
+				return r.Uint32()
+			}
+		}
+		// Shards partition the keys: the two tables start disjoint.
+		srcKeys, dstKeys := make(map[uint32]bool), make(map[uint32]bool)
+		for i := 0; i < int(nkeys); i++ {
+			if k := draw(); !dstKeys[k] {
+				srcKeys[k] = true
+			}
+			if k := draw(); i%2 == 0 && !srcKeys[k] {
+				dstKeys[k] = true
+			}
+		}
+		s := stm.New()
+		th := s.NewThread()
+		src, dst := NewHashTable(srcBuckets), NewHashTable(dstBuckets)
+		var union, srcAll, dstAll []uint32
+		for k := range srcKeys {
+			srcAll = append(srcAll, k)
+		}
+		for k := range dstKeys {
+			dstAll = append(dstAll, k)
+		}
+		union = append(append(union, srcAll...), dstAll...)
+		if err := src.InstallKeys(th, srcAll); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.InstallKeys(th, dstAll); err != nil {
+			t.Fatal(err)
+		}
+		image := make(map[int]bool)
+		for _, kr := range ranges {
+			for bk := range imageRef(srcBuckets, kr.Lo, kr.Hi) {
+				image[bk] = true
+			}
+		}
+		before := s.Stats().Commits
+		out, err := src.ExtractKeyRanges(th, ranges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats().Commits - before; got != uint64(len(image)) {
+			t.Fatalf("extraction committed %d transactions, want %d", got, len(image))
+		}
+		inRange := func(k uint32) int {
+			for i, kr := range ranges {
+				if k >= kr.Lo && k <= kr.Hi {
+					return i
+				}
+			}
+			return -1
+		}
+		want := make([][]uint32, len(ranges))
+		var wantSrc []uint32
+		for _, k := range srcAll {
+			if i := inRange(k); i >= 0 {
+				want[i] = append(want[i], k)
+			} else {
+				wantSrc = append(wantSrc, k)
+			}
+		}
+		for i := range ranges {
+			if got := sortedKeys(out[i]); !reflect.DeepEqual(got, sortedKeys(want[i])) {
+				t.Fatalf("range %v extracted %v, want %v", ranges[i], got, sortedKeys(want[i]))
+			}
+			if err := dst.InstallKeys(th, out[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gotSrc := tableKeys(t, th, src, union)
+		if !reflect.DeepEqual(sortedKeys(gotSrc), sortedKeys(wantSrc)) {
+			t.Fatalf("source kept %v, want %v", sortedKeys(gotSrc), sortedKeys(wantSrc))
+		}
+		gotDst := tableKeys(t, th, dst, union)
+		if got := sortedKeys(append(gotSrc, gotDst...)); len(got) != len(gotSrc)+len(gotDst) || !reflect.DeepEqual(got, sortedKeys(union)) {
+			t.Fatalf("tables hold %d+%d keys after the move, want the %d-key union exactly once", len(gotSrc), len(gotDst), len(union))
+		}
+	})
 }

@@ -684,7 +684,7 @@ func TestPoolRoundTrip(t *testing.T) {
 func TestShardedServer(t *testing.T) {
 	_, _, addr, shutdown := startServer(t, []kstm.Option{
 		kstm.WithSharding(kstm.ShardPerWorker),
-		kstm.WithWorkloadFactory(harness.NewDictFactory(txds.KindHashTable, 2)),
+		kstm.WithWorkloadFactory(harness.NewDictFactory(txds.KindHashTable)),
 		kstm.WithWorkers(2),
 	})
 	defer shutdown()
