@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -152,7 +151,7 @@ func TestAdaptiveOnceByDefault(t *testing.T) {
 }
 
 func TestAdaptiveReAdaptation(t *testing.T) {
-	a, err := NewAdaptive(0, 65535, 4, WithThreshold(500), WithReAdaptation(), WithCells(32))
+	a, err := NewAdaptive(0, 65535, 4, WithThreshold(500), WithReAdaptation())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,49 +366,6 @@ func TestFixedSchedulerRoutesByRange(t *testing.T) {
 }
 
 type atomic2 struct{}
-
-func TestWorkStealingDrainsImbalance(t *testing.T) {
-	// All keys hash to worker 0's range under the fixed scheduler; with
-	// stealing on, other workers should still complete work.
-	w := newCountingWorkload()
-	sched, err := NewFixed(0, 65535, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Yield after every task so that all workers interleave even on a
-	// single-CPU host; otherwise one worker can drain the run alone.
-	slow := WorkloadFunc(func(th *stm.Thread, task Task) (any, error) {
-		runtime.Gosched()
-		return w.Execute(th, task)
-	})
-	cfg := Config{
-		STM:      stm.New(),
-		Workload: slow,
-		NewSource: func(p int) TaskSource {
-			return SourceFunc(func() Task { return Task{Key: 1, Arg: 1} }) // always range 0
-		},
-		Workers:   4,
-		Producers: 2,
-		Model:     ModelParallel,
-		Scheduler: sched,
-		WorkSteal: true,
-	}
-	pool, err := NewPool(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pool.RunCount(5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Steals == 0 {
-		t.Error("no steals recorded despite total imbalance")
-	}
-	others := res.Completed - res.PerWorker[0]
-	if others == 0 {
-		t.Error("stealing workers completed nothing")
-	}
-}
 
 func TestQueueKindsAllWork(t *testing.T) {
 	for _, k := range queue.Kinds() {

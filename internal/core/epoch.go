@@ -17,11 +17,12 @@ import (
 // The ordering argument, stated once for both subsystems. dispatch holds the
 // read gate across pick → divert → enqueue-or-park, so a write-gate
 // acquisition never interleaves with a half-routed task: every task routed
-// before it is in a worker queue or a hold queue when it returns. FIFO queues
-// put those tasks ahead of the drain barriers enqueued next, the barriers
-// complete before the hand-off runs, and the hand-off completes before the
-// release re-enqueues the held tasks — under the write gate again, so no new
-// task slips ahead of them. A held task therefore executes after every task
+// before it is in a worker queue or a hold queue when it returns. Each worker
+// queue is FIFO and has one consumer, its owner, so those tasks run on the
+// worker they were routed to and ahead of the drain barriers enqueued next;
+// the barriers complete before the hand-off runs, and the hand-off completes
+// before the release re-enqueues the held tasks — under the write gate again,
+// so no new task slips ahead of them. A held task therefore executes after every task
 // that preceded it and against the state the hand-off installed, never
 // against a half-moved range or a partial merge.
 //

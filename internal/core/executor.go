@@ -96,9 +96,7 @@ const (
 	// shard-local workload built by the WorkloadFactory. Since the
 	// dispatch policy already routes a key range to exactly one worker,
 	// the per-worker shard receives exactly that range's data; cross-
-	// worker STM conflicts become impossible by construction. Work
-	// stealing is automatically confined to same-shard queues (for
-	// per-worker shards, disabled), preserving isolation.
+	// worker STM conflicts become impossible by construction.
 	ShardPerWorker ShardMode = "perworker"
 )
 
@@ -135,7 +133,6 @@ type execConfig struct {
 	queueKind    queue.Kind
 	maxDepth     int
 	backpressure Backpressure
-	workSteal    bool
 	sortBatch    int
 	migration    MigrationMode
 	split        *splitConfig
@@ -197,10 +194,6 @@ func WithQueueDepth(n int) Option { return func(c *execConfig) { c.maxDepth = n 
 
 // WithBackpressure selects the full-queue policy (default BackpressureBlock).
 func WithBackpressure(m Backpressure) Option { return func(c *execConfig) { c.backpressure = m } }
-
-// WithWorkSteal lets idle workers take tasks from other queues — trading
-// the locality that key partitioning bought for utilization.
-func WithWorkSteal(on bool) Option { return func(c *execConfig) { c.workSteal = on } }
 
 // WithSortBatch makes each worker drain up to n tasks and execute them in
 // ascending key order (§2's buffer-reordering capability); n <= 1 is FIFO.
@@ -277,8 +270,8 @@ type Executor struct {
 	// legacy counted-run harness uses it to stop at an exact task quota.
 	onDone func()
 	// borrowOK, fixed at Start, reports whether SubmitFuncOrRun may borrow
-	// a parked owner at all: no epoch gate, no work-steal, no SortBatch and
-	// no onDone hook.
+	// a parked owner at all: no epoch gate, no SortBatch and no onDone
+	// hook.
 	borrowOK bool
 }
 
@@ -329,10 +322,9 @@ type workerCounters struct {
 	cancelled atomic.Uint64
 	failed    atomic.Uint64
 	empty     atomic.Uint64
-	steals    atomic.Uint64
 	deadline  atomic.Uint64
 	borrowed  atomic.Uint64
-	_         [8]byte
+	_         [16]byte
 }
 
 // shardState is one partition of the executor's transactional state: the
@@ -452,9 +444,6 @@ func NewExecutor(opts ...Option) (*Executor, error) {
 		if migr != nil {
 			return nil, fmt.Errorf("core: WithSplitPhase is incompatible with WithMigration(MigrateOnRepartition): an epoch serialises on one dispatch gate, and neither hand-off (range move, accumulator merge) is written to run inside the other's fence")
 		}
-		if cfg.workSteal {
-			return nil, fmt.Errorf("core: WithSplitPhase is incompatible with WithWorkSteal: a stolen task escapes its queue's FIFO order, which the epoch drain barriers rely on")
-		}
 		var err error
 		if split, err = newSplitRunner(&cfg, shards); err != nil {
 			return nil, err
@@ -509,7 +498,7 @@ func (e *Executor) Start(ctx context.Context) error {
 	if ctx == nil {
 		ctx = backgroundCtx
 	}
-	e.borrowOK = e.epoch == nil && !e.cfg.workSteal && e.cfg.sortBatch <= 1 && e.onDone == nil
+	e.borrowOK = e.epoch == nil && e.cfg.sortBatch <= 1 && e.onDone == nil
 	if !e.state.CompareAndSwap(stateNew, stateRunning) {
 		return ErrAlreadyStarted
 	}
@@ -690,7 +679,7 @@ func (e *Executor) SubmitFuncTimed(ctx context.Context, t Task, budget time.Dura
 //
 // A borrowed task counts as submitted and completed like a queued one, plus
 // ExecStats.Borrowed. The call never borrows under migration or split phase,
-// with work-steal, with SortBatch > 1, or behind a busy owner.
+// with SortBatch > 1, or behind a busy owner.
 //
 //kstmvet:hotpath
 func (e *Executor) SubmitFuncOrRun(ctx context.Context, t Task, budget time.Duration, done func(TaskResult)) (res TaskResult, ran bool, err error) {
@@ -951,9 +940,6 @@ func (e *Executor) worker(i int) {
 			return
 		}
 		env, ok := e.queues[i].Get()
-		if !ok && e.cfg.workSteal {
-			env, ok = e.steal(i, wc)
-		}
 		if !ok {
 			switch e.state.Load() {
 			case stateStopped:
@@ -968,7 +954,7 @@ func (e *Executor) worker(i int) {
 				if e.inflight.Load() == 0 {
 					return
 				}
-				env, ok = e.parkWorker(i, wc)
+				env, ok = e.parkWorker(i)
 			default:
 				// Empty poll: yield through a short spin window (cheap gaps
 				// in a steady stream stay futex-free), then park on the wake
@@ -980,7 +966,7 @@ func (e *Executor) worker(i int) {
 					runtime.Gosched()
 					continue
 				}
-				env, ok = e.parkWorker(i, wc)
+				env, ok = e.parkWorker(i)
 			}
 			if !ok {
 				continue
@@ -1198,28 +1184,6 @@ func (e *Executor) shardOf(worker int) int {
 	return 0
 }
 
-// steal takes one task from another worker's queue. Stealing is confined to
-// queues of the worker's own shard: a stolen task must execute against the
-// same transactional state it was dispatched to, so under ShardPerWorker
-// (every worker its own shard) there is nothing to steal from and the scan
-// degenerates to a no-op.
-func (e *Executor) steal(i int, wc *workerCounters) (envelope, bool) {
-	n := len(e.queues)
-	myShard := e.shardOf(i)
-	for off := 1; off < n; off++ {
-		j := (i + off) % n
-		if e.shardOf(j) != myShard {
-			continue
-		}
-		if env, ok := e.queues[j].Get(); ok {
-			wc.steals.Add(1)
-			e.signalSpace(j) // the space freed belongs to the victim's queue
-			return env, true
-		}
-	}
-	return envelope{}, false
-}
-
 // fail records the first hard workload error and stops the executor; it is
 // reached only from the legacy fire-and-forget path, where there is no
 // per-task result to carry the error.
@@ -1407,7 +1371,8 @@ type ExecStats struct {
 	QueueDepths []int
 	// EmptyPolls counts worker polls that found an empty queue.
 	EmptyPolls uint64
-	// Steals counts successful work-steal operations.
+	// Steals is always zero: every worker queue has one consumer, its owner.
+	// The field stays while benchmark/run.go reads it for core.steals.
 	Steals uint64
 	// Elapsed is the time since Start.
 	Elapsed time.Duration
@@ -1477,6 +1442,7 @@ func (e *Executor) Stats() ExecStats {
 		QueueDepths: make([]int, len(e.queues)),
 		Wait:        latency.Merge(e.waitHist...),
 		Service:     latency.Merge(e.execHist...),
+		Steals:      0, // a queue's only consumer is its owner
 	}
 	if e.migr != nil {
 		s.Migrations = e.migr.stats()
@@ -1496,7 +1462,6 @@ func (e *Executor) Stats() ExecStats {
 		s.DeadlineExpired += wc.deadline.Load()
 		s.Borrowed += wc.borrowed.Load()
 		s.EmptyPolls += wc.empty.Load()
-		s.Steals += wc.steals.Load()
 	}
 	for i, q := range e.queues {
 		s.QueueDepths[i] = q.Len()

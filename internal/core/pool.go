@@ -58,9 +58,6 @@ type Config struct {
 	// MaxQueueDepth applies producer backpressure; <0 disables, 0 means
 	// the default.
 	MaxQueueDepth int
-	// WorkSteal lets an idle worker take tasks from other queues — the
-	// §2 "load balancing" alternative; off in the paper's experiments.
-	WorkSteal bool
 	// SortBatch > 1 makes each worker drain up to that many tasks and
 	// execute them in ascending key order (§2's buffer-reordering
 	// capability). Batching by key improves temporal locality within a
@@ -154,7 +151,6 @@ func (p *Pool) runParallel(count int64) (Result, error) {
 		WithScheduler(p.cfg.Scheduler),
 		WithQueue(p.cfg.QueueKind),
 		WithQueueDepth(depth),
-		WithWorkSteal(p.cfg.WorkSteal),
 		WithSortBatch(p.cfg.SortBatch),
 	)
 	if err != nil {
@@ -203,31 +199,28 @@ func (p *Pool) runParallel(count int64) (Result, error) {
 // baseline.
 func (p *Pool) buildResult(ex *Executor, elapsed time.Duration) Result {
 	perWorker := make([]uint64, len(ex.wstats))
-	var empty, steals uint64
+	var empty uint64
 	for i := range ex.wstats {
 		perWorker[i] = ex.wstats[i].completed.Load()
 		empty += ex.wstats[i].empty.Load()
-		steals += ex.wstats[i].steals.Load()
 	}
-	return p.newResult(elapsed, ex.submitted.Load(), empty, steals,
+	return p.newResult(elapsed, ex.submitted.Load(), empty,
 		perWorker, p.cfg.STM.Stats().Sub(ex.shards[0].before))
 }
 
 // newResult assembles a Result from run counters; every model funnels
 // through it so a new field cannot silently stay zero for one model.
-func (p *Pool) newResult(elapsed time.Duration, produced, emptyPolls, steals uint64,
+func (p *Pool) newResult(elapsed time.Duration, produced, emptyPolls uint64,
 	perWorker []uint64, stmDelta stm.StatsSnapshot) Result {
 	res := Result{
 		Model:      p.cfg.Model,
 		Workers:    p.cfg.Workers,
 		Producers:  p.cfg.Producers,
 		QueueKind:  p.cfg.QueueKind,
-		WorkSteal:  p.cfg.WorkSteal,
 		Elapsed:    elapsed,
 		Produced:   produced,
 		PerWorker:  perWorker,
 		EmptyPolls: emptyPolls,
-		Steals:     steals,
 		STM:        stmDelta,
 	}
 	if p.cfg.Scheduler != nil {
@@ -300,7 +293,7 @@ func (p *Pool) runNoExecutor(count int64) (Result, error) {
 	for i := range completed {
 		perWorker[i] = completed[i].n.Load()
 	}
-	res := p.newResult(elapsed, produced.Load(), 0, 0, perWorker, p.cfg.STM.Stats().Sub(stmBefore))
+	res := p.newResult(elapsed, produced.Load(), 0, perWorker, p.cfg.STM.Stats().Sub(stmBefore))
 	if errp := workErr.Load(); errp != nil {
 		return res, *errp
 	}

@@ -19,7 +19,6 @@ type Result struct {
 	QueueKind queue.Kind
 	Workers   int
 	Producers int
-	WorkSteal bool
 
 	Elapsed   time.Duration
 	Completed uint64   // transactions executed to commit
@@ -27,7 +26,6 @@ type Result struct {
 	PerWorker []uint64 // per-worker completion counts
 
 	EmptyPolls uint64 // worker polls that found an empty queue
-	Steals     uint64 // successful work-steal operations
 
 	STM stm.StatsSnapshot // STM counter deltas over the run
 }

@@ -93,7 +93,6 @@ type Adaptive struct {
 	min, max  uint64
 	workers   int
 	threshold uint64
-	cells     int
 	readapt   bool
 
 	h       *hist.Histogram
@@ -131,15 +130,6 @@ func WithThreshold(n int) AdaptiveOption {
 	}
 }
 
-// WithCells sets the histogram cell count (default 256).
-func WithCells(n int) AdaptiveOption {
-	return func(a *Adaptive) {
-		if n > 0 {
-			a.cells = n
-		}
-	}
-}
-
 // WithReAdaptation makes the scheduler re-estimate the distribution every
 // threshold samples instead of adapting exactly once.
 func WithReAdaptation() AdaptiveOption {
@@ -159,7 +149,6 @@ func NewAdaptive(min, max uint64, workers int, opts ...AdaptiveOption) (*Adaptiv
 		max:       max,
 		workers:   workers,
 		threshold: hist.DefaultSampleThreshold,
-		cells:     defaultCells,
 	}
 	for _, o := range opts {
 		o(a)
@@ -169,7 +158,7 @@ func NewAdaptive(min, max uint64, workers int, opts ...AdaptiveOption) (*Adaptiv
 		return nil, err
 	}
 	a.current.Store(initial)
-	a.h = hist.NewHistogram(min, max, a.cells)
+	a.h = hist.NewHistogram(min, max, defaultCells)
 	return a, nil
 }
 

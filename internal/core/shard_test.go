@@ -162,16 +162,14 @@ func TestShardPerWorkerStatsAndIsolation(t *testing.T) {
 	}
 }
 
-// TestStealConfinedToShard floods one worker's key range with stealing
-// enabled: in sharded mode no other worker may take the work (their shards
-// don't hold the data), so steals stay zero and only worker 0 completes —
-// while the same setup in shared mode does steal.
-func TestStealConfinedToShard(t *testing.T) {
+// TestOwnerAffinity floods one worker's key range while the other three sit
+// idle: under either sharding mode every task completes on the key's owner,
+// because a worker queue's only consumer is its owner.
+func TestOwnerAffinity(t *testing.T) {
 	run := func(mode ShardMode) ExecStats {
 		opts := []Option{
 			WithWorkers(4),
 			WithSchedulerKind(SchedFixed, 0, 65535),
-			WithWorkSteal(true),
 		}
 		if mode == ShardPerWorker {
 			opts = append(opts, WithSharding(ShardPerWorker),
@@ -189,8 +187,7 @@ func TestStealConfinedToShard(t *testing.T) {
 		if err := ex.Start(ctx); err != nil {
 			t.Fatal(err)
 		}
-		// Key 1 lives in worker 0's fixed range; everyone else is idle
-		// and hungry to steal.
+		// Key 1 lives in worker 0's fixed range; everyone else is idle.
 		tasks := make([]Task, 800)
 		for i := range tasks {
 			tasks[i] = Task{Key: 1, Op: OpInsert, Arg: 1}
@@ -210,24 +207,16 @@ func TestStealConfinedToShard(t *testing.T) {
 		return ex.Stats()
 	}
 
-	sharded := run(ShardPerWorker)
-	if sharded.Steals != 0 {
-		t.Errorf("sharded mode stole %d tasks across shards", sharded.Steals)
-	}
-	for w := 1; w < 4; w++ {
-		if sharded.PerWorker[w] != 0 {
-			t.Errorf("sharded mode: worker %d completed %d tasks from another shard", w, sharded.PerWorker[w])
+	for _, mode := range []ShardMode{ShardShared, ShardPerWorker} {
+		st := run(mode)
+		if st.PerWorker[0] != 800 {
+			t.Errorf("%s: worker 0 completed %d, want all 800", mode, st.PerWorker[0])
 		}
-	}
-	if sharded.PerWorker[0] != 800 {
-		t.Errorf("sharded mode: worker 0 completed %d, want all 800", sharded.PerWorker[0])
-	}
-	// Control: the same flood in shared mode is allowed to steal (the
-	// shared shard spans all queues). We only assert it stays legal, not
-	// that stealing happened — timing may drain the queue first.
-	shared := run(ShardShared)
-	if shared.Completed != 800 {
-		t.Errorf("shared mode completed %d", shared.Completed)
+		for w := 1; w < 4; w++ {
+			if st.PerWorker[w] != 0 {
+				t.Errorf("%s: worker %d completed %d tasks owned by worker 0", mode, w, st.PerWorker[w])
+			}
+		}
 	}
 }
 

@@ -108,21 +108,3 @@ func TestSortBatchCompletesExactly(t *testing.T) {
 		t.Fatalf("completed=%d executed=%d", res.Completed, w.total())
 	}
 }
-
-func TestSortBatchWithWorkSteal(t *testing.T) {
-	w := newCountingWorkload()
-	cfg := validConfig(w)
-	cfg.SortBatch = 16
-	cfg.WorkSteal = true
-	pool, err := NewPool(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pool.RunCount(3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != 3000 {
-		t.Fatalf("completed %d", res.Completed)
-	}
-}

@@ -33,9 +33,8 @@ import (
 //     a partial merge. The ordering argument is epoch.go's; tasks parked
 //     after a capture simply wait one more epoch.
 //
-// WithSplitPhase is incompatible with WithMigration (one reason, stated on
-// the epoch type) and with WithWorkSteal: a stolen task escapes its queue's
-// FIFO order, which the drain-barrier argument needs.
+// WithSplitPhase is incompatible with WithMigration (the reason is stated on
+// the epoch type).
 
 // CommutativeWorkload is a Workload whose ops can be split-phase-absorbed:
 // CommutativeOps maps each mergeable opcode to its splitphase.Kind. Ops
@@ -146,7 +145,7 @@ func SplitKeys(keys ...uint64) SplitOption {
 
 // WithSplitPhase enables split-phase execution for contended keys. Every
 // shard workload must implement CommutativeWorkload and SplitMergeWorkload;
-// incompatible with WithMigration(MigrateOnRepartition) and WithWorkSteal.
+// incompatible with WithMigration(MigrateOnRepartition).
 func WithSplitPhase(opts ...SplitOption) Option {
 	return func(c *execConfig) {
 		sc := defaultSplitConfig()

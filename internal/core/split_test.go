@@ -82,11 +82,6 @@ func TestSplitValidation(t *testing.T) {
 		want string
 	}{
 		{
-			name: "worksteal",
-			opts: []Option{WithWorkload(cw), WithWorkers(2), WithWorkSteal(true), WithSplitPhase()},
-			want: "WithWorkSteal",
-		},
-		{
 			name: "not commutative",
 			opts: []Option{
 				WithWorkload(WorkloadFunc(func(th *stm.Thread, t Task) (any, error) { return nil, nil })),

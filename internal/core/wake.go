@@ -116,30 +116,15 @@ func (e *Executor) initWakes(workers int) {
 
 // wakeWorker is the enqueue-side half of the park/wake handshake: called
 // after an envelope lands in worker w's queue. The fast path — nobody
-// parked — is one atomic load. If the target itself is running but a
-// same-shard worker is parked and work stealing is on, that thief is woken
-// instead: a parked thief would otherwise never observe work landing on a
-// busy peer's queue.
+// parked — is one atomic load. Only w itself is ever woken: it is its
+// queue's only consumer.
 //
 //kstmvet:hotpath
 func (e *Executor) wakeWorker(w int) {
 	if e.parked.Load() == 0 {
 		return
 	}
-	if e.tryWake(w) || !e.cfg.workSteal {
-		return
-	}
-	n := len(e.wakes)
-	myShard := e.shardOf(w)
-	for off := 1; off < n; off++ {
-		j := (w + off) % n
-		if e.shardOf(j) != myShard {
-			continue
-		}
-		if e.tryWake(j) {
-			return
-		}
-	}
+	e.tryWake(w)
 }
 
 // tryWake transitions worker w from parked to active and hands it the wake
@@ -178,19 +163,14 @@ func (e *Executor) wakeAll() {
 // half of the Dekker handshake — finds work that raced the park. A false
 // return means the caller should simply re-run its loop: spurious wakes are
 // bounded and benign, lost wakes impossible.
-func (e *Executor) parkWorker(i int, wc *workerCounters) (envelope, bool) {
+func (e *Executor) parkWorker(i int) (envelope, bool) {
 	ws := &e.wakes[i]
 	e.parked.Add(1)
 	ws.idle.Store(idleParked)
 	// Final poll AFTER publishing idleParked: an enqueuer that missed the
 	// flag completed its Put before loading it, so this Get observes the
-	// envelope; an enqueuer that sees the flag wakes us. Stealing here keeps
-	// the steal scan event-driven too — a parked worker is woken by
-	// wakeWorker's thief scan and re-polls peers before blocking again.
+	// envelope; an enqueuer that sees the flag wakes us.
 	env, ok := e.queues[i].Get()
-	if !ok && e.cfg.workSteal {
-		env, ok = e.steal(i, wc)
-	}
 	if ok {
 		e.unparkSelf(ws)
 		return env, true
@@ -282,9 +262,9 @@ func (e *Executor) borrow(w int) bool {
 // release hands a borrowed worker back: store parked, then read the queue
 // and the state. An enqueuer that saw the word borrowed woke nobody, and a
 // Drain or last-finisher broadcast that saw it borrowed was lost too, so
-// either condition wakes the worker here. Under borrowing the worker is its
-// queue's only consumer (work-steal is off) and it is blocked, so a Put that
-// completed before the enqueuer read the flag is counted in Len.
+// either condition wakes the worker here. The worker is its queue's only
+// consumer and it is blocked, so a Put that completed before the enqueuer
+// read the flag is counted in Len.
 //
 //kstmvet:hotpath
 func (e *Executor) release(w int) {

@@ -198,59 +198,6 @@ func TestDrainWithInflightWhileParked(t *testing.T) {
 	executed.Wait() // Drain returned ⇒ every task ran; Wait must not block
 }
 
-// TestStealWakeInterplay: with work stealing on, a burst landing on ONE
-// worker's queue must recruit parked same-shard peers — wakeWorker's thief
-// scan — instead of leaving them blocked while the owner crawls the backlog.
-func TestStealWakeInterplay(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[int]bool{}
-	ex, err := NewExecutor(
-		WithWorkload(WorkloadFunc(func(th *stm.Thread, task Task) (any, error) {
-			mu.Lock()
-			seen[int(task.Arg)] = true
-			mu.Unlock()
-			time.Sleep(200 * time.Microsecond)
-			return nil, nil
-		})),
-		WithWorkers(4),
-		WithSchedulerKind(SchedFixed, 0, 65535),
-		WithWorkSteal(true),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ex.Stop() })
-	waitParked(t, ex, 4)
-	ctx := context.Background()
-	// One hot key ⇒ one owner queue; the rest of the pool is parked and
-	// only reachable through the steal-aware wake.
-	const n = 256
-	futs := make([]*Future, 0, n)
-	for i := 0; i < n; i++ {
-		fut, err := ex.SubmitAsync(ctx, Task{Key: 1, Op: OpNoop, Arg: uint32(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		futs = append(futs, fut)
-	}
-	for _, f := range futs {
-		if _, err := f.Wait(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != n {
-		t.Fatalf("executed %d distinct tasks, want %d", len(seen), n)
-	}
-	if st := ex.Stats(); st.Steals == 0 {
-		t.Log("no steals recorded (owner drained the burst alone) — wake path still covered")
-	}
-}
-
 // TestBackpressureWakeUnderDepthBound: a tiny queue bound with many blocked
 // submitters exercises waitSpace/signalSpace — every submitter must
 // eventually be admitted (space tokens chain waiter-to-waiter), and no two

@@ -449,20 +449,39 @@ func (s *simulator) producerStep(id int, now uint64) {
 	s.events.push(now+s.p.GenCost+s.p.DispatchCost, evProducer, id)
 }
 
-// enqueue places a task and wakes an idle worker.
+// enqueue places a task and wakes an idle worker: the target itself, or —
+// with work stealing on and the target busy — the next idle worker after it,
+// which would otherwise never see work land on a peer's queue.
 func (s *simulator) enqueue(w int, t simTask, now uint64) {
 	wk := &s.workers[w]
 	wk.queue = append(wk.queue, t)
 	wk.enqueued++
 	s.produced++
-	if wk.idle {
-		wk.idle = false
-		start := now
-		if wk.busyUntil > start {
-			start = wk.busyUntil
-		}
-		s.events.push(start, evWorker, w)
+	if wk.idle || !s.p.WorkSteal {
+		s.wake(w, now)
+		return
 	}
+	for off := 1; off < len(s.workers); off++ {
+		if j := (w + off) % len(s.workers); s.workers[j].idle {
+			s.wake(j, now)
+			return
+		}
+	}
+}
+
+// wake schedules idle worker w's next step, no earlier than the end of its
+// last task.
+func (s *simulator) wake(w int, now uint64) {
+	wk := &s.workers[w]
+	if !wk.idle {
+		return
+	}
+	wk.idle = false
+	start := now
+	if wk.busyUntil > start {
+		start = wk.busyUntil
+	}
+	s.events.push(start, evWorker, w)
 }
 
 // workerStep: pop and execute one task (Figure 1c worker loop).

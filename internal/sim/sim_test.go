@@ -353,17 +353,24 @@ func TestFenwick(t *testing.T) {
 
 func TestWorkStealingHelpsFixedUnderSkew(t *testing.T) {
 	// The §2 "load balancing" alternative: stealing lets idle workers
-	// relieve the overloaded one under the fixed scheduler.
-	p := quick()
-	p.Dist = "exponential"
-	p.Scheduler = core.SchedFixed
-	p.Workers = 8
-	noSteal := runOrFatal(t, p)
-	p.WorkSteal = true
-	steal := runOrFatal(t, p)
-	if steal.Throughput() < noSteal.Throughput()*1.2 {
-		t.Errorf("stealing gained only %.2fx under skewed fixed partitioning",
-			steal.Throughput()/noSteal.Throughput())
+	// relieve the overloaded one under the fixed scheduler. With two
+	// workers every key lands on worker 0, so worker 1 completes anything
+	// only if an enqueue onto busy worker 0 wakes it to steal.
+	for _, workers := range []int{2, 8} {
+		p := quick()
+		p.Dist = "exponential"
+		p.Scheduler = core.SchedFixed
+		p.Workers = workers
+		noSteal := runOrFatal(t, p)
+		p.WorkSteal = true
+		steal := runOrFatal(t, p)
+		if steal.Throughput() < noSteal.Throughput()*1.2 {
+			t.Errorf("%d workers: stealing gained only %.2fx under skewed fixed partitioning",
+				workers, steal.Throughput()/noSteal.Throughput())
+		}
+		if steal.PerWorker[1] == 0 {
+			t.Errorf("%d workers: the idle worker never stole: per-worker %v", workers, steal.PerWorker)
+		}
 	}
 }
 

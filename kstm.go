@@ -213,7 +213,6 @@ var (
 	WithQueue           = core.WithQueue
 	WithQueueDepth      = core.WithQueueDepth
 	WithBackpressure    = core.WithBackpressure
-	WithWorkSteal       = core.WithWorkSteal
 	WithSortBatch       = core.WithSortBatch
 )
 
@@ -256,7 +255,7 @@ type MigrationStats = core.MigrationStats
 // ops on a split key park until the covering merge lands, so clients never
 // observe a partial merge. Requires every shard workload to implement
 // CommutativeWorkload and SplitMergeWorkload; incompatible with
-// WithMigration and WithWorkSteal.
+// WithMigration.
 var WithSplitPhase = core.WithSplitPhase
 
 // SplitOption tunes WithSplitPhase.
@@ -483,7 +482,6 @@ type Partition = hist.Partition
 // Adaptive scheduler options.
 var (
 	WithThreshold    = core.WithThreshold
-	WithCells        = core.WithCells
 	WithReAdaptation = core.WithReAdaptation
 )
 
