@@ -15,7 +15,6 @@ import (
 	"kstm/internal/core"
 	"kstm/internal/dist"
 	"kstm/internal/harness"
-	"kstm/internal/queue"
 	"kstm/internal/sim"
 	"kstm/internal/stm"
 	"kstm/internal/txds"
@@ -158,25 +157,14 @@ func BenchmarkAblationWorkSteal(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationQueue compares task-queue implementations on the real
-// executor (host-dependent wall-clock numbers).
+// BenchmarkAblationQueue compares the task-queue transports alone, 2
+// producers → 1 consumer (host-dependent wall-clock numbers; ns/op is per
+// value moved).
 func BenchmarkAblationQueue(b *testing.B) {
-	for _, k := range queue.Kinds() {
-		b.Run(string(k), func(b *testing.B) {
-			cfg, err := harness.NewRealConfig(txds.KindHashTable, "uniform", core.SchedAdaptive, 2, 2, 1)
-			if err != nil {
+	for _, k := range harness.QueueTransports {
+		b.Run(k, func(b *testing.B) {
+			if _, err := harness.RunTransport(k, 2, b.N); err != nil {
 				b.Fatal(err)
-			}
-			cfg.QueueKind = k
-			pool, err := core.NewPool(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pool.RunCount(2000); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

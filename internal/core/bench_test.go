@@ -29,9 +29,9 @@ func benchExecutor(b *testing.B, workers int) *Executor {
 }
 
 // BenchmarkSubmit measures the pooled synchronous round trip: SubmitAsync +
-// Wait + recycle. Steady state should allocate exactly the queue node
-// (1 alloc/op) — the AllocsPerRun regression test in hotpath_test.go pins
-// that bound.
+// Wait + recycle. Steady state should allocate nothing (the envelope goes
+// into a preallocated ring slot) — the AllocsPerRun regression test in
+// hotpath_test.go pins that bound.
 func BenchmarkSubmit(b *testing.B) {
 	ex := benchExecutor(b, 2)
 	ctx := context.Background()

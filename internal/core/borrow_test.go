@@ -387,7 +387,9 @@ func TestBorrowDeclined(t *testing.T) {
 		// queued work.
 		ex.inflight.Add(1)
 		queued := newFuture()
-		ex.queues[0].Put(envelope{task: Task{Key: 1, Arg: 1}, fut: queued, ctx: ctx, enq: time.Since(ex.base)})
+		if !ex.queues[0].TryPut(envelope{task: Task{Key: 1, Arg: 1}, fut: queued, ctx: ctx, enq: time.Since(ex.base)}) {
+			t.Fatal("TryPut into an empty queue refused")
+		}
 		settled := make(chan TaskResult, 1)
 		_, ran, err := ex.SubmitFuncOrRun(ctx, Task{Key: 1, Arg: 2}, 0, func(res TaskResult) { settled <- res })
 		if err != nil || ran {

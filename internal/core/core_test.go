@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"kstm/internal/dist"
-	"kstm/internal/queue"
 	"kstm/internal/rng"
 	"kstm/internal/stm"
 )
@@ -242,28 +241,19 @@ func TestNewPoolValidation(t *testing.T) {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	mutations := map[string]func(c *Config){
-		"nil STM":       func(c *Config) { c.STM = nil },
-		"nil workload":  func(c *Config) { c.Workload = nil },
-		"nil source":    func(c *Config) { c.NewSource = nil },
-		"zero workers":  func(c *Config) { c.Workers = 0 },
-		"no producers":  func(c *Config) { c.Producers = 0 },
-		"nil scheduler": func(c *Config) { c.Scheduler = nil },
-		"bad model":     func(c *Config) { c.Model = "quantum" },
-		"bad queue":     func(c *Config) { c.QueueKind = "stack" },
+		"nil STM":        func(c *Config) { c.STM = nil },
+		"nil workload":   func(c *Config) { c.Workload = nil },
+		"nil source":     func(c *Config) { c.NewSource = nil },
+		"zero workers":   func(c *Config) { c.Workers = 0 },
+		"no producers":   func(c *Config) { c.Producers = 0 },
+		"nil scheduler":  func(c *Config) { c.Scheduler = nil },
+		"bad model":      func(c *Config) { c.Model = "quantum" },
+		"negative depth": func(c *Config) { c.MaxQueueDepth = -1 },
 	}
 	for name, mutate := range mutations {
 		c := base
 		mutate(&c)
-		p, err := NewPool(c)
-		if err == nil {
-			// Queue kind errors surface at run time (queues are
-			// built per run).
-			if name == "bad queue" {
-				if _, err := p.RunCount(1); err == nil {
-					t.Errorf("%s: run succeeded", name)
-				}
-				continue
-			}
+		if _, err := NewPool(c); err == nil {
 			t.Errorf("%s: NewPool succeeded", name)
 		}
 	}
@@ -366,28 +356,6 @@ func TestFixedSchedulerRoutesByRange(t *testing.T) {
 }
 
 type atomic2 struct{}
-
-func TestQueueKindsAllWork(t *testing.T) {
-	for _, k := range queue.Kinds() {
-		k := k
-		t.Run(string(k), func(t *testing.T) {
-			w := newCountingWorkload()
-			cfg := validConfig(w)
-			cfg.QueueKind = k
-			pool, err := NewPool(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := pool.RunCount(1000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Completed != 1000 {
-				t.Fatalf("Completed = %d", res.Completed)
-			}
-		})
-	}
-}
 
 func TestResultDerivedMetrics(t *testing.T) {
 	r := Result{

@@ -17,14 +17,21 @@ import (
 // The ordering argument, stated once for both subsystems. dispatch holds the
 // read gate across pick → divert → enqueue-or-park, so a write-gate
 // acquisition never interleaves with a half-routed task: every task routed
-// before it is in a worker queue or a hold queue when it returns. Each worker
-// queue is FIFO and has one consumer, its owner, so those tasks run on the
-// worker they were routed to and ahead of the drain barriers enqueued next;
-// the barriers complete before the hand-off runs, and the hand-off completes
-// before the release re-enqueues the held tasks — under the write gate again,
-// so no new task slips ahead of them. A held task therefore executes after every task
+// before it is in a worker queue or a hold queue when it returns. The drain
+// barriers are enqueued under that same acquisition, so no task reaches a
+// worker queue between the capture (or quiesce) and its barrier. Each worker
+// queue is FIFO and has one consumer, its owner, so the tasks ahead of a
+// barrier run on the worker they were routed to, and before it; the barriers
+// complete before the hand-off runs, and the hand-off completes before the
+// release re-enqueues the held tasks — under the write gate again, so no new
+// task slips ahead of them. A held task therefore executes after every task
 // that preceded it and against the state the hand-off installed, never
 // against a half-moved range or a partial merge.
+//
+// Barriers and released tasks must not be refused, yet the worker queues are
+// bounded. Both are enqueued under the write gate, where no dispatcher can
+// enqueue, so a full queue changes only by its owner dequeuing: put waits for
+// that, at most one queue's depth of task executions.
 //
 // An epoch serialises on this one gate and neither hand-off callback is
 // written to run inside the other's fence, which is the reason NewExecutor
@@ -145,11 +152,35 @@ func (ep *epoch) quiesce() {
 	ep.gate.Unlock() //kstmvet:ignore empty critical section is the point: Lock/Unlock back-to-back is the quiescence barrier
 }
 
-// drain enqueues one barrier envelope per listed worker queue and waits for
-// all of them: the queues are FIFO, so when a barrier runs, every task
-// enqueued before it has executed. False means the executor stopped first.
-func (ep *epoch) drain(workers []int) bool {
+// put enqueues an envelope that must not be refused — a drain barrier or a
+// released held task — on worker w's queue. The caller holds the write gate,
+// so while the queue is full only its owner changes it: put wakes the owner
+// and waits for a dequeue's space signal, then retries. If the executor
+// stops first, the owner may never dequeue again, so put settles the envelope
+// the way halt's sweep would: it runs a barrier and abandons a task with
+// ErrStopped.
+func (ep *epoch) put(w int, env envelope) {
 	e := ep.e
+	for !e.queues[w].TryPut(env) {
+		if e.stopping() {
+			if env.barrier != nil {
+				env.barrier()
+			} else {
+				e.abandon(w, env, ErrStopped)
+			}
+			return
+		}
+		e.wakeWorker(w)
+		e.waitSpace(w, nil)
+	}
+	e.wakeWorker(w)
+}
+
+// drain enqueues one barrier envelope per listed worker queue; the caller
+// holds the write gate. The returned channel closes once every barrier has
+// run: the queues are FIFO, so by then every task enqueued before them has
+// executed.
+func (ep *epoch) drain(workers []int) <-chan struct{} {
 	var left atomic.Int32
 	left.Store(int32(len(workers)))
 	done := make(chan struct{})
@@ -159,30 +190,17 @@ func (ep *epoch) drain(workers []int) bool {
 		}
 	}
 	for _, w := range workers {
-		e.queues[w].Put(envelope{barrier: barrier})
-		e.wakeWorker(w)
+		ep.put(w, envelope{barrier: barrier})
 	}
-	select {
-	case <-done:
-	case <-e.stopped:
-	}
-	// Deterministic stop check: halt's queue sweep signals unexecuted barriers
-	// too, so when both channels are ready the select may have taken the
-	// barrier branch — a stopped executor must not run a hand-off (and mutate
-	// Stats) after Stop/Drain has returned.
-	return !e.stopping()
+	return done
 }
 
 // release hands held envelopes to owner's queue in park order. The caller
 // holds the write gate (run's release step), so no new task slips ahead.
 func (ep *epoch) release(owner int, envs []envelope) {
-	if len(envs) == 0 {
-		return
-	}
 	for _, env := range envs {
-		ep.e.queues[owner].Put(env)
+		ep.put(owner, env)
 	}
-	ep.e.wakeWorker(owner)
 }
 
 // abandon settles captured envelopes of an epoch cut short by executor stop:
@@ -195,23 +213,31 @@ func (ep *epoch) abandon(captured [][]envelope) {
 	}
 }
 
-// run sequences one epoch: capture under the write gate → drain the listed
-// worker queues → hand-off → release under the write gate. A nil capture
-// makes the first step a bare quiesce (migration parks on a fence installed
-// beforehand and takes the held tasks only at release). If the executor stops
-// anywhere in between, run abandons what was captured and reports false: the
-// held tasks must settle as ErrStopped rather than be enqueued to exited
-// workers, and the caller must not move its counters after Stop returned.
+// run sequences one epoch: capture and enqueue the drain barriers under the
+// write gate → wait for the barriers → hand-off → release under the write
+// gate. A nil capture makes the first step a bare quiesce (migration parks on
+// a fence installed beforehand and takes the held tasks only at release). If
+// the executor stops anywhere in between, run abandons what was captured and
+// reports false: the held tasks must settle as ErrStopped rather than be
+// enqueued to exited workers, and the caller must not move its counters
+// after Stop returned.
 func (ep *epoch) run(capture func() [][]envelope, drainSet []int, handoff func(), release func(captured [][]envelope)) bool {
 	var captured [][]envelope
-	if capture == nil {
-		ep.quiesce()
-	} else {
-		ep.gate.Lock()
+	ep.gate.Lock()
+	if capture != nil {
 		captured = capture()
-		ep.gate.Unlock()
 	}
-	if !ep.drain(drainSet) {
+	done := ep.drain(drainSet)
+	ep.gate.Unlock()
+	select {
+	case <-done:
+	case <-ep.e.stopped:
+	}
+	// Deterministic stop check: halt's queue sweep (and put, on a full queue)
+	// signals unexecuted barriers too, so when both channels are ready the
+	// select may have taken the barrier branch — a stopped executor must not
+	// run a hand-off (and mutate Stats) after Stop/Drain has returned.
+	if ep.e.stopping() {
 		ep.abandon(captured)
 		return false
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -453,4 +454,231 @@ func TestEpochStopBetweenPhases(t *testing.T) {
 			}
 		})
 	}
+}
+
+// orderLog records task settles in the order they happen.
+type orderLog struct {
+	mu    sync.Mutex
+	names []string
+	errs  map[string][]error
+	vals  map[string]any
+}
+
+func (l *orderLog) track(name string) func(TaskResult) {
+	return func(res TaskResult) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if l.errs == nil {
+			l.errs, l.vals = make(map[string][]error), make(map[string]any)
+		}
+		l.names = append(l.names, name)
+		l.errs[name] = append(l.errs[name], res.Err)
+		l.vals[name] = res.Value
+	}
+}
+
+// index is name's position in settle order, -1 if it never settled.
+func (l *orderLog) index(name string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i, n := range l.names {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestMigrationFullRing drives a migration epoch into full worker queues at
+// both points where the epoch must enqueue and may not be refused: the drain
+// barrier (the old owner's ring is full) and the release of held tasks (the
+// new owner's ring is full). With depth 2, each owner is pinned inside a task
+// with two more queued behind it. The epoch waits for space under the write
+// gate; once the owners run, the barrier and every held task land, and the
+// held tasks run after every pre-fence task. A Stop issued during either wait
+// ends the wait without the pinned owners' help, and Stop returns with every
+// task settled exactly once and no goroutine left behind.
+func TestMigrationFullRing(t *testing.T) {
+	const hot = rigHotKey // moves from worker 0 to worker 1
+	for _, stopAt := range []string{"", "barrier", "release"} {
+		name := "lands"
+		if stopAt != "" {
+			name = "stop-at-" + stopAt
+		}
+		t.Run(name, func(t *testing.T) {
+			goroutines := runtime.NumGoroutine()
+			extract := make(chan struct{})
+			openExtract := sync.OnceFunc(func() { close(extract) })
+			factory := &mapFactory{extractGate: extract}
+			ex, err := NewExecutor(
+				WithWorkers(2),
+				WithSharding(ShardPerWorker),
+				WithWorkloadFactory(factory),
+				WithSchedulerKind(SchedAdaptive, 0, 65535, WithThreshold(reproThreshold), WithReAdaptation()),
+				WithMigration(MigrateOnRepartition),
+				WithQueueDepth(2),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Deferred first, so it runs last: a failing test opens every
+			// gate before Stop joins the pinned workers.
+			defer ex.Stop()
+			pins := []*entryGate{newEntryGate(), newEntryGate()}
+			open := []func(){sync.OnceFunc(func() { close(pins[0].open) }), sync.OnceFunc(func() { close(pins[1].open) })}
+			for w, sh := range factory.shards {
+				sh.execGate = pins[w]
+			}
+			defer open[1]()
+			defer open[0]()
+			defer openExtract()
+			ctx := context.Background()
+			if err := ex.Start(ctx); err != nil {
+				t.Fatal(err)
+			}
+			var log orderLog
+			submit := func(name string, task Task) {
+				t.Helper()
+				if err := ex.SubmitFunc(ctx, task, log.track(name)); err != nil {
+					t.Fatalf("submit %s: %v", name, err)
+				}
+			}
+			// Sample 1: the key the epoch moves.
+			if _, err := ex.Submit(ctx, Task{Key: hot, Op: OpInsert, Arg: hot}); err != nil {
+				t.Fatal(err)
+			}
+			// Samples 2-4: pin worker 1 (it keeps its high range) and fill
+			// its ring behind the pin.
+			submit("pin1", Task{Key: 60000, Op: OpNoop})
+			<-pins[1].entered
+			submit("C", Task{Key: 40000, Op: OpInsert, Arg: 40000})
+			submit("D", Task{Key: 40001, Op: OpInsert, Arg: 40001})
+			// Low-key mass, then pin worker 0 and fill its ring: B, the
+			// threshold-th sample, triggers the re-partition that moves the
+			// hot key's range. The migrator takes the write gate only after
+			// B's dispatch left the read gate, so B is in the ring first.
+			for i := 1; i <= reproThreshold-7; i++ {
+				k := uint64(i*8) % 8192
+				if _, err := ex.Submit(ctx, Task{Key: k, Op: OpInsert, Arg: uint32(k)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			submit("pin0", Task{Key: 1, Op: OpNoop})
+			<-pins[0].entered
+			submit("A", Task{Key: 2, Op: OpInsert, Arg: 2})
+			submit("B", Task{Key: 3, Op: OpInsert, Arg: 3})
+			if ex.migr.fence.Load() == nil {
+				t.Fatal("the threshold-th sample installed no fence")
+			}
+			waitFor(t, "barrier waiting on worker 0's full ring", func() bool { return ex.wakes[0].spaceWaiters.Load() == 1 })
+
+			stop := func() <-chan struct{} {
+				stopped := make(chan struct{})
+				go func() {
+					ex.Stop()
+					close(stopped)
+				}()
+				<-ex.Stopped()
+				// The wait ends on the stopped state alone: both owners are
+				// still pinned, so neither can make room.
+				waitFor(t, "migrator exit", func() bool { return !ex.migr.active.Load() })
+				openExtract()
+				open[0]()
+				open[1]()
+				select {
+				case <-stopped:
+				case <-time.After(10 * time.Second):
+					t.Fatal("Stop hung")
+				}
+				return stopped
+			}
+			var held []string
+			if stopAt == "barrier" {
+				stop()
+			} else {
+				// Free worker 0: the barrier lands behind A and B, they run, and
+				// the hand-off stops at the extract gate. Meanwhile two tasks
+				// on the hot key park on the fence (the hold queue's bound is
+				// the depth, 2).
+				open[0]()
+				errc := make(chan error, 2)
+				for _, h := range []string{"H1", "H2"} {
+					held = append(held, h)
+					go func() {
+						errc <- ex.SubmitFunc(ctx, Task{Key: hot, Op: OpLookup, Arg: hot}, log.track(h))
+					}()
+					// One at a time, so the hold queue keeps H1 before H2.
+					waitFor(t, h+" parked", func() bool { return heldCount(ex) == len(held) })
+				}
+				for range held {
+					if err := <-errc; err != nil {
+						t.Fatalf("held submit: %v", err)
+					}
+				}
+				openExtract()
+				waitFor(t, "release waiting on worker 1's full ring", func() bool { return ex.wakes[1].spaceWaiters.Load() == 1 })
+				if stopAt == "release" {
+					stop()
+				} else {
+					open[1]()
+					waitFor(t, "migration epoch", func() bool { return ex.Stats().Migrations.Epochs == 1 })
+					if err := ex.Drain(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			all := append([]string{"pin0", "pin1", "A", "B", "C", "D"}, held...)
+			for _, name := range all {
+				log.mu.Lock()
+				errs := log.errs[name]
+				log.mu.Unlock()
+				if len(errs) != 1 {
+					t.Errorf("%s settled %d times, want once", name, len(errs))
+				}
+			}
+			if n := ex.Stats().InFlight; n != 0 {
+				t.Errorf("InFlight = %d after the executor stopped", n)
+			}
+			switch stopAt {
+			case "":
+				for _, h := range held {
+					for _, pre := range []string{"A", "B", "C", "D"} {
+						if log.index(h) < log.index(pre) {
+							t.Errorf("held %s ran before pre-fence task %s", h, pre)
+						}
+					}
+					if v := log.vals[h]; v != true {
+						t.Errorf("held %s read the hot key as %v, want true (moved state visible)", h, v)
+					}
+				}
+				if log.index("H1") > log.index("H2") {
+					t.Error("held tasks ran out of park order")
+				}
+			case "release":
+				for _, h := range held {
+					if errs := log.errs[h]; !errors.Is(errs[0], ErrStopped) {
+						t.Errorf("held %s settled with %v, want ErrStopped", h, errs[0])
+					}
+				}
+			}
+			waitFor(t, "executor goroutines exit", func() bool { return runtime.NumGoroutine() <= goroutines })
+		})
+	}
+}
+
+// heldCount is the number of tasks parked on the current migration fence.
+func heldCount(ex *Executor) int {
+	f := ex.migr.fence.Load()
+	if f == nil {
+		return 0
+	}
+	n := 0
+	for i := range f.held {
+		h := &f.held[i]
+		h.mu.Lock()
+		n += len(h.held)
+		h.mu.Unlock()
+	}
+	return n
 }

@@ -130,7 +130,6 @@ type execConfig struct {
 	schedMin     uint64
 	schedMax     uint64
 	adaptOpts    []AdaptiveOption
-	queueKind    queue.Kind
 	maxDepth     int
 	backpressure Backpressure
 	sortBatch    int
@@ -185,11 +184,9 @@ func WithSchedulerKind(kind SchedulerKind, min, max uint64, opts ...AdaptiveOpti
 	}
 }
 
-// WithQueue selects the per-worker task-queue implementation (default mscq).
-func WithQueue(k queue.Kind) Option { return func(c *execConfig) { c.queueKind = k } }
-
-// WithQueueDepth bounds per-worker queues at n tasks; 0 keeps the default
-// (8192) and n < 0 disables the bound entirely.
+// WithQueueDepth bounds per-worker queues at n tasks: each worker's queue is
+// a ring of exactly n preallocated slots. 0 keeps the default (512); n < 0 is
+// rejected by NewExecutor (a ring cannot be unbounded).
 func WithQueueDepth(n int) Option { return func(c *execConfig) { c.maxDepth = n } }
 
 // WithBackpressure selects the full-queue policy (default BackpressureBlock).
@@ -212,8 +209,10 @@ func WithSortBatch(n int) Option { return func(c *execConfig) { c.sortBatch = n 
 //
 // All methods are safe for concurrent use.
 type Executor struct {
-	cfg    execConfig
-	queues []queue.Queue[envelope]
+	cfg execConfig
+	// queues holds one bounded ring per worker: many producers, one
+	// consumer (its owner), capacity = the depth bound.
+	queues []*queue.Ring[envelope]
 	// shards holds the executor's transactional state partitions: one
 	// entry under ShardShared, one per worker under ShardPerWorker.
 	// Worker i executes in shards[shardOf(i)].
@@ -284,12 +283,12 @@ type Executor struct {
 // migrator — the worker (or halt's sweep) runs the hook once every envelope
 // enqueued before it has been executed.
 //
-// The struct is deliberately lean (56 bytes): every enqueue copies it into
-// a queue node, and keeping node+envelope inside the 64-byte allocator size
-// class is worth ~10% on the closed-world hot path — which is why enq is a
-// monotonic duration since the executor's base instant (8 bytes) rather
-// than a time.Time (24), and why SubmitFunc's callback rides in the Future
-// shell rather than here.
+// The struct is deliberately lean (56 bytes): every enqueue copies it into a
+// preallocated ring slot, and with the slot's 8-byte sequence that is one
+// 64-byte cache line per queued task (TestRingSlotIsOneCacheLine) — which is
+// why enq is a monotonic duration since the executor's base instant (8
+// bytes) rather than a time.Time (24), and why SubmitFunc's callback rides in
+// the Future shell rather than here.
 type envelope struct {
 	task    Task
 	fut     *Future
@@ -344,7 +343,6 @@ func defaultExecConfig() execConfig {
 		schedKind:    SchedAdaptive,
 		schedMin:     0,
 		schedMax:     dist.MaxKey,
-		queueKind:    queue.KindMSCQ,
 		backpressure: BackpressureBlock,
 		migration:    MigrateOff,
 	}
@@ -451,13 +449,13 @@ func NewExecutor(opts ...Option) (*Executor, error) {
 	}
 	switch {
 	case cfg.maxDepth < 0:
-		cfg.maxDepth = 0
+		return nil, fmt.Errorf("core: queue depth %d, want > 0 (or 0 for the default %d)", cfg.maxDepth, defaultMaxQueueDepth)
 	case cfg.maxDepth == 0:
 		cfg.maxDepth = defaultMaxQueueDepth
 	}
 	e := &Executor{
 		cfg:      cfg,
-		queues:   make([]queue.Queue[envelope], cfg.workers),
+		queues:   make([]*queue.Ring[envelope], cfg.workers),
 		shards:   shards,
 		migr:     migr,
 		split:    split,
@@ -483,11 +481,7 @@ func NewExecutor(opts ...Option) (*Executor, error) {
 		e.execHist[i] = latency.New()
 	}
 	for i := range e.queues {
-		q, err := queue.New[envelope](cfg.queueKind)
-		if err != nil {
-			return nil, err
-		}
-		e.queues[i] = q
+		e.queues[i] = queue.NewRing[envelope](cfg.maxDepth)
 	}
 	return e, nil
 }
@@ -799,10 +793,7 @@ func (e *Executor) dispatch(env envelope, ctx context.Context) error {
 		if ep != nil {
 			w, res = e.divert(&env, w)
 		}
-		room := res == parkMiss && (e.cfg.maxDepth <= 0 || e.queues[w].Len() < e.cfg.maxDepth)
-		if room {
-			e.queues[w].Put(env)
-		}
+		room := res == parkMiss && e.queues[w].TryPut(env)
 		if ep != nil {
 			ep.gate.RUnlock()
 		}

@@ -39,20 +39,21 @@ func (w *nopWorkload) Execute(th *stm.Thread, t Task) (any, error) {
 }
 
 func TestNewExecutorValidation(t *testing.T) {
-	if _, err := NewExecutor(); err == nil {
-		t.Error("NewExecutor without workload succeeded")
+	nop := WithWorkload(&nopWorkload{})
+	rejected := []struct {
+		what string
+		opts []Option
+	}{
+		{"no workload", nil},
+		{"negative workers", []Option{nop, WithWorkers(-1)}},
+		{"unknown backpressure mode", []Option{nop, WithBackpressure("drop")}},
+		{"negative queue depth", []Option{nop, WithQueueDepth(-1)}},
+		{"unknown scheduler kind", []Option{nop, WithSchedulerKind("lifo", 0, 9)}},
 	}
-	if _, err := NewExecutor(WithWorkload(&nopWorkload{}), WithWorkers(-1)); err == nil {
-		t.Error("negative workers accepted")
-	}
-	if _, err := NewExecutor(WithWorkload(&nopWorkload{}), WithBackpressure("drop")); err == nil {
-		t.Error("unknown backpressure mode accepted")
-	}
-	if _, err := NewExecutor(WithWorkload(&nopWorkload{}), WithQueue("stack")); err == nil {
-		t.Error("unknown queue kind accepted")
-	}
-	if _, err := NewExecutor(WithWorkload(&nopWorkload{}), WithSchedulerKind("lifo", 0, 9)); err == nil {
-		t.Error("unknown scheduler kind accepted")
+	for _, row := range rejected {
+		if _, err := NewExecutor(row.opts...); err == nil {
+			t.Errorf("%s accepted", row.what)
+		}
 	}
 }
 

@@ -50,8 +50,8 @@ type Future struct {
 	// complete invokes it with the result and recycles immediately — no
 	// waiter handshake, because the shell was never handed to a caller.
 	// Keeping the callback here (instead of widening every envelope by a
-	// function pointer) holds the queue node in a smaller allocator size
-	// class — the envelope is copied into a node on every enqueue.
+	// function pointer) keeps a ring slot at one 64-byte cache line — the
+	// envelope is copied into a slot on every enqueue.
 	cb  func(TaskResult)
 	res TaskResult
 	// deadline, when non-zero, is the task's queue deadline as a monotonic

@@ -9,7 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
+	"kstm/internal/queue"
 	"kstm/internal/stm"
 )
 
@@ -35,10 +37,9 @@ func hotpathExecutor(t *testing.T, workers int) *Executor {
 
 // TestSubmitSteadyStateAllocs is the hot-path allocation regression gate:
 // a pooled synchronous Submit — future from the pool, reusable wake-up
-// channel, recycle on Wait — must allocate at most 1 object per op (the
-// M&S queue node; pooling those would reintroduce the ABA problem the GC
-// otherwise rules out). GC is disabled across the measurement so pool
-// evictions cannot blur the count.
+// channel, the envelope copied into a preallocated ring slot, recycle on
+// Wait — must allocate nothing. GC is disabled across the measurement so
+// pool evictions cannot blur the count.
 func TestSubmitSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -57,14 +58,14 @@ func TestSubmitSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if avg > 1 {
-		t.Fatalf("pooled Submit allocates %.2f objects/op, want <= 1 (the queue node)", avg)
+	if avg != 0 {
+		t.Fatalf("pooled Submit allocates %.2f objects/op, want 0", avg)
 	}
 }
 
 // TestSubmitFuncTimedAllocs holds the deadline-carrying submission to the
 // same hot-path budget as SubmitFunc: the budget rides in the pooled future
-// shell, so attaching one must not allocate beyond the queue node.
+// shell, so attaching one must not allocate at all.
 func TestSubmitFuncTimedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -95,14 +96,26 @@ func TestSubmitFuncTimedAllocs(t *testing.T) {
 			runtime.Gosched()
 		}
 	})
-	if avg > 1 {
-		t.Fatalf("SubmitFuncTimed allocates %.2f objects/op, want <= 1 (the queue node)", avg)
+	if avg != 0 {
+		t.Fatalf("SubmitFuncTimed allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// TestRingSlotIsOneCacheLine pins the worker ring's per-task footprint: the
+// slot's 8-byte sequence plus the 56-byte envelope fill exactly one 64-byte
+// cache line. A field added to envelope shows up here first.
+func TestRingSlotIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(envelope{}); n != 56 {
+		t.Errorf("envelope is %d bytes, want 56", n)
+	}
+	if n := queue.SlotSize[envelope](); n != 64 {
+		t.Errorf("ring slot is %d bytes, want 64 (one cache line)", n)
 	}
 }
 
 // TestSubmitFuncOrRunAllocs pins the caller-runs path at zero allocations: a
 // borrowed task takes a pooled shell, runs on the parked worker's state and
-// returns its result — no queue node, no wake, and the prebuilt callback is
+// returns its result — no ring slot, no wake, and the prebuilt callback is
 // never called.
 func TestSubmitFuncOrRunAllocs(t *testing.T) {
 	if raceEnabled {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"kstm/internal/queue"
 	"kstm/internal/stm"
 )
 
@@ -32,8 +31,11 @@ func Models() []Model { return []Model{ModelNoExecutor, ModelParallel} }
 // defaultMaxQueueDepth bounds per-worker queues so that producers running
 // ahead of the workers cannot consume unbounded memory; producers block at
 // the bound. The paper's Java runs relied on producers and workers being
-// roughly matched.
-const defaultMaxQueueDepth = 8192
+// roughly matched. Each worker's ring preallocates its slots (64 bytes
+// each), so 512 is 32 KiB per worker: deep enough that a window-64
+// submitter set rarely meets it, small enough to stay one Go small-object
+// allocation.
+const defaultMaxQueueDepth = 512
 
 // Config describes one executor experiment.
 type Config struct {
@@ -53,10 +55,8 @@ type Config struct {
 	// Scheduler maps keys to workers. Required unless Model is
 	// ModelNoExecutor.
 	Scheduler Scheduler
-	// QueueKind selects the task-queue implementation; default mscq.
-	QueueKind queue.Kind
-	// MaxQueueDepth applies producer backpressure; <0 disables, 0 means
-	// the default.
+	// MaxQueueDepth bounds each worker queue (producers block at it); 0
+	// means the default (512), and a negative depth is rejected.
 	MaxQueueDepth int
 	// SortBatch > 1 makes each worker drain up to that many tasks and
 	// execute them in ascending key order (§2's buffer-reordering
@@ -72,8 +72,7 @@ type Config struct {
 // New code that has its own callers should use NewExecutor and Submit
 // directly.
 type Pool struct {
-	cfg      Config
-	maxDepth int
+	cfg Config
 }
 
 // NewPool validates the configuration.
@@ -106,17 +105,10 @@ func NewPool(cfg Config) (*Pool, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown model %q", cfg.Model)
 	}
-	if cfg.QueueKind == "" {
-		cfg.QueueKind = queue.KindMSCQ
+	if cfg.MaxQueueDepth < 0 {
+		return nil, fmt.Errorf("core: Config.MaxQueueDepth = %d, want >= 0", cfg.MaxQueueDepth)
 	}
-	maxDepth := cfg.MaxQueueDepth
-	switch {
-	case maxDepth < 0:
-		maxDepth = 0
-	case maxDepth == 0:
-		maxDepth = defaultMaxQueueDepth
-	}
-	return &Pool{cfg: cfg, maxDepth: maxDepth}, nil
+	return &Pool{cfg: cfg}, nil
 }
 
 // RunCount executes exactly n tasks and reports the elapsed time: start
@@ -140,17 +132,12 @@ type quota struct{ remaining atomic.Int64 }
 func (q *quota) claim() bool { return q.remaining.Add(-1) >= 0 }
 
 func (p *Pool) runParallel(count int64) (Result, error) {
-	depth := p.maxDepth
-	if depth == 0 {
-		depth = -1 // Pool semantics: 0 means "bound disabled" post-validation.
-	}
 	ex, err := NewExecutor(
 		WithSTM(p.cfg.STM),
 		WithWorkload(p.cfg.Workload),
 		WithWorkers(p.cfg.Workers),
 		WithScheduler(p.cfg.Scheduler),
-		WithQueue(p.cfg.QueueKind),
-		WithQueueDepth(depth),
+		WithQueueDepth(p.cfg.MaxQueueDepth),
 		WithSortBatch(p.cfg.SortBatch),
 	)
 	if err != nil {
@@ -216,7 +203,6 @@ func (p *Pool) newResult(elapsed time.Duration, produced, emptyPolls uint64,
 		Model:      p.cfg.Model,
 		Workers:    p.cfg.Workers,
 		Producers:  p.cfg.Producers,
-		QueueKind:  p.cfg.QueueKind,
 		Elapsed:    elapsed,
 		Produced:   produced,
 		PerWorker:  perWorker,

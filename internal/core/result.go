@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"kstm/internal/queue"
 	"kstm/internal/stm"
 )
 
@@ -16,7 +15,6 @@ import (
 type Result struct {
 	Model     Model
 	Scheduler string
-	QueueKind queue.Kind
 	Workers   int
 	Producers int
 

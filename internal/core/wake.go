@@ -17,7 +17,7 @@ import (
 // that worker is marked parked:
 //
 //	worker park:                    enqueuer wake:
-//	  parked.Add(1)                   queue.Put(env)
+//	  parked.Add(1)                   queue.TryPut(env)
 //	  idle.Store(idleParked)          if parked.Load() == 0 { return }
 //	  re-poll queue (Get)             if idle.CAS(parked, active) {
 //	  block on token                    parked.Add(-1)
@@ -25,12 +25,13 @@ import (
 //	                                  }
 //
 // The pairs (idle word, queue) are a Dekker handshake: the worker publishes
-// idleParked BEFORE its final poll, the enqueuer enqueues BEFORE loading the
-// idle word, and all three queue kinds synchronize their Put against a later
-// Get (seq-cst atomics for mscq, the queue mutex for mutex, the channel's
-// internal ordering for chan) — so either the worker's re-poll sees the
-// envelope, or the enqueuer sees idleParked and wakes it. A wake cannot be
-// lost.
+// idleParked BEFORE its final poll, the enqueuer publishes its ring slot
+// BEFORE loading the idle word, and the ring's Get reads the slot sequence
+// TryPut's publish stores (seq-cst atomics) — so either the worker's re-poll
+// sees the envelope, or the enqueuer sees idleParked and wakes it. A slot
+// claimed but not yet published hides the slots behind it from Get; its own
+// publisher's idle-word load then wakes the worker (the queue package doc
+// states the argument in full). A wake cannot be lost.
 //
 // Invariant: whichever side wins the parked→active CAS decrements the
 // executor's parked count — exactly once per park. A worker that aborts its
@@ -42,7 +43,7 @@ import (
 // The executor-level parked counter keeps the uncontended enqueue path
 // wake-free: a Submit into a busy executor costs one atomic load here, no
 // CAS, no channel operation, no allocation — preserving the Submit =
-// 1 alloc/op gate (hotpath_test.go).
+// 0 allocs/op gate (hotpath_test.go).
 //
 // Caller-runs (DESIGN.md §5.4). A depth-1 submitter whose key's owner is
 // parked with an empty queue borrows the owner instead of waking it: the CAS
@@ -50,14 +51,14 @@ import (
 // histograms for one task, and release stores parked again:
 //
 //	borrower:                       enqueuer (wake side, unchanged):
-//	  idle.CAS(parked, borrowed)      queue.Put(env)
+//	  idle.CAS(parked, borrowed)      queue.TryPut(env)
 //	  run one task                    idle.CAS(parked, active) fails
 //	  idle.Store(idleParked)            while borrowed: nobody woken
 //	  re-poll queue (Len), state
 //	  non-empty or not running → tryWake
 //
 // Release is the park handshake again — publish parked, then read the
-// queue, against Put, then read the flag — so an enqueue that found the
+// queue, against TryPut, then read the flag — so an enqueue that found the
 // word borrowed is seen by release's read and woken there.
 //
 // Ownership invariant: a worker's thread, counters and histograms are
@@ -168,8 +169,9 @@ func (e *Executor) parkWorker(i int) (envelope, bool) {
 	e.parked.Add(1)
 	ws.idle.Store(idleParked)
 	// Final poll AFTER publishing idleParked: an enqueuer that missed the
-	// flag completed its Put before loading it, so this Get observes the
-	// envelope; an enqueuer that sees the flag wakes us.
+	// flag published its slot before loading it, so this Get observes the
+	// envelope (or an earlier claimant's unpublished slot, whose publisher
+	// sees the flag); an enqueuer that sees the flag wakes us.
 	env, ok := e.queues[i].Get()
 	if ok {
 		e.unparkSelf(ws)
@@ -263,8 +265,8 @@ func (e *Executor) borrow(w int) bool {
 // and the state. An enqueuer that saw the word borrowed woke nobody, and a
 // Drain or last-finisher broadcast that saw it borrowed was lost too, so
 // either condition wakes the worker here. The worker is its queue's only
-// consumer and it is blocked, so a Put that completed before the enqueuer
-// read the flag is counted in Len.
+// consumer and it is blocked, so a TryPut that claimed its slot before the
+// enqueuer read the flag is counted in Len (tail − head).
 //
 //kstmvet:hotpath
 func (e *Executor) release(w int) {
@@ -316,7 +318,7 @@ func (e *Executor) signalSpace(w int) {
 func (e *Executor) waitSpace(w int, ctx context.Context) {
 	ws := &e.wakes[w]
 	ws.spaceWaiters.Add(1)
-	if e.queues[w].Len() >= e.cfg.maxDepth && e.state.Load() != stateStopped {
+	if e.queues[w].Full() && e.state.Load() != stateStopped {
 		var done <-chan struct{}
 		if ctx != nil {
 			done = ctx.Done()
@@ -334,7 +336,7 @@ func (e *Executor) waitSpace(w int, ctx context.Context) {
 	// condition keeps two waiters on a still-full queue from ping-ponging a
 	// token between them.
 	if ws.spaceWaiters.Load() > 0 &&
-		(e.queues[w].Len() < e.cfg.maxDepth || e.state.Load() == stateStopped) {
+		(!e.queues[w].Full() || e.state.Load() == stateStopped) {
 		select {
 		case ws.space <- struct{}{}:
 		default:

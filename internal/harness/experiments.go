@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -138,7 +139,7 @@ func Experiments() []Experiment {
 		},
 		Experiment{
 			ID:    "ablation-queue",
-			Title: "Task-queue implementation comparison (real executor)",
+			Title: "Task-queue transport comparison, 2 producers → 1 consumer",
 			Paper: "§4.1 ConcurrentLinkedQueue choice (ablation)",
 			Run:   runQueueAblation,
 		},
@@ -534,34 +535,84 @@ func runReAdaptAblation(o Options) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// runQueueAblation compares queue implementations on the real executor.
+// QueueTransports lists the transports ablation-queue compares: the three
+// unbounded Queue kinds (mscq first, the paper's ConcurrentLinkedQueue) and
+// the executor's bounded MPSC Ring.
+var QueueTransports = []string{string(queue.KindMSCQ), string(queue.KindMutex), string(queue.KindChan), "ring"}
+
+// transportRingDepth is the ablation's ring capacity: the executor's default
+// queue depth.
+const transportRingDepth = 512
+
+// RunTransport moves n values from producers goroutines through one fresh
+// transport of the named kind to a single consumer — the executor's shape:
+// many submitters, one owner per worker queue — and returns the elapsed
+// time. A producer that finds the ring full and a consumer that finds any
+// transport empty yield and retry.
+func RunTransport(kind string, producers, n int) (time.Duration, error) {
+	var put func(int) bool
+	var get func() (int, bool)
+	if kind == "ring" {
+		r := queue.NewRing[int](transportRingDepth)
+		put, get = r.TryPut, r.Get
+	} else {
+		q, err := queue.New[int](queue.Kind(kind))
+		if err != nil {
+			return 0, err
+		}
+		put = func(v int) bool { q.Put(v); return true }
+		get = q.Get
+	}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		share := n / producers
+		if p < n%producers {
+			share++
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < share; i++ {
+				for !put(i) {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	for got := 0; got < n; {
+		if _, ok := get(); ok {
+			got++
+			continue
+		}
+		runtime.Gosched()
+	}
+	elapsed := time.Since(start)
+	wg.Wait()
+	return elapsed, nil
+}
+
+// runQueueAblation compares the task-queue transports alone, outside the
+// executor: 2 producers → 1 consumer per kind, in values per second.
 func runQueueAblation(o Options) ([]*Table, error) {
 	t := &Table{
 		ID:    "ablation-queue",
-		Title: "Queue implementations, real executor, hash table, uniform keys",
+		Title: "Queue transports, 2 producers → 1 consumer",
 		Cols:  []string{"kind", "throughput"},
 	}
-	for i, k := range queue.Kinds() {
+	n := 10 * max(1, o.RealTasks)
+	for i, k := range QueueTransports {
 		var xs []float64
 		for r := 0; r < max(1, o.Runs); r++ {
-			cfg, err := NewRealConfig(txds.KindHashTable, "uniform", core.SchedAdaptive, 2, 2, o.Seed+uint64(r))
+			d, err := RunTransport(k, 2, n)
 			if err != nil {
 				return nil, err
 			}
-			cfg.QueueKind = k
-			pool, err := core.NewPool(cfg)
-			if err != nil {
-				return nil, err
-			}
-			res, err := pool.RunCount(min(o.RealTasks, 20000))
-			if err != nil {
-				return nil, err
-			}
-			xs = append(xs, res.Throughput())
+			xs = append(xs, float64(n)/d.Seconds())
 		}
 		t.Rows = append(t.Rows, []float64{float64(i), stats.Summarize(xs).Mean})
 	}
-	t.Notes = append(t.Notes, "kind: 0=mscq (paper's ConcurrentLinkedQueue) 1=mutex ring 2=channel")
+	t.Notes = append(t.Notes, "kind: 0=mscq (paper's ConcurrentLinkedQueue) 1=mutex ring 2=channel 3=bounded MPSC ring (the executor's worker queue, 512 slots)")
 	return []*Table{t}, nil
 }
 

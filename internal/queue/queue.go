@@ -1,27 +1,36 @@
-// Package queue provides the task-queue abstraction between the executor
-// and its workers, with three interchangeable implementations used by the
-// queue ablation study:
+// Package queue provides the executor's worker queue and the transports the
+// queue ablation compares it against:
 //
+//   - Ring: a bounded multi-producer, single-consumer ring (Vyukov's
+//     per-slot sequence numbers, one consumer that needs no CAS). It is the
+//     executor's worker queue: since each worker queue has one consumer, its
+//     owner, and a depth bound, the ring is all the executor needs, and a
+//     Put allocates nothing;
 //   - "mscq": the lock-free Michael & Scott queue, matching the paper's use
 //     of java.util.concurrent.ConcurrentLinkedQueue;
 //   - "mutex": a mutex-protected ring buffer (the "obvious" alternative);
 //   - "chan": a buffered Go channel.
 //
-// All implementations are unbounded from the producer's point of view (the
+// The three Queue kinds are unbounded from the producer's point of view (the
 // channel variant grows by chaining), multi-producer and multi-consumer.
+// They stay as transport fixtures: the ablation-queue experiment and the
+// repo benchmark's queue probe time them, and PutAll stays as a measured
+// transport primitive.
 //
-// The interface is deliberately wake-free: the executor's event-driven
-// dispatch (core/wake.go, DESIGN.md §5.4) keeps its park/wake hooks on the
-// EXECUTOR side of every Put, not inside the queue, so implementations stay
-// pure transports. The executor enqueues one task at a time (Put); PutAll
-// has no executor caller and stays as a measured transport primitive — the
-// repo benchmark's queue probe times a 64-element PutAll against Put. What
-// the executor does rely on is that each kind's
-// Get synchronizes with an earlier Put (mscq's seq-cst atomics, the ring's
-// mutex, the channel's internal ordering): a parked worker's final Get
-// after publishing its idle flag is guaranteed to observe any envelope
-// enqueued before the flag was read — the queue half of the wake
-// handshake's Dekker argument.
+// Every kind is wake-free: the executor's event-driven dispatch
+// (core/wake.go, DESIGN.md §5.4) keeps its park/wake hooks on the EXECUTOR
+// side of every put, not inside the queue. What the executor relies on is the
+// queue half of the wake handshake's Dekker argument. The worker stores its
+// idle word (parked) and then polls its ring; a producer publishes its value
+// and then loads the idle word. The ring's Get reads the head slot's
+// sequence, and TryPut's publish is a store to that sequence, so with Go's
+// sequentially consistent atomics one of two things holds: the worker's poll
+// sees the published value, or the producer's load sees the parked word and
+// wakes the worker. A slot claimed but not yet published makes Get report
+// empty even when later slots are published; the worker then parks, and the
+// claimant's own idle-word load, which follows its publish, wakes it. The
+// later publishers need not: the worker reaches their values only through the
+// claimant's slot.
 package queue
 
 import (
@@ -31,8 +40,9 @@ import (
 	"kstm/internal/mscq"
 )
 
-// Queue is the executor's task transport. Implementations must be safe for
-// concurrent use by multiple producers and consumers.
+// Queue is an unbounded task transport, the interface the ablation's
+// fixtures share. Implementations must be safe for concurrent use by
+// multiple producers and consumers.
 type Queue[T any] interface {
 	// Put appends v.
 	Put(v T)
@@ -172,7 +182,7 @@ const defaultChanCapacity = 1 << 16
 
 // Chan wraps a buffered channel. Put falls back to a mutex-protected
 // overflow list if the channel fills, keeping the producer non-blocking like
-// the other implementations (the executor model assumes unbounded queues).
+// the other implementations (the Queue interface is unbounded).
 type Chan[T any] struct {
 	ch       chan T
 	mu       sync.Mutex
@@ -212,7 +222,7 @@ func (q *Chan[T]) Put(v T) {
 // through the overflow list when anything already waits there (preserving
 // FIFO), the channel otherwise. A concurrent fast-path Put (which skips the
 // lock when nothing has overflowed) may interleave between batch elements;
-// per-producer FIFO still holds, which is all the executor relies on.
+// per-producer FIFO still holds.
 func (q *Chan[T]) PutAll(vs []T) {
 	if len(vs) == 0 {
 		return

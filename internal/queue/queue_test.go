@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -165,6 +166,62 @@ func TestMPMCConservationAllKinds(t *testing.T) {
 				if v != i {
 					t.Fatalf("element %d missing or duplicated", i)
 				}
+			}
+		})
+	}
+}
+
+// TestMPSCAllKinds runs every transport in the executor's shape — several
+// producers, one consumer — and checks conservation and per-producer FIFO:
+// the three Queue kinds and the bounded Ring (whose producers retry on a full
+// ring, as the executor's backpressure does).
+func TestMPSCAllKinds(t *testing.T) {
+	type transport struct {
+		put func(int) bool
+		get func() (int, bool)
+	}
+	kinds := map[string]transport{}
+	for _, k := range Kinds() {
+		q, err := New[int](k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds[string(k)] = transport{put: func(v int) bool { q.Put(v); return true }, get: q.Get}
+	}
+	r := NewRing[int](16)
+	kinds["ring"] = transport{put: r.TryPut, get: r.Get}
+	for name, tr := range kinds {
+		t.Run(name, func(t *testing.T) {
+			const producers, per = 2, 5000
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						for !tr.put(p*per + i) {
+							runtime.Gosched()
+						}
+					}
+				}()
+			}
+			var next [producers]int
+			for got := 0; got < producers*per; {
+				v, ok := tr.get()
+				if !ok {
+					runtime.Gosched()
+					continue
+				}
+				p, i := v/per, v%per
+				if i != next[p] {
+					t.Fatalf("producer %d: got %d, want %d", p, i, next[p])
+				}
+				next[p]++
+				got++
+			}
+			wg.Wait()
+			if v, ok := tr.get(); ok {
+				t.Fatalf("extra element %d", v)
 			}
 		})
 	}

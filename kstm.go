@@ -210,7 +210,6 @@ var (
 	WithWorkers         = core.WithWorkers
 	WithScheduler       = core.WithScheduler
 	WithSchedulerKind   = core.WithSchedulerKind
-	WithQueue           = core.WithQueue
 	WithQueueDepth      = core.WithQueueDepth
 	WithBackpressure    = core.WithBackpressure
 	WithSortBatch       = core.WithSortBatch
