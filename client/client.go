@@ -2,6 +2,9 @@
 // and get its value back, or DoAsync many tasks and let them pipeline over
 // one connection — requests carry ids, responses return out of order, and a
 // single reader goroutine settles each pending call as its frame arrives.
+// Every task travels as one request frame; batching is DoAsync's flush
+// coalescing, which lets concurrent and pipelined senders share one write
+// syscall.
 //
 // Server statuses surface as errors a handler can branch on:
 //
@@ -270,7 +273,7 @@ func (c *Client) DoAsync(ctx context.Context, t kstm.Task) (*Call, error) {
 		ID: call.id, Key: t.Key, Op: uint8(t.Op), Arg: t.Arg,
 		DeadlineNS: deadlineNS,
 	})
-	err := c.writeLocked(ctx, c.scratch, 1) //kstmvet:ignore socket writes serialize under wmu by design; the write-poison handshake bounds the wait
+	err := c.writeLocked(ctx, c.scratch) //kstmvet:ignore socket writes serialize under wmu by design; the write-poison handshake bounds the wait
 	c.wmu.Unlock()
 	if err != nil {
 		c.forget(call.id)
@@ -285,98 +288,6 @@ func (c *Client) DoAsync(ctx context.Context, t kstm.Task) (*Call, error) {
 		return nil, fmt.Errorf("%w: %w", ErrClosed, err)
 	}
 	return call, nil
-}
-
-// DoBatch sends tasks as version-1 batch frames — one frame (one syscall)
-// carries up to wire.MaxBatch requests; larger batches split across frames
-// but still land in one write burst — and returns their pending Calls,
-// position-aligned with tasks. Responses arrive independently and possibly
-// out of order; Wait each Call. ctx bounds only the send. On error no task
-// was sent (a batch frame is all-or-nothing on the stream).
-//
-// Talking batch also invites the server to coalesce ITS responses into
-// batch frames on this connection, shrinking the return path's syscalls
-// symmetrically.
-//
-// A ctx deadline propagates to every task in the batch (they share the one
-// context, so the budget is all-or-none); deadline-carrying batch frames hold
-// fewer entries (wire.MaxBatchDeadline), which only changes where the chunk
-// boundaries fall.
-func (c *Client) DoBatch(ctx context.Context, tasks []kstm.Task) ([]*Call, error) {
-	if len(tasks) == 0 {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	deadlineNS, expired := reqDeadline(ctx)
-	if expired {
-		return nil, context.DeadlineExceeded
-	}
-	calls := make([]*Call, len(tasks))
-	reqs := make([]wire.Request, len(tasks))
-	for i, t := range tasks {
-		calls[i] = &Call{id: c.nextID.Add(1), done: make(chan struct{})}
-		reqs[i] = wire.Request{
-			ID: calls[i].id, Key: t.Key, Op: uint8(t.Op), Arg: t.Arg,
-			DeadlineNS: deadlineNS,
-		}
-	}
-	forgetAll := func() {
-		c.mu.Lock()
-		for _, call := range calls {
-			if _, ok := c.pending[call.id]; ok {
-				delete(c.pending, call.id)
-				c.inflight.Add(-1)
-			}
-		}
-		c.mu.Unlock()
-	}
-	c.mu.Lock()
-	if c.closed {
-		err := c.err
-		c.mu.Unlock()
-		return nil, err
-	}
-	for _, call := range calls {
-		c.pending[call.id] = call
-	}
-	c.inflight.Add(int64(len(calls)))
-	c.mu.Unlock()
-
-	c.pend.Add(1)
-	c.wmu.Lock()
-	if err := ctx.Err(); err != nil {
-		ferr := c.abandonWriteLocked()
-		c.wmu.Unlock()
-		forgetAll()
-		if ferr != nil {
-			c.fail(ferr)
-		}
-		return nil, err
-	}
-	c.scratch = c.scratch[:0]
-	chunk := wire.MaxBatch
-	if deadlineNS != 0 {
-		chunk = wire.MaxBatchDeadline // wider entries, smaller frames
-	}
-	for rest := reqs; len(rest) > 0; {
-		n := min(len(rest), chunk)
-		// Cannot fail: the chunk is non-empty and within the type's bound.
-		c.scratch, _ = wire.AppendBatchRequest(c.scratch, rest[:n])
-		rest = rest[n:]
-	}
-	err := c.writeLocked(ctx, c.scratch, len(tasks)) //kstmvet:ignore socket writes serialize under wmu by design; the write-poison handshake bounds the wait
-	c.wmu.Unlock()
-	if err != nil {
-		forgetAll()
-		c.fail(err)
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, fmt.Errorf("%w: %w", ErrClosed, err)
-	}
-	return calls, nil
 }
 
 // Adaptive-coalescing thresholds: a burst's last writer defers its flush to
@@ -394,7 +305,7 @@ const (
 	coalesceMaxDelay = 200 * time.Microsecond
 )
 
-// writeLocked writes buf (carrying n requests) into the connection's
+// writeLocked writes buf (one request frame) into the connection's
 // buffered writer under wmu, poisoning the socket write if ctx fires
 // mid-write, and flushes — unless the flush can be safely deferred:
 //
@@ -408,7 +319,7 @@ const (
 //
 // The deferral re-checks the wire depth after publishing flushPending; see
 // the field comment for why that makes a stranded flush impossible.
-func (c *Client) writeLocked(ctx context.Context, buf []byte, n int) error {
+func (c *Client) writeLocked(ctx context.Context, buf []byte) error {
 	var poisoned chan struct{}
 	var stop func() bool
 	if ctx.Done() != nil {
@@ -420,7 +331,7 @@ func (c *Client) writeLocked(ctx context.Context, buf []byte, n int) error {
 	}
 	_, err := c.bw.Write(buf)
 	if err == nil {
-		c.unflushed += n
+		c.unflushed++
 		if c.pend.Add(-1) > 0 {
 			c.needFlush = true
 		} else if c.inflight.Load()-int64(c.unflushed) >= coalesceMinWire &&
@@ -607,8 +518,8 @@ func (c *Client) fail(cause error) {
 	}
 }
 
-// readLoop decodes response frames — single or batch — and settles their
-// calls.
+// readLoop decodes response frames and settles their calls. Any frame type
+// other than TypeResponse is a protocol error that fails the connection.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	br := bufio.NewReaderSize(c.conn, 32*1024)
@@ -619,17 +530,11 @@ func (c *Client) readLoop() {
 			c.fail(err)
 			return
 		}
-		switch frame.Type {
-		case wire.TypeResponse:
-			c.settleResp(frame.Resp)
-		case wire.TypeBatchResponse:
-			for _, resp := range frame.Resps {
-				c.settleResp(resp)
-			}
-		default:
+		if frame.Type != wire.TypeResponse {
 			c.fail(fmt.Errorf("unexpected frame type %d", frame.Type))
 			return
 		}
+		c.settleResp(frame.Resp)
 	}
 }
 

@@ -12,8 +12,25 @@ import (
 )
 
 // fakeServer accepts one connection and hands its requests to respond,
-// which returns the responses to write (possibly reordered).
+// which returns the responses to write (possibly reordered), each as one
+// TypeResponse frame.
 func fakeServer(t *testing.T, respond func([]wire.Request) []wire.Response, nreq int) string {
+	t.Helper()
+	return fakeServerFrames(t, func(reqs []wire.Request) []byte {
+		var out []byte
+		for _, resp := range respond(reqs) {
+			var err error
+			if out, err = wire.AppendResponse(out, resp); err != nil {
+				return nil
+			}
+		}
+		return out
+	}, nreq)
+}
+
+// fakeServerFrames accepts one connection, reads nreq request frames and
+// writes back the raw bytes encode returns for them.
+func fakeServerFrames(t *testing.T, encode func([]wire.Request) []byte, nreq int) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -34,15 +51,8 @@ func fakeServer(t *testing.T, respond func([]wire.Request) []wire.Response, nreq
 			}
 			reqs = append(reqs, f.Req)
 		}
-		var buf []byte
-		for _, resp := range respond(reqs) {
-			buf, err = wire.AppendResponse(buf[:0], resp)
-			if err != nil {
-				return
-			}
-			if _, err := conn.Write(buf); err != nil {
-				return
-			}
+		if _, err := conn.Write(encode(reqs)); err != nil {
+			return
 		}
 		// Hold the connection open briefly so the client reads everything.
 		time.Sleep(50 * time.Millisecond)
@@ -122,6 +132,41 @@ func TestStatusMapping(t *testing.T) {
 		var se *ServerError
 		if !errors.As(err, &se) || se.Msg != "m" {
 			t.Errorf("StatusError: got %v, want ServerError(m)", err)
+		}
+	}
+}
+
+// TestBatchResponseFailsConn: the client accepts only TypeResponse frames.
+// A batch response frame, even one answering every pending call, is a
+// protocol error: each call settles with ErrClosed and none with a value.
+func TestBatchResponseFailsConn(t *testing.T) {
+	addr := fakeServerFrames(t, func(reqs []wire.Request) []byte {
+		resps := make([]wire.Response, len(reqs))
+		for i, r := range reqs {
+			resps[i] = wire.Response{ID: r.ID, Status: wire.StatusOK, Value: true}
+		}
+		b, _, err := wire.AppendBatchResponses(nil, resps)
+		if err != nil {
+			return nil
+		}
+		return b
+	}, 3)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	calls := make([]*Call, 3)
+	for i := range calls {
+		if calls[i], err = c.DoAsync(context.Background(), kstm.Task{Key: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for i, call := range calls {
+		if res, err := call.Wait(ctx); !errors.Is(err, ErrClosed) {
+			t.Errorf("call %d: %v, %v; want ErrClosed", i, res.Value, err)
 		}
 	}
 }

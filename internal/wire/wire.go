@@ -11,24 +11,20 @@
 //	+--------+---------+--------+----------------------+
 //
 // len counts the bytes after the length field (version, type and body) and
-// is bounded by MaxFrame. Version is Version (1); a decoder rejects frames
-// from any other version so the format can evolve.
+// is bounded by MaxFrame. Version is Version (2); a decoder rejects frames
+// from any other version, so a version-1 peer fails with ErrBadVersion
+// rather than a misparse.
 //
-// Request body (TypeRequest):
+// A client sends TypeRequest frames and a server answers with TypeResponse
+// frames; the serving stack speaks no other type.
 //
-//	id u64 | key u64 | op u8 | arg u32
-//
-// Deadline-carrying request body (TypeRequestDeadline, and per-entry in
-// TypeBatchRequestDeadline):
+// Request body (TypeRequest), 29 bytes:
 //
 //	id u64 | key u64 | op u8 | arg u32 | deadline u64 (relative ns, 0 = none)
 //
 // The deadline is RELATIVE (nanoseconds from the moment the server decodes
 // the frame), so client and server clocks never need to agree; the server
 // sheds tasks still queued past it with StatusDeadline (DESIGN.md §10.1).
-// Encoders emit the deadline-less v1 bodies whenever DeadlineNS is zero, so
-// a client that never sets deadlines produces byte-identical traffic to
-// protocol version 1.
 //
 // Response body (TypeResponse):
 //
@@ -38,14 +34,9 @@
 // TagFloat/TagBytes) and msg is a u16-length-prefixed UTF-8 error message,
 // empty for StatusOK.
 //
-// Batch frames amortize the per-frame syscall for pipelined traffic:
-//
-//	TypeBatchRequest body:  count u16 | count × request body
-//	TypeBatchResponse body: count u16 | count × response body
-//
-// A batch request frame carries at most MaxBatch requests; batch responses
-// pack greedily up to MaxFrame. Servers answer with batch frames only on
-// connections that have sent one (older clients keep getting TypeResponse).
+// Batch frames (TypeBatchRequest, TypeBatchResponse: count u16 | count ×
+// body) are probe-only: the repo benchmark's wire probe times their codec,
+// and neither server nor client sends or accepts them.
 // See DESIGN.md "Network front-end" for the status ↔ executor error mapping.
 package wire
 
@@ -57,43 +48,31 @@ import (
 	"math"
 )
 
-// Version is the protocol version this package speaks.
-const Version = 1
+// Version is the protocol version this package speaks. Version 2 made the
+// deadline part of every request body.
+const Version = 2
 
 // MaxFrame bounds the length field: no legal frame is larger, and a decoder
 // must reject bigger claims before allocating. Responses carry at most a
 // small scalar and a short message; 64 KiB leaves generous headroom.
 const MaxFrame = 64 * 1024
 
-// Frame types.
+// Frame types. TypeRequest and TypeResponse are the protocol; the batch
+// types are probe-only (package comment).
 const (
 	TypeRequest  uint8 = 1
 	TypeResponse uint8 = 2
-	// TypeBatchRequest carries many requests in one frame (one syscall):
-	// body is a u16 count followed by count request bodies back to back.
+	// TypeBatchRequest is probe-only: a u16 count followed by count request
+	// bodies back to back.
 	TypeBatchRequest uint8 = 3
-	// TypeBatchResponse carries many responses in one frame: a u16 count
-	// followed by count response bodies back to back. A server sends it
-	// only to peers that have sent a TypeBatchRequest on the connection
-	// (proof they speak version-1 batching); plain clients keep receiving
-	// TypeResponse frames.
+	// TypeBatchResponse is probe-only: a u16 count followed by count
+	// response bodies back to back.
 	TypeBatchResponse uint8 = 4
-	// TypeRequestDeadline is a request whose body carries a trailing relative
-	// deadline (u64 nanoseconds). Emitted only when the deadline is non-zero,
-	// so deadline-less clients stay wire-compatible with v1 servers.
-	TypeRequestDeadline uint8 = 5
-	// TypeBatchRequestDeadline is TypeBatchRequest with deadline-carrying
-	// entries: u16 count, then count × (request body + deadline u64).
-	TypeBatchRequestDeadline uint8 = 6
 )
 
-// MaxBatch is the most requests one TypeBatchRequest frame can carry; bigger
-// batches must be split across frames.
+// MaxBatch is the most requests one TypeBatchRequest frame can carry.
+// Probe-only, like the frame.
 const MaxBatch = (MaxFrame - headerSize - 2) / requestSize
-
-// MaxBatchDeadline is the analogous bound for TypeBatchRequestDeadline
-// frames, whose entries are 8 bytes wider.
-const MaxBatchDeadline = (MaxFrame - headerSize - 2) / requestDeadlineSize
 
 // Status codes carried in responses.
 const (
@@ -173,8 +152,7 @@ type Request struct {
 	Op  uint8
 	Arg uint32
 	// DeadlineNS is the task's relative deadline in nanoseconds from server
-	// receipt; zero means none. Encoders pick the deadline-carrying frame
-	// types only when it is set.
+	// receipt; zero means none.
 	DeadlineNS uint64
 }
 
@@ -195,85 +173,69 @@ type Response struct {
 
 // Body sizes.
 const (
-	headerSize          = 2               // version + type, after the length field
-	requestSize         = 8 + 8 + 1 + 4   // id + key + op + arg
-	requestDeadlineSize = requestSize + 8 // + deadline
-	respFixed           = 8 + 1 + 8 + 8   // id + status + wait + exec
-	maxMsgLen           = math.MaxUint16  // msg length field is u16
-	maxValueLen         = MaxFrame - 1024 // sanity bound for TagBytes payloads
+	headerSize  = 2                 // version + type, after the length field
+	requestSize = 8 + 8 + 1 + 4 + 8 // id + key + op + arg + deadline
+	respFixed   = 8 + 1 + 8 + 8     // id + status + wait + exec
+	maxMsgLen   = math.MaxUint16    // msg length field is u16
+	maxValueLen = MaxFrame - 1024   // sanity bound for TagBytes payloads
 )
 
-// AppendRequest appends req as one frame to dst and returns the extended
-// slice; it never fails. Requests with a deadline travel as
-// TypeRequestDeadline frames; deadline-less requests stay byte-identical to
-// protocol v1.
+// AppendRequest appends req as one TypeRequest frame to dst and returns the
+// extended slice; it never fails.
 //
 //kstmvet:hotpath
 func AppendRequest(dst []byte, req Request) []byte {
-	if req.DeadlineNS == 0 {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(headerSize+requestSize))
-		dst = append(dst, Version, TypeRequest)
-	} else {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(headerSize+requestDeadlineSize))
-		dst = append(dst, Version, TypeRequestDeadline)
-	}
-	dst = binary.BigEndian.AppendUint64(dst, req.ID)
-	dst = binary.BigEndian.AppendUint64(dst, req.Key)
-	dst = append(dst, req.Op)
-	dst = binary.BigEndian.AppendUint32(dst, req.Arg)
-	if req.DeadlineNS != 0 {
-		dst = binary.BigEndian.AppendUint64(dst, req.DeadlineNS)
-	}
-	return dst
+	dst = binary.BigEndian.AppendUint32(dst, uint32(headerSize+requestSize))
+	dst = append(dst, Version, TypeRequest)
+	return appendRequestBody(dst, req)
 }
 
-// AppendBatchRequest appends reqs as one batch frame to dst: a v1
-// TypeBatchRequest when no request carries a deadline, otherwise a
-// TypeBatchRequestDeadline with every entry widened. It fails only on an
-// empty batch or one above the applicable bound (MaxBatch, or
-// MaxBatchDeadline when any deadline is set — split those).
+// AppendBatchRequest appends reqs as one TypeBatchRequest frame to dst.
+// Probe-only. It fails only on an empty batch or one above MaxBatch.
 //
 //kstmvet:hotpath
 func AppendBatchRequest(dst []byte, reqs []Request) ([]byte, error) {
 	if len(reqs) == 0 {
 		return dst, fmt.Errorf("%w: empty batch", ErrBadBody)
 	}
-	deadline := false
-	for i := range reqs {
-		if reqs[i].DeadlineNS != 0 {
-			deadline = true
-			break
-		}
+	if len(reqs) > MaxBatch {
+		return dst, ErrFrameTooLarge
 	}
-	if deadline {
-		if len(reqs) > MaxBatchDeadline {
-			return dst, ErrFrameTooLarge
-		}
-		dst = binary.BigEndian.AppendUint32(dst, uint32(headerSize+2+len(reqs)*requestDeadlineSize))
-		dst = append(dst, Version, TypeBatchRequestDeadline)
-	} else {
-		if len(reqs) > MaxBatch {
-			return dst, ErrFrameTooLarge
-		}
-		dst = binary.BigEndian.AppendUint32(dst, uint32(headerSize+2+len(reqs)*requestSize))
-		dst = append(dst, Version, TypeBatchRequest)
-	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(headerSize+2+len(reqs)*requestSize))
+	dst = append(dst, Version, TypeBatchRequest)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(reqs)))
 	for _, req := range reqs {
-		dst = binary.BigEndian.AppendUint64(dst, req.ID)
-		dst = binary.BigEndian.AppendUint64(dst, req.Key)
-		dst = append(dst, req.Op)
-		dst = binary.BigEndian.AppendUint32(dst, req.Arg)
-		if deadline {
-			dst = binary.BigEndian.AppendUint64(dst, req.DeadlineNS)
-		}
+		dst = appendRequestBody(dst, req)
 	}
 	return dst, nil
 }
 
+// appendRequestBody appends one request body (no frame header) to dst.
+//
+//kstmvet:hotpath
+func appendRequestBody(dst []byte, req Request) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, req.ID)
+	dst = binary.BigEndian.AppendUint64(dst, req.Key)
+	dst = append(dst, req.Op)
+	dst = binary.BigEndian.AppendUint32(dst, req.Arg)
+	return binary.BigEndian.AppendUint64(dst, req.DeadlineNS)
+}
+
+// decodeRequestBody decodes one request body; b holds at least requestSize
+// bytes.
+func decodeRequestBody(b []byte) Request {
+	return Request{
+		ID:         binary.BigEndian.Uint64(b[0:8]),
+		Key:        binary.BigEndian.Uint64(b[8:16]),
+		Op:         b[16],
+		Arg:        binary.BigEndian.Uint32(b[17:21]),
+		DeadlineNS: binary.BigEndian.Uint64(b[21:29]),
+	}
+}
+
 // AppendBatchResponses appends as many of resps as fit one TypeBatchResponse
 // frame (greedy, in order, at least one) and returns the extended slice and
-// the count consumed; callers loop until the batch is drained. Values must
+// the count consumed; callers loop until the batch is drained. Probe-only. Values must
 // already be wire-encodable (CheckValue) — an unencodable value aborts the
 // frame with ErrBadValue and consumed 0.
 //
@@ -339,7 +301,7 @@ func appendResponseBody(dst []byte, resp Response) ([]byte, error) {
 
 // CheckValue reports whether v is in the wire's tagged-scalar vocabulary
 // (and, for byte/string payloads, within the size bound) — the pre-flight a
-// server runs before batching a response, so encoding cannot fail mid-frame.
+// server runs before encoding a response, so encoding cannot fail mid-burst.
 func CheckValue(v any) error {
 	switch x := v.(type) {
 	case nil, bool, uint64, uint32, int64, int, float64:
@@ -476,7 +438,8 @@ func decodeValue(b []byte) (any, []byte, error) {
 }
 
 // Frame is one decoded frame, selected by Type: Req for TypeRequest, Resp
-// for TypeResponse, Reqs for TypeBatchRequest, Resps for TypeBatchResponse.
+// for TypeResponse; the probe-only Reqs and Resps for TypeBatchRequest and
+// TypeBatchResponse.
 type Frame struct {
 	Type  uint8
 	Req   Request
@@ -557,23 +520,7 @@ func DecodeFrame(b []byte) (Frame, error) {
 		if len(body) != requestSize {
 			return Frame{}, fmt.Errorf("%w: request body %d bytes, want %d", ErrBadBody, len(body), requestSize)
 		}
-		return Frame{Type: TypeRequest, Req: Request{
-			ID:  binary.BigEndian.Uint64(body[0:8]),
-			Key: binary.BigEndian.Uint64(body[8:16]),
-			Op:  body[16],
-			Arg: binary.BigEndian.Uint32(body[17:21]),
-		}}, nil
-	case TypeRequestDeadline:
-		if len(body) != requestDeadlineSize {
-			return Frame{}, fmt.Errorf("%w: deadline request body %d bytes, want %d", ErrBadBody, len(body), requestDeadlineSize)
-		}
-		return Frame{Type: TypeRequestDeadline, Req: Request{
-			ID:         binary.BigEndian.Uint64(body[0:8]),
-			Key:        binary.BigEndian.Uint64(body[8:16]),
-			Op:         body[16],
-			Arg:        binary.BigEndian.Uint32(body[17:21]),
-			DeadlineNS: binary.BigEndian.Uint64(body[21:29]),
-		}}, nil
+		return Frame{Type: TypeRequest, Req: decodeRequestBody(body)}, nil
 	case TypeResponse:
 		resp, rest, err := decodeResponseBody(body) //kstmvet:ignore decoded values and messages are fresh by contract: DecodeFrame never retains b
 		if err != nil {
@@ -599,39 +546,9 @@ func DecodeFrame(b []byte) (Frame, error) {
 		}
 		reqs := make([]Request, n) //kstmvet:ignore the decoded batch is the caller's result; one slice per frame, bounded by MaxFrame
 		for i := range reqs {
-			b := body[i*requestSize:]
-			reqs[i] = Request{
-				ID:  binary.BigEndian.Uint64(b[0:8]),
-				Key: binary.BigEndian.Uint64(b[8:16]),
-				Op:  b[16],
-				Arg: binary.BigEndian.Uint32(b[17:21]),
-			}
+			reqs[i] = decodeRequestBody(body[i*requestSize:])
 		}
 		return Frame{Type: TypeBatchRequest, Reqs: reqs}, nil
-	case TypeBatchRequestDeadline:
-		if len(body) < 2 {
-			return Frame{}, fmt.Errorf("%w: missing batch count", ErrBadBody)
-		}
-		n := int(binary.BigEndian.Uint16(body))
-		body = body[2:]
-		if n == 0 {
-			return Frame{}, fmt.Errorf("%w: empty batch", ErrBadBody)
-		}
-		if len(body) != n*requestDeadlineSize {
-			return Frame{}, fmt.Errorf("%w: deadline batch body %d bytes, %d requests want %d", ErrBadBody, len(body), n, n*requestDeadlineSize)
-		}
-		reqs := make([]Request, n) //kstmvet:ignore the decoded batch is the caller's result; one slice per frame, bounded by MaxFrame
-		for i := range reqs {
-			b := body[i*requestDeadlineSize:]
-			reqs[i] = Request{
-				ID:         binary.BigEndian.Uint64(b[0:8]),
-				Key:        binary.BigEndian.Uint64(b[8:16]),
-				Op:         b[16],
-				Arg:        binary.BigEndian.Uint32(b[17:21]),
-				DeadlineNS: binary.BigEndian.Uint64(b[21:29]),
-			}
-		}
-		return Frame{Type: TypeBatchRequestDeadline, Reqs: reqs}, nil
 	case TypeBatchResponse:
 		if len(body) < 2 {
 			return Frame{}, fmt.Errorf("%w: missing batch count", ErrBadBody)

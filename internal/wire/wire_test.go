@@ -11,6 +11,8 @@ import (
 	"testing"
 )
 
+// TestRequestRoundTrip: every request is one 35-byte TypeRequest frame
+// (4-byte length, version, type, 29-byte body), whatever its deadline.
 func TestRequestRoundTrip(t *testing.T) {
 	reqs := []Request{
 		{},
@@ -19,7 +21,12 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	for _, req := range reqs {
-		buf.Write(AppendRequest(nil, req))
+		b := AppendRequest(nil, req)
+		if len(b) != 4+2+29 || b[4] != Version || b[5] != TypeRequest {
+			t.Fatalf("%+v: %d bytes, version %d, type %d; want 35 bytes, version %d, type %d",
+				req, len(b), b[4], b[5], Version, TypeRequest)
+		}
+		buf.Write(b)
 	}
 	for i, want := range reqs {
 		f, err := ReadFrame(&buf, nil)
@@ -27,7 +34,7 @@ func TestRequestRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if f.Type != TypeRequest || f.Req != want {
-			t.Fatalf("frame %d: got %+v, want %+v", i, f.Req, want)
+			t.Fatalf("frame %d: type %d, got %+v, want %+v", i, f.Type, f.Req, want)
 		}
 	}
 	if _, err := ReadFrame(&buf, nil); err != io.EOF {
@@ -35,61 +42,31 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeadlineRequestRoundTrip: a deadline rides in the same 35-byte
+// TypeRequest frame as a deadline-less request, at both ends of its range,
+// and a zero deadline comes back as zero.
 func TestDeadlineRequestRoundTrip(t *testing.T) {
 	reqs := []Request{
 		{ID: 1, Key: 42, Op: 2, Arg: 7, DeadlineNS: 1},
 		{ID: 2, Key: 9, DeadlineNS: math.MaxUint64},
+		{ID: 3, Key: 4, Op: 1, Arg: 2},
 	}
 	var buf bytes.Buffer
 	for _, req := range reqs {
-		buf.Write(AppendRequest(nil, req))
+		b := AppendRequest(nil, req)
+		if len(b) != 4+2+29 || b[5] != TypeRequest {
+			t.Fatalf("%+v: %d bytes, type %d; want 35 bytes, type %d", req, len(b), b[5], TypeRequest)
+		}
+		buf.Write(b)
 	}
 	for i, want := range reqs {
 		f, err := ReadFrame(&buf, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if f.Type != TypeRequestDeadline || f.Req != want {
+		if f.Type != TypeRequest || f.Req != want {
 			t.Fatalf("frame %d: type %d, got %+v, want %+v", i, f.Type, f.Req, want)
 		}
-	}
-	// Deadline-less requests must stay byte-identical to protocol v1.
-	v1 := AppendRequest(nil, Request{ID: 3, Key: 4, Op: 1, Arg: 2})
-	if v1[5] != TypeRequest || len(v1) != 4+2+21 {
-		t.Fatalf("deadline-less request changed shape: type %d, %d bytes", v1[5], len(v1))
-	}
-}
-
-func TestDeadlineBatchRoundTrip(t *testing.T) {
-	reqs := make([]Request, 17)
-	for i := range reqs {
-		reqs[i] = Request{ID: uint64(i + 1), Key: uint64(i * 3), Op: uint8(i % 4)}
-	}
-	reqs[5].DeadlineNS = 12345 // one deadline widens every entry
-	b, err := AppendBatchRequest(nil, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := ReadFrame(bytes.NewReader(b), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frame.Type != TypeBatchRequestDeadline || !reflect.DeepEqual(frame.Reqs, reqs) {
-		t.Fatalf("round trip mismatch: type %d, %d requests", frame.Type, len(frame.Reqs))
-	}
-	// The widened entries tighten the batch bound.
-	over := make([]Request, MaxBatchDeadline+1)
-	over[0].DeadlineNS = 1
-	if _, err := AppendBatchRequest(nil, over); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversized deadline batch: %v, want ErrFrameTooLarge", err)
-	}
-	// Truncated deadline bodies are rejected, not misparsed.
-	single := AppendRequest(nil, Request{ID: 1, DeadlineNS: 9})[4:]
-	if _, err := DecodeFrame(single[:len(single)-1]); !errors.Is(err, ErrBadBody) {
-		t.Errorf("short deadline request: %v, want ErrBadBody", err)
-	}
-	if _, err := DecodeFrame(b[4 : len(b)-1]); !errors.Is(err, ErrBadBody) {
-		t.Errorf("short deadline batch: %v, want ErrBadBody", err)
 	}
 }
 
@@ -217,7 +194,11 @@ func TestDecodeFrameRejects(t *testing.T) {
 		{"empty", nil, ErrFrameTooSmall},
 		{"one byte", []byte{Version}, ErrFrameTooSmall},
 		{"bad version", append([]byte{Version + 1}, req[1:]...), ErrBadVersion},
+		{"version 1", append([]byte{1}, req[1:]...), ErrBadVersion},
 		{"bad type", []byte{Version, 99, 0}, ErrBadType},
+		// 5 and 6 are not frame types (version 1 used them for deadline frames).
+		{"type 5", append([]byte{Version, 5}, req[2:]...), ErrBadType},
+		{"type 6", append([]byte{Version, 6, 0, 1}, req[2:]...), ErrBadType},
 		{"short request", req[:len(req)-1], ErrBadBody},
 		{"long request", append(append([]byte{}, req...), 0), ErrBadBody},
 		{"short response", []byte{Version, TypeResponse, 1, 2, 3}, ErrBadBody},
@@ -259,7 +240,7 @@ func TestDecodeResponseBodyRejects(t *testing.T) {
 func TestBatchRequestRoundTrip(t *testing.T) {
 	reqs := make([]Request, 37)
 	for i := range reqs {
-		reqs[i] = Request{ID: uint64(i + 1), Key: uint64(i * 31), Op: uint8(i % 4), Arg: uint32(i * 7)}
+		reqs[i] = Request{ID: uint64(i + 1), Key: uint64(i * 31), Op: uint8(i % 4), Arg: uint32(i * 7), DeadlineNS: uint64(i % 3)}
 	}
 	b, err := AppendBatchRequest(nil, reqs)
 	if err != nil {
@@ -380,17 +361,14 @@ func TestCheckValue(t *testing.T) {
 
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendRequest(nil, Request{ID: 1, Key: 2, Op: 3, Arg: 4})[4:])
+	f.Add(AppendRequest(nil, Request{ID: 1, Key: 2, Op: 3, Arg: 4, DeadlineNS: 5_000_000})[4:])
 	if b, err := AppendResponse(nil, Response{ID: 5, Status: StatusOK, Value: true, Msg: ""}); err == nil {
 		f.Add(b[4:])
 	}
 	if b, err := AppendResponse(nil, Response{ID: 6, Status: StatusError, Value: []byte("v"), Msg: "boom"}); err == nil {
 		f.Add(b[4:])
 	}
-	if b, err := AppendBatchRequest(nil, []Request{{ID: 1}, {ID: 2, Key: 3, Op: 1, Arg: 4}}); err == nil {
-		f.Add(b[4:])
-	}
-	f.Add(AppendRequest(nil, Request{ID: 1, Key: 2, Op: 3, Arg: 4, DeadlineNS: 5_000_000})[4:])
-	if b, err := AppendBatchRequest(nil, []Request{{ID: 1, DeadlineNS: 1}, {ID: 2, Key: 3}}); err == nil {
+	if b, err := AppendBatchRequest(nil, []Request{{ID: 1}, {ID: 2, Key: 3, Op: 1, Arg: 4, DeadlineNS: 1}}); err == nil {
 		f.Add(b[4:])
 	}
 	if b, _, err := AppendBatchResponses(nil, []Response{{ID: 7, Status: StatusOK, Value: 1.5}, {ID: 8, Status: StatusBusy, Msg: "busy"}}); err == nil {
@@ -399,49 +377,38 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{Version, TypeResponse})
 	f.Add([]byte{Version, TypeBatchRequest, 0, 1})
+	// A version-1 request: 21-byte body, no deadline.
+	f.Add(append([]byte{1, TypeRequest}, make([]byte, 21)...))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		frame, err := DecodeFrame(b)
 		if err != nil {
 			return
 		}
-		// Whatever decodes must re-encode and decode to the same frame
-		// (requests are fixed-size; responses must round-trip exactly).
+		// The encoding is canonical: whatever decodes re-encodes to the
+		// same bytes. (Comparing bytes, not decoded values, keeps a NaN
+		// float value from failing a faithful round trip.)
+		var enc []byte
 		switch frame.Type {
-		case TypeRequest, TypeRequestDeadline:
-			// A decoded deadline frame with DeadlineNS == 0 re-encodes as a
-			// v1 frame; the decoded request must still match.
-			again, err := DecodeFrame(AppendRequest(nil, frame.Req)[4:])
-			if err != nil || again.Req != frame.Req {
-				t.Fatalf("request re-encode mismatch: %v %+v %+v", err, again.Req, frame.Req)
-			}
+		case TypeRequest:
+			enc = AppendRequest(nil, frame.Req)
 		case TypeResponse:
-			enc, err := AppendResponse(nil, frame.Resp)
-			if err != nil {
-				t.Fatalf("decoded response does not re-encode: %v", err)
-			}
-			again, err := DecodeFrame(enc[4:])
-			if err != nil || !reflect.DeepEqual(again.Resp, frame.Resp) {
-				t.Fatalf("response re-encode mismatch: %v\n got %+v\nwant %+v", err, again.Resp, frame.Resp)
-			}
-		case TypeBatchRequest, TypeBatchRequestDeadline:
-			enc, err := AppendBatchRequest(nil, frame.Reqs)
-			if err != nil {
-				t.Fatalf("decoded batch does not re-encode: %v", err)
-			}
-			again, err := DecodeFrame(enc[4:])
-			if err != nil || !reflect.DeepEqual(again.Reqs, frame.Reqs) {
-				t.Fatalf("batch request re-encode mismatch: %v", err)
-			}
+			enc, err = AppendResponse(nil, frame.Resp)
+		case TypeBatchRequest:
+			enc, err = AppendBatchRequest(nil, frame.Reqs)
 		case TypeBatchResponse:
-			enc, n, err := AppendBatchResponses(nil, frame.Resps)
-			if err != nil || n != len(frame.Resps) {
-				// A decoded batch always fits one frame by construction.
-				t.Fatalf("decoded batch does not re-encode: %v (consumed %d/%d)", err, n, len(frame.Resps))
+			var n int
+			// A decoded batch always fits one frame by construction.
+			if enc, n, err = AppendBatchResponses(nil, frame.Resps); err == nil && n != len(frame.Resps) {
+				t.Fatalf("decoded batch re-encodes %d of %d responses", n, len(frame.Resps))
 			}
-			again, err := DecodeFrame(enc[4:])
-			if err != nil || !reflect.DeepEqual(again.Resps, frame.Resps) {
-				t.Fatalf("batch response re-encode mismatch: %v", err)
-			}
+		default:
+			t.Fatalf("decoded an unknown frame type %d", frame.Type)
+		}
+		if err != nil {
+			t.Fatalf("decoded type-%d frame does not re-encode: %v", frame.Type, err)
+		}
+		if !bytes.Equal(enc[4:], b) {
+			t.Fatalf("type-%d frame re-encodes to different bytes:\n got %x\nwant %x", frame.Type, enc[4:], b)
 		}
 	})
 }

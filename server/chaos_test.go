@@ -25,23 +25,18 @@ func chaosSeeds() []uint64 {
 }
 
 // TestTruncationAtEveryByteBoundary cuts the client's connection after every
-// possible byte prefix of a request frame — plain (27 bytes) and
-// deadline-carrying (35 bytes) — through the fault conn wrapper. The server
+// possible byte prefix of the 35-byte request frame, once with a ctx deadline
+// on the wire and once without, through the fault conn wrapper. The server
 // must treat each truncation as a dead connection, never a wedge: after all
 // the abuse a healthy client round-trips and Drain completes promptly.
 func TestTruncationAtEveryByteBoundary(t *testing.T) {
 	ex, _, addr, shutdown := startServer(t, dictExecutorOpts(t))
 	defer shutdown()
 
-	// 4 (len) + 1 (ver) + 1 (typ) + body: 21-byte plain bodies, 29-byte
-	// deadline bodies. A ctx deadline makes the client emit the wider
-	// TypeRequestDeadline frame, so both decode paths see every boundary.
-	const plainFrame, deadlineFrame = 27, 35
-	for _, fr := range []struct {
-		size         int
-		withDeadline bool
-	}{{plainFrame, false}, {deadlineFrame, true}} {
-		for cut := 1; cut < fr.size; cut++ {
+	// 4 (len) + 1 (ver) + 1 (typ) + a 29-byte body.
+	const frameSize = 35
+	for _, withDeadline := range []bool{false, true} {
+		for cut := 1; cut < frameSize; cut++ {
 			raw, err := net.Dial("tcp", addr)
 			if err != nil {
 				t.Fatal(err)
@@ -49,19 +44,19 @@ func TestTruncationAtEveryByteBoundary(t *testing.T) {
 			inj := fault.New(uint64(cut), fault.Rule{Every: 1, DropAfter: int64(cut)})
 			c := client.NewClient(inj.Conn(raw))
 			ctx, cancel := context.Background(), context.CancelFunc(func() {})
-			if fr.withDeadline {
+			if withDeadline {
 				ctx, cancel = context.WithTimeout(ctx, time.Minute)
 			}
 			_, err = c.Do(ctx, kstm.Task{Key: uint64(cut), Op: kstm.OpInsert, Arg: uint32(cut)})
 			cancel()
 			if err == nil {
-				t.Fatalf("cut %d/%d: truncated request succeeded", cut, fr.size)
+				t.Fatalf("cut %d/%d (deadline %v): truncated request succeeded", cut, frameSize, withDeadline)
 			}
 			c.Close()
 		}
 	}
 
-	// The server survived sixty truncated connections: a fresh one works.
+	// The server survived 68 truncated connections: a fresh one works.
 	c, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -102,22 +97,20 @@ func TestPartialIOFullRoundTrip(t *testing.T) {
 			t.Fatalf("insert %d = %v, %v; want true, nil", i, got, err)
 		}
 	}
-	// Batch frames cross many 1-byte boundaries in both directions.
-	tasks := make([]kstm.Task, 16)
-	for i := range tasks {
-		tasks[i] = kstm.Task{Key: uint64(i), Op: kstm.OpLookup, Arg: uint32(i)}
-	}
-	calls, err := c.DoBatch(ctx, tasks)
-	if err != nil {
-		t.Fatal(err)
+	// Pipelined frames cross many 1-byte boundaries in both directions.
+	calls := make([]*client.Call, 16)
+	for i := range calls {
+		if calls[i], err = c.DoAsync(ctx, kstm.Task{Key: uint64(i), Op: kstm.OpLookup, Arg: uint32(i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i, call := range calls {
 		res, err := call.Wait(ctx)
 		if err != nil {
-			t.Fatalf("batch lookup %d: %v", i, err)
+			t.Fatalf("pipelined lookup %d: %v", i, err)
 		}
 		if hit, _ := res.Value.(bool); !hit {
-			t.Fatalf("batch lookup %d missed an inserted key", i)
+			t.Fatalf("pipelined lookup %d missed an inserted key", i)
 		}
 	}
 }

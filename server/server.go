@@ -340,22 +340,17 @@ func (s *Server) handle(conn net.Conn) {
 	// Every request holds one slot from decode until its response clears
 	// the writer (written, or discarded on a dead connection). A client
 	// that pipelines but never reads fills the writer's queue up to this
-	// bound, then the read loop blocks here and TCP backpressure reaches
-	// the sender — the buffer cannot grow without limit.
+	// bound, then the read loop blocks in serveReq and TCP backpressure
+	// reaches the sender — the buffer cannot grow without limit.
 	cs := connPool.Get().(*connState)
-	inflight := cs.inflight
 	out := cs.out
 	// Before the writer starts: the read loop may write inline responses.
 	cs.bw.Reset(conn)
-	// batchOK flips once the peer sends a batch frame: only then may the
-	// writer coalesce responses into TypeBatchResponse frames (older
-	// clients would drop the connection on an unknown frame type).
-	var batchOK atomic.Bool
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		s.writeLoop(cs, &batchOK, cancel)
+		s.writeLoop(cs, cancel)
 	}()
 
 	// Admission bucket: single-owner (only this read loop touches it), so
@@ -367,7 +362,6 @@ func (s *Server) handle(conn net.Conn) {
 	}
 
 	cs.br.Reset(conn)
-readLoop:
 	for {
 		frame, err := wire.ReadFrame(cs.br, &cs.scratch)
 		if err != nil {
@@ -383,25 +377,13 @@ readLoop:
 			}
 			break
 		}
-		switch frame.Type {
-		case wire.TypeRequest, wire.TypeRequestDeadline:
-			// Lone: nothing of this connection's in flight and no next frame
-			// already read, so the client waits on this answer alone.
-			lone := len(inflight) == 0 && cs.br.Buffered() == 0
-			if !s.serveReq(ctx, cancel, cs, admit, frame.Req, lone) {
-				break readLoop
-			}
-		case wire.TypeBatchRequest, wire.TypeBatchRequestDeadline:
-			batchOK.Store(true)
-			for _, req := range frame.Reqs {
-				if !s.serveReq(ctx, cancel, cs, admit, req, false) {
-					break readLoop
-				}
-			}
-		default:
+		if frame.Type != wire.TypeRequest {
 			s.nProtoErr.Add(1)
 			s.log.Printf("server: %s: unexpected frame type %d", conn.RemoteAddr(), frame.Type)
-			break readLoop
+			break
+		}
+		if !s.serveReq(ctx, cancel, cs, admit, frame.Req) {
+			break
 		}
 	}
 	// Read side done: cancel queued work and retire the connection without
@@ -438,8 +420,11 @@ const maxInflightPerConn = 1024
 // the read loop writes the response itself and the next frame is read only
 // after that (DESIGN.md §5.2). It returns false only when the connection is
 // being torn down.
-func (s *Server) serveReq(ctx context.Context, cancel context.CancelFunc, cs *connState, admit *tokenBucket, req wire.Request, lone bool) bool {
+func (s *Server) serveReq(ctx context.Context, cancel context.CancelFunc, cs *connState, admit *tokenBucket, req wire.Request) bool {
 	out, inflight := cs.out, cs.inflight
+	// Lone: nothing of this connection's in flight and no next frame
+	// already read, so the client waits on this answer alone.
+	lone := len(inflight) == 0 && cs.br.Buffered() == 0
 	s.nReq.Add(1)
 	select {
 	case inflight <- struct{}{}:
@@ -664,13 +649,11 @@ func (q *outQueue) take(into []wire.Response) ([]wire.Response, bool) {
 }
 
 // writeLoop serializes responses onto the socket, batching what the queue
-// delivers together: to a batch-speaking peer, a burst of n responses goes
-// out as TypeBatchResponse frames (count-prefixed, split at the frame
-// bound); otherwise as n single frames in one buffered write. One flush per
-// burst either way. A write failure cancels the connection (the read loop
+// delivers together: a burst of n responses goes out as n TypeResponse
+// frames in one buffered write, with one flush per burst. A write failure cancels the connection (the read loop
 // and pending callbacks then unwind) and the loop keeps draining — slots
 // must keep flowing back so the handler's semaphore reclaim terminates.
-func (s *Server) writeLoop(cs *connState, batchOK *atomic.Bool, cancel context.CancelFunc) {
+func (s *Server) writeLoop(cs *connState, cancel context.CancelFunc) {
 	out, inflight := cs.out, cs.inflight
 	bw := cs.bw
 	batch := cs.batch
@@ -694,11 +677,7 @@ func (s *Server) writeLoop(cs *connState, batchOK *atomic.Bool, cancel context.C
 		if !dead {
 			var werr error
 			cs.wmu.Lock()
-			if batchOK.Load() && len(batch) > 1 {
-				cs.encBuf, werr = s.writeBatched(bw, cs.encBuf, batch)
-			} else {
-				cs.encBuf, werr = s.writeSingles(bw, cs.encBuf, batch)
-			}
+			cs.encBuf, werr = s.writeSingles(bw, cs.encBuf, batch)
 			if werr == nil {
 				werr = bw.Flush()
 			}
@@ -761,38 +740,6 @@ func (s *Server) writeOne(bw *bufio.Writer, buf []byte, resp wire.Response) ([]b
 	}
 	s.nResp.Add(1)
 	return b, nil
-}
-
-// writeBatched packs a burst into TypeBatchResponse frames, splitting at the
-// frame bound; a response too large even alone falls back to a single frame
-// (AppendResponse truncates oversized messages). Like writeSingles it
-// returns the grown encode buffer for reuse.
-func (s *Server) writeBatched(bw *bufio.Writer, buf []byte, batch []wire.Response) ([]byte, error) {
-	for i := range batch {
-		batch[i] = s.sanitize(batch[i])
-	}
-	for len(batch) > 0 {
-		if len(batch) == 1 {
-			return s.writeSingles(bw, buf, batch)
-		}
-		b, n, err := wire.AppendBatchResponses(buf[:0], batch)
-		if err != nil {
-			// First response alone overflows a batch frame: send it as a
-			// single (truncating) frame and continue with the rest.
-			if buf, err = s.writeSingles(bw, buf, batch[:1]); err != nil {
-				return buf, err
-			}
-			batch = batch[1:]
-			continue
-		}
-		buf = b
-		if _, werr := bw.Write(b); werr != nil {
-			return buf, werr
-		}
-		s.nResp.Add(uint64(n))
-		batch = batch[n:]
-	}
-	return buf, nil
 }
 
 // submitError maps a SubmitAsync error to a response.

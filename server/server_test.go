@@ -7,6 +7,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"kstm/internal/harness"
 	"kstm/internal/stm"
 	"kstm/internal/txds"
+	"kstm/internal/wire"
 	"kstm/server"
 )
 
@@ -104,13 +106,12 @@ func TestRoundTripLoopback(t *testing.T) {
 	}
 }
 
-// TestBatchRoundTrip drives the version-1 batch frames end to end: DoBatch
-// sends one TypeBatchRequest frame per chunk, the server fans the requests
-// through the callback submit path, coalesces the completions into
-// TypeBatchResponse frames, and every call settles with its own task's
-// value. Bad requests inside a batch answer individually without touching
-// their batch-mates.
-func TestBatchRoundTrip(t *testing.T) {
+// TestPipelinedRoundTrip pipelines requests over one connection with
+// DoAsync: the server fans them through the callback submit path, its
+// writer coalesces each burst of completions into one flush, and every call
+// settles with its own task's value. A bad request between two good ones
+// answers alone without touching its neighbours.
+func TestPipelinedRoundTrip(t *testing.T) {
 	ex, srv, addr, shutdown := startServer(t, dictExecutorOpts(t), server.WithMaxOp(uint8(kstm.OpNoop)))
 	defer shutdown()
 	c, err := client.Dial(addr)
@@ -120,19 +121,22 @@ func TestBatchRoundTrip(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 
+	pipeline := func(tasks []kstm.Task) []*client.Call {
+		t.Helper()
+		calls := make([]*client.Call, len(tasks))
+		for i, task := range tasks {
+			if calls[i], err = c.DoAsync(ctx, task); err != nil {
+				t.Fatalf("send %d: %v", i, err)
+			}
+		}
+		return calls
+	}
 	const n = 500
 	tasks := make([]kstm.Task, n)
 	for i := range tasks {
 		tasks[i] = kstm.Task{Key: uint64(i), Op: kstm.OpInsert, Arg: uint32(i)}
 	}
-	calls, err := c.DoBatch(ctx, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != n {
-		t.Fatalf("%d calls for %d tasks", len(calls), n)
-	}
-	for i, call := range calls {
+	for i, call := range pipeline(tasks) {
 		res, err := call.Wait(ctx)
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
@@ -141,15 +145,11 @@ func TestBatchRoundTrip(t *testing.T) {
 			t.Fatalf("call %d: fresh insert reported %v", i, res.Value)
 		}
 	}
-	// Re-reading the same keys through a second batch observes the inserts.
+	// Re-reading the same keys in a second pipeline observes the inserts.
 	for i := range tasks {
 		tasks[i].Op = kstm.OpLookup
 	}
-	calls, err = c.DoBatch(ctx, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, call := range calls {
+	for i, call := range pipeline(tasks) {
 		res, err := call.Wait(ctx)
 		if err != nil {
 			t.Fatalf("lookup %d: %v", i, err)
@@ -158,30 +158,68 @@ func TestBatchRoundTrip(t *testing.T) {
 			t.Fatalf("lookup %d missed its own insert", i)
 		}
 	}
-	// A bad opcode inside a batch fails alone; its batch-mates succeed.
-	mixed := []kstm.Task{
+	// A bad opcode between two good requests fails alone.
+	calls := pipeline([]kstm.Task{
 		{Key: 1, Op: kstm.OpLookup, Arg: 1},
 		{Key: 2, Op: kstm.Op(200), Arg: 2},
 		{Key: 3, Op: kstm.OpLookup, Arg: 3},
-	}
-	calls, err = c.DoBatch(ctx, mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if _, err := calls[0].Wait(ctx); err != nil {
-		t.Errorf("good batch-mate 0: %v", err)
+		t.Errorf("good request before the bad one: %v", err)
 	}
 	if _, err := calls[1].Wait(ctx); !errors.Is(err, client.ErrBadRequest) {
 		t.Errorf("bad opcode: %v, want ErrBadRequest", err)
 	}
 	if _, err := calls[2].Wait(ctx); err != nil {
-		t.Errorf("good batch-mate 2: %v", err)
+		t.Errorf("good request after the bad one: %v", err)
 	}
 	if st := ex.Stats(); st.Completed != 2*n+2 {
 		t.Errorf("executor completed %d, want %d", st.Completed, 2*n+2)
 	}
 	if ss := srv.Stats(); ss.Requests != 2*n+3 || ss.Responses != 2*n+3 || ss.BadRequest != 1 {
 		t.Errorf("server req/resp/badreq = %d/%d/%d, want %d/%d/1", ss.Requests, ss.Responses, ss.BadRequest, 2*n+3, 2*n+3)
+	}
+}
+
+// TestBatchFrameDropsConn: the server accepts only TypeRequest frames. A
+// well-formed batch request frame is a protocol error: the connection is
+// dropped unanswered, counted once, and the server keeps serving others.
+func TestBatchFrameDropsConn(t *testing.T) {
+	_, srv, addr, shutdown := startServer(t, dictExecutorOpts(t))
+	defer shutdown()
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.AppendBatchRequest(nil, []wire.Request{
+		{ID: 1, Key: 1, Op: uint8(kstm.OpInsert), Arg: 1},
+		{ID: 2, Key: 2, Op: uint8(kstm.OpInsert), Arg: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(raw)
+	raw.Close()
+	if len(got) != 0 {
+		t.Errorf("server answered a batch frame with %d bytes", len(got))
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("server kept the connection open after a batch frame")
+	}
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got, err := c.DoBool(context.Background(), kstm.Task{Key: 3, Op: kstm.OpInsert, Arg: 3}); err != nil || !got {
+		t.Fatalf("insert on a new connection = %v, %v; want true, nil", got, err)
+	}
+	if ss := srv.Stats(); ss.ProtocolErrors != 1 || ss.Requests != 1 {
+		t.Errorf("protocol errors / requests = %d/%d, want 1/1", ss.ProtocolErrors, ss.Requests)
 	}
 }
 
