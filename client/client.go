@@ -152,11 +152,11 @@ type Client struct {
 	unflushed    int
 	flushPending atomic.Bool
 	// flushTimer is the deferral's escape hatch, armed once per defer cycle
-	// (guarded by wmu): a server may legitimately withhold every response
-	// until it has seen a LATER request (batch semantics), which would
-	// starve a purely ack-clocked flush — the Nagle/delayed-ack interlock.
-	// The timer bounds how long a deferred frame can sit at
-	// coalesceMaxDelay regardless of the peer's behavior.
+	// (guarded by wmu): the responses still due may be slow — a long task,
+	// or one held behind a busy worker — so a purely ack-clocked flush could
+	// leave deferred frames unsent until they arrive. The timer bounds how
+	// long a deferred frame can sit at coalesceMaxDelay regardless of how
+	// slowly the peer answers.
 	flushTimer *time.Timer
 
 	mu      sync.Mutex

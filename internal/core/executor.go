@@ -662,14 +662,13 @@ func (e *Executor) SubmitFuncTimed(ctx context.Context, t Task, budget time.Dura
 	return err
 }
 
-// SubmitFuncOrRun is SubmitFuncTimed for a depth-1 caller — one with nothing
-// else in flight that would wait for the result anyway. When the task's owner
-// worker is parked with an empty queue, the calling goroutine borrows it
-// (caller-runs, DESIGN.md §5.4): it executes the task itself with the
-// worker's thread, shard and counters and returns the result with ran=true,
-// and done is never called. Otherwise the task is queued exactly as
-// SubmitFuncTimed queues it (ran=false, done settles it later) and err
-// reports acceptance.
+// SubmitFuncOrRun is SubmitFuncTimed for a caller that may run the task
+// itself. When the task's owner worker is parked with an empty queue, the
+// calling goroutine borrows it (caller-runs, DESIGN.md §5.4): it executes
+// the task with the worker's thread, shard and counters and returns the
+// result with ran=true, and done is never called. Otherwise the task is
+// queued exactly as SubmitFuncTimed queues it (ran=false, done settles it
+// later) and err reports acceptance.
 //
 // A borrowed task counts as submitted and completed like a queued one, plus
 // ExecStats.Borrowed. The call never borrows under migration or split phase,

@@ -45,9 +45,9 @@ import (
 // CAS, no channel operation, no allocation — preserving the Submit =
 // 0 allocs/op gate (hotpath_test.go).
 //
-// Caller-runs (DESIGN.md §5.4). A depth-1 submitter whose key's owner is
-// parked with an empty queue borrows the owner instead of waking it: the CAS
-// parked→borrowed hands it the worker's thread, shard, counters and
+// Caller-runs (DESIGN.md §5.4). A SubmitFuncOrRun caller whose key's owner
+// is parked with an empty queue borrows the owner instead of waking it: the
+// CAS parked→borrowed hands it the worker's thread, shard, counters and
 // histograms for one task, and release stores parked again:
 //
 //	borrower:                       enqueuer (wake side, unchanged):

@@ -41,6 +41,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -497,6 +498,19 @@ func ReadFrame(r io.Reader, scratch *[]byte) (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: %w", ErrTruncated, err)
 	}
 	return DecodeFrame(buf)
+}
+
+// FrameBuffered reports whether br already holds a whole frame — its length
+// field and the len bytes after it — so the next ReadFrame from br cannot
+// block. Buffered is checked first: Peek would block on br's source when
+// fewer than four bytes are buffered.
+func FrameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 4 {
+		return false
+	}
+	p, _ := br.Peek(4)
+	return uint64(n) >= 4+uint64(binary.BigEndian.Uint32(p))
 }
 
 // DecodeFrame decodes one frame payload (the bytes after the length field).

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -411,4 +412,42 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("type-%d frame re-encodes to different bytes:\n got %x\nwant %x", frame.Type, enc[4:], b)
 		}
 	})
+}
+
+// onceReader returns its data in one Read and fails the test on any later
+// Read: a FrameBuffered that reads past what is buffered would block on a
+// socket.
+type onceReader struct {
+	t    *testing.T
+	data []byte
+}
+
+func (r *onceReader) Read(p []byte) (int, error) {
+	if r.data == nil {
+		r.t.Error("read past the buffered bytes")
+		return 0, io.EOF
+	}
+	n := copy(p, r.data)
+	r.data = nil
+	return n, nil
+}
+
+// TestFrameBuffered: a whole frame is reported buffered, and the frame after
+// it only once every one of its bytes is.
+func TestFrameBuffered(t *testing.T) {
+	frame := AppendRequest(nil, Request{ID: 1, Key: 2, Op: 3, Arg: 4})
+	for cut := 0; cut <= len(frame); cut++ {
+		data := append(append([]byte(nil), frame...), frame[:cut]...)
+		br := bufio.NewReader(&onceReader{t: t, data: data})
+		br.Peek(1) // fill the buffer with everything sent
+		if !FrameBuffered(br) {
+			t.Fatalf("cut %d: the first, whole frame not reported buffered", cut)
+		}
+		if _, err := ReadFrame(br, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := FrameBuffered(br), cut == len(frame); got != want {
+			t.Fatalf("%d of %d bytes of the next frame buffered: FrameBuffered = %v, want %v", cut, len(frame), got, want)
+		}
+	}
 }

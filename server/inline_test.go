@@ -15,8 +15,8 @@ import (
 	"kstm/internal/stm"
 )
 
-// TestInlineTaskBlocksOnlyItsConnection: a lone request whose owner is parked
-// runs on its connection's reader, so while that task is held at a gate the
+// TestInlineTaskBlocksOnlyItsConnection: a request whose owner is parked runs
+// on its connection's reader, so while that task is held at a gate the
 // reader reads nothing more from connection A — but connection B, on the
 // other worker, is answered meanwhile. After release every request A
 // pipelined behind the inline one is answered exactly once, and A's
@@ -85,7 +85,7 @@ func TestInlineTaskBlocksOnlyItsConnection(t *testing.T) {
 	}
 	<-entered
 	if got := ex.Stats().Borrowed; got != 1 {
-		t.Fatalf("gated lone request: Borrowed = %d, want 1 (ran on the reader)", got)
+		t.Fatalf("gated request: Borrowed = %d, want 1 (ran on the reader)", got)
 	}
 	const behind = 10
 	calls := []*client.Call{first}

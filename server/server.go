@@ -3,7 +3,9 @@
 // protocol. One goroutine per connection reads request frames, submits them
 // to the executor, and a per-connection writer streams responses back — out
 // of order, as tasks complete, so a pipelining client is never head-of-line
-// blocked on a slow transaction.
+// blocked on a slow transaction. A request whose owner worker is parked runs
+// on the reader itself (caller-runs), and the reader answers a burst of such
+// requests with one flush, made when its next read could block.
 //
 // Error mapping (see DESIGN.md "Network front-end" for the full table):
 //
@@ -51,9 +53,10 @@ type Stats struct {
 	Requests uint64
 	// Responses counts response frames written (all statuses).
 	Responses uint64
-	// Inline counts responses the read loop wrote itself: a lone request
-	// that ran on the reader (caller-runs, DESIGN.md §5.2), answered with
-	// no hand-off to the writer. A subset of Responses.
+	// Inline counts responses the read loop wrote itself: a request that
+	// ran on the reader because its owner was parked (caller-runs,
+	// DESIGN.md §5.2), answered with no hand-off to the writer. A subset
+	// of Responses.
 	Inline uint64
 	// Busy / Stopped / BadRequest / Failed count non-OK responses by
 	// status. Cancelled counts tasks abandoned by per-connection
@@ -288,7 +291,11 @@ type connState struct {
 	bw       *bufio.Writer
 	// wmu serializes the writer and the read loop's inline responses on bw
 	// and encBuf: each holds it around its own encode, write and flush.
-	wmu     sync.Mutex
+	wmu sync.Mutex
+	// dirty (read loop only) marks inline responses written to bw since
+	// the read loop last flushed. The writer's flushes may have sent them
+	// already; a flush of an empty bw costs no syscall.
+	dirty   bool
 	scratch []byte          // frame-decode buffer (read loop)
 	encBuf  []byte          // frame-encode buffer (under wmu)
 	batch   []wire.Response // writer's take() swap buffer
@@ -310,6 +317,7 @@ var connPool = sync.Pool{New: func() any {
 // argument.
 func (cs *connState) recycle() {
 	cs.out.reset()
+	cs.dirty = false
 	for i := range cs.batch {
 		cs.batch[i] = wire.Response{} // don't pin response values across conns
 	}
@@ -319,11 +327,12 @@ func (cs *connState) recycle() {
 
 // handle runs one connection with exactly TWO goroutines regardless of
 // pipelining depth: this read loop, which decodes requests and submits them
-// through the executor's callback API (SubmitFunc — no Future, no bridge
+// through the executor's callback API (SubmitFuncOrRun — no Future, no bridge
 // goroutine per request), and a writer draining the connection's response
 // queue. Task completions run a small callback on the settling worker that
-// parks the response on the queue and returns. A lone request may instead
-// run on this read loop and be answered from it (serveReq).
+// parks the response on the queue and returns. A request whose owner is
+// parked runs on this read loop instead and is answered from it (serveReq);
+// the loop flushes those answers once no whole frame is left buffered.
 func (s *Server) handle(conn net.Conn) {
 	// The connection context cancels when the read loop exits (drop, EOF,
 	// protocol error) or the server closes: tasks this connection queued
@@ -385,6 +394,12 @@ func (s *Server) handle(conn net.Conn) {
 		if !s.serveReq(ctx, cancel, cs, admit, frame.Req) {
 			break
 		}
+		// Flush the burst's inline answers when the next read could block:
+		// a frame still buffered is served first, so a pipelined burst
+		// costs one write.
+		if cs.dirty && !wire.FrameBuffered(cs.br) {
+			s.flushInline(cs, cancel)
+		}
 	}
 	// Read side done: cancel queued work and retire the connection without
 	// waiting for stragglers — a wedged executor must not pin dead
@@ -414,18 +429,20 @@ func (s *Server) handle(conn net.Conn) {
 // and TCP backpressure reaches the client.
 const maxInflightPerConn = 1024
 
-// serveReq validates and submits one request, enqueueing the response (or
-// arranging the completion callback to). A lone request goes through
-// SubmitFuncOrRun: if it ran on this goroutine (its owner worker was parked),
-// the read loop writes the response itself and the next frame is read only
-// after that (DESIGN.md §5.2). It returns false only when the connection is
-// being torn down.
+// serveReq validates and submits one request through SubmitFuncOrRun,
+// enqueueing the response (or arranging the completion callback to). If the
+// task ran on this goroutine (its owner worker was parked), the read loop
+// writes the response into the connection's buffer itself and the next frame
+// is read only after that; handle's loop flushes (DESIGN.md §5.2). It returns
+// false only when the connection is being torn down.
 func (s *Server) serveReq(ctx context.Context, cancel context.CancelFunc, cs *connState, admit *tokenBucket, req wire.Request) bool {
 	out, inflight := cs.out, cs.inflight
-	// Lone: nothing of this connection's in flight and no next frame
-	// already read, so the client waits on this answer alone.
-	lone := len(inflight) == 0 && cs.br.Buffered() == 0
 	s.nReq.Add(1)
+	if len(inflight) == cap(inflight) {
+		// The acquire below will wait on the writer: first send what this
+		// loop answered. Only this loop acquires, so a free slot stays free.
+		s.flushInline(cs, cancel)
+	}
 	select {
 	case inflight <- struct{}{}:
 	case <-ctx.Done():
@@ -480,23 +497,16 @@ func (s *Server) serveReq(ctx context.Context, cancel context.CancelFunc, cs *co
 	}
 	// The wire deadline is RELATIVE to receipt; the executor sheds the task
 	// with ErrDeadlineExpired if it is still queued past it. Zero (no
-	// deadline on the wire) is SubmitFuncTimed's "no deadline" too.
-	budget := time.Duration(req.DeadlineNS)
-	var err error
-	if lone {
-		var res kstm.TaskResult
-		var ran bool
-		if res, ran, err = s.ex.SubmitFuncOrRun(ctx, task, budget, done); ran {
-			if !s.settledDead(ctx, res) {
-				s.writeInline(cs, cancel, s.taskResponse(id, res, res.Err))
-			}
-			// Released after the write: an empty semaphore still proves
-			// nobody can touch cs (handle's recycle argument).
-			<-inflight
-			return true
+	// deadline on the wire) means no deadline.
+	res, ran, err := s.ex.SubmitFuncOrRun(ctx, task, time.Duration(req.DeadlineNS), done)
+	if ran {
+		if !s.settledDead(ctx, res) {
+			s.writeInline(cs, cancel, s.taskResponse(id, res, res.Err))
 		}
-	} else {
-		err = s.ex.SubmitFuncTimed(ctx, task, budget, done)
+		// Released after the write: an empty semaphore still proves
+		// nobody can touch cs (handle's recycle argument).
+		<-inflight
+		return true
 	}
 	if err != nil {
 		out.push(s.submitError(id, err))
@@ -523,16 +533,31 @@ func (s *Server) settledDead(ctx context.Context, res kstm.TaskResult) bool {
 	return true
 }
 
-// writeInline writes and flushes one response from the read loop under the
-// connection's write mutex. A write error cancels the connection, as it does
-// in the writer.
+// writeInline writes one response from the read loop into the connection's
+// buffer under its write mutex, leaving the flush to flushInline. A write
+// error cancels the connection, as it does in the writer.
 func (s *Server) writeInline(cs *connState, cancel context.CancelFunc, resp wire.Response) {
 	cs.wmu.Lock()
 	var err error
 	if cs.encBuf, err = s.writeOne(cs.bw, cs.encBuf, resp); err == nil {
 		s.nInline.Add(1)
-		err = cs.bw.Flush()
 	}
+	cs.wmu.Unlock()
+	cs.dirty = true
+	if err != nil {
+		cancel()
+	}
+}
+
+// flushInline flushes the read loop's unflushed inline responses, if any.
+// A flush error cancels the connection.
+func (s *Server) flushInline(cs *connState, cancel context.CancelFunc) {
+	if !cs.dirty {
+		return
+	}
+	cs.dirty = false
+	cs.wmu.Lock()
+	err := cs.bw.Flush()
 	cs.wmu.Unlock()
 	if err != nil {
 		cancel()

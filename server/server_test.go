@@ -304,9 +304,9 @@ func (g *gateWorkload) Execute(th *stm.Thread, task kstm.Task) (any, error) {
 }
 
 // pinWorker occupies an executor's single worker with one gated task,
-// submitted in-process: a gated WIRE request would be a lone request on a
-// parked owner, run on its connection's reader, and nothing behind it on that
-// connection would be read. The wire requests a test sends afterwards thus
+// submitted in-process: a gated WIRE request would find its owner parked,
+// run on its connection's reader, and nothing behind it on that connection
+// would be read. The wire requests a test sends afterwards thus
 // take the queue path it is about. The returned future settles on release.
 func pinWorker(t *testing.T, ex *kstm.Executor, entered func() bool) *kstm.Future {
 	t.Helper()
@@ -355,9 +355,22 @@ func TestBusyResponse(t *testing.T) {
 		}
 		pending = append(pending, call)
 	}
-	// Wait for every response slot to resolve busy-or-queued: with depth 1
-	// and one gated worker at most 1 wire request can be in flight; the rest
-	// are busy.
+	// Release only once the server has read all 16 and the executor has
+	// queued or refused each: with depth 1 and the worker gated exactly one
+	// is queued and the other 15 are busy. Releasing earlier lets requests
+	// not yet read find room, or a parked owner, and complete.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := ex.Stats()
+		if srv.Stats().Requests == 16 && st.Submitted+st.Rejected == 17 { // + the pin
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server read %d of 16 requests; executor accepted %d and refused %d (with the pin)",
+				srv.Stats().Requests, st.Submitted, st.Rejected)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 	gate.release()
 	if _, err := pin.Wait(ctx); err != nil {
 		t.Fatalf("pinned task: %v", err)
@@ -372,11 +385,8 @@ func TestBusyResponse(t *testing.T) {
 			completed++
 		}
 	}
-	if busy == 0 {
-		t.Fatal("no ErrBusy out of 16 requests against a depth-1 queue")
-	}
-	if completed == 0 {
-		t.Fatal("queued work did not complete after release")
+	if busy != 15 || completed != 1 {
+		t.Fatalf("busy %d, completed %d of 16 requests against a depth-1 queue; want 15 and 1", busy, completed)
 	}
 	if ss := srv.Stats(); ss.Busy != uint64(busy) {
 		t.Errorf("server Busy = %d, client saw %d", ss.Busy, busy)
@@ -881,5 +891,104 @@ func TestLoneRequestRunsOnReader(t *testing.T) {
 	}
 	if st.Completed != n || ss.Responses != n {
 		t.Errorf("Completed/Responses = %d/%d, want %d each", st.Completed, ss.Responses, n)
+	}
+}
+
+// writeCounter counts the Write calls made on the server's side of a
+// connection: one per flushed burst.
+type writeCounter struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c writeCounter) Write(p []byte) (int, error) {
+	c.n.Add(1)
+	return c.Conn.Write(p)
+}
+
+// readResponse reads one frame from conn and requires it to be a response.
+func readResponse(t *testing.T, conn net.Conn, scratch *[]byte) wire.Response {
+	t.Helper()
+	f, err := wire.ReadFrame(conn, scratch)
+	if err != nil {
+		t.Fatalf("reading a response: %v", err)
+	}
+	if f.Type != wire.TypeResponse {
+		t.Fatalf("frame type %d, want TypeResponse", f.Type)
+	}
+	return f.Resp
+}
+
+// TestBurstRunsOnReaderWithOneWrite: 16 request frames arrive in one segment
+// at a server whose workers are parked. Each finds its owner parked, so the
+// reader runs all 16 itself, and it flushes their answers once, when no
+// whole frame is left in its buffer: one write to the socket.
+func TestBurstRunsOnReaderWithOneWrite(t *testing.T) {
+	var writes atomic.Int64
+	ex, srv, addr, shutdown := startServer(t, dictExecutorOpts(t),
+		server.WithConnWrapper(func(c net.Conn) net.Conn { return writeCounter{c, &writes} }))
+	defer shutdown()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Let both workers park.
+	time.Sleep(20 * time.Millisecond)
+	const n = 16
+	var burst []byte
+	for i := 0; i < n; i++ {
+		burst = wire.AppendRequest(burst, wire.Request{ID: uint64(i), Key: uint64(i * 4000), Op: uint8(kstm.OpInsert), Arg: uint32(i)})
+	}
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var scratch []byte
+	seen := make(map[uint64]bool)
+	for i := 0; i < n; i++ {
+		r := readResponse(t, conn, &scratch)
+		if r.Status != wire.StatusOK || r.Value != true || seen[r.ID] {
+			t.Fatalf("response %d: id %d status %d value %v; want a fresh id, OK, true", i, r.ID, r.Status, r.Value)
+		}
+		seen[r.ID] = true
+	}
+	st, ss := ex.Stats(), srv.Stats()
+	if st.Borrowed != n || ss.Inline != n {
+		t.Errorf("Borrowed/Inline = %d/%d, want %d each (every request ran on the reader)", st.Borrowed, ss.Inline, n)
+	}
+	if got := writes.Load(); got != 1 {
+		t.Errorf("server wrote the burst's answers in %d writes, want 1", got)
+	}
+}
+
+// TestFlushBeforePartialFrame: a whole frame followed by the first bytes of
+// the next arrive together. The reader must flush the first answer before it
+// blocks reading the rest of the second frame: the client waits for that
+// answer before it sends the rest.
+func TestFlushBeforePartialFrame(t *testing.T) {
+	_, _, addr, shutdown := startServer(t, dictExecutorOpts(t))
+	defer shutdown()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	first := wire.AppendRequest(nil, wire.Request{ID: 1, Key: 5, Op: uint8(kstm.OpInsert), Arg: 5})
+	second := wire.AppendRequest(nil, wire.Request{ID: 2, Key: 6, Op: uint8(kstm.OpInsert), Arg: 6})
+	if _, err := conn.Write(append(first, second[:10]...)); err != nil {
+		t.Fatal(err)
+	}
+	var scratch []byte
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if r := readResponse(t, conn, &scratch); r.ID != 1 || r.Status != wire.StatusOK {
+		t.Fatalf("first response: id %d status %d; want 1, OK", r.ID, r.Status)
+	}
+	if _, err := conn.Write(second[10:]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if r := readResponse(t, conn, &scratch); r.ID != 2 || r.Status != wire.StatusOK {
+		t.Fatalf("second response: id %d status %d; want 2, OK", r.ID, r.Status)
 	}
 }
