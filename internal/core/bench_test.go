@@ -58,7 +58,7 @@ func BenchmarkWakeLatency(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		for ex.parked.Load() == 0 {
+		for ex.wakes[0].idle.Load() != idleParked {
 			runtime.Gosched()
 		}
 		b.StartTimer()

@@ -157,14 +157,15 @@ func TestBorrowNoLostWake(t *testing.T) {
 }
 
 // TestBorrowThreadExclusive: no two goroutines ever execute with the worker's
-// stm.Thread at once. A worker that leaves its park while borrowed — here
-// through a stale wake token, which an aborted park can leave behind — must
-// wait out the borrower before running anything; without reclaim's wait it
-// runs the queued task beside the borrowed one. Then the same check under
-// borrowers, queued traffic and park/unpark churn.
+// stm.Thread at once. A worker woken while borrowed with work queued — here
+// by a notify of its work event, as an enqueuer that read the idle word just
+// before the borrow or a lifecycle broadcast delivers one — must wait out the
+// borrower before running anything; if its park does not wait for the hand-
+// back it runs the queued task beside the borrowed one. Then the same check
+// under borrowers, queued traffic and park/unpark churn.
 func TestBorrowThreadExclusive(t *testing.T) {
 	ctx := context.Background()
-	t.Run("stale token", func(t *testing.T) {
+	t.Run("wake while borrowed", func(t *testing.T) {
 		g := &threadGuard{gate: newEntryGate()}
 		ex := startExecutor(t, WithWorkload(g), WithWorkers(1), WithSchedulerKind(SchedFixed, 0, 65535))
 		waitParked(t, ex, 1)
@@ -174,15 +175,11 @@ func TestBorrowThreadExclusive(t *testing.T) {
 			borrowed <- ran && err == nil
 		}()
 		<-g.gate.entered
-		select {
-		case ex.wakes[0].token <- struct{}{}:
-		default:
-			t.Fatal("wake token already pending")
-		}
 		queued, err := ex.SubmitAsync(ctx, Task{Key: 2, Op: OpLookup, Arg: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
+		ex.wakes[0].work.notify()
 		time.Sleep(20 * time.Millisecond)
 		if _, ok := queued.Poll(); ok {
 			t.Error("a queued task ran while its worker was borrowed")

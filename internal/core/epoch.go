@@ -101,6 +101,14 @@ func (h *holdQueue) take(final bool) []envelope {
 	return held
 }
 
+// full reports whether park would refuse an envelope at bound: the
+// re-check of a submitter waiting for room.
+func (h *holdQueue) full(bound int) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return !h.closed && len(h.held) >= bound
+}
+
 func (h *holdQueue) empty() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -109,14 +117,17 @@ func (h *holdQueue) empty() bool {
 
 // divert asks the configured subsystem whether env may go to the worker the
 // scheduler picked: a migration fence parks tasks of moved ranges, the split
-// table scatters a split key's commutative ops and parks the rest. Called
-// under the read gate, after the pick (see dispatch).
-func (e *Executor) divert(env *envelope, w int) (int, parkResult) {
+// table scatters a split key's commutative ops and parks the rest. It
+// returns the hold queue it offered env to, if any. Called under the read
+// gate, after the pick (see dispatch).
+func (e *Executor) divert(env *envelope, w int) (int, *holdQueue, parkResult) {
 	if m := e.migr; m != nil {
 		if f := m.fence.Load(); f != nil {
-			return w, f.park(*env, e.cfg.maxDepth)
+			if h := f.hold(env.task.Key); h != nil {
+				return w, h, h.park(*env, e.cfg.maxDepth)
+			}
 		}
-		return w, parkMiss
+		return w, nil, parkMiss
 	}
 	return e.split.divert(env, w)
 }
@@ -154,11 +165,11 @@ func (ep *epoch) quiesce() {
 
 // put enqueues an envelope that must not be refused — a drain barrier or a
 // released held task — on worker w's queue. The caller holds the write gate,
-// so while the queue is full only its owner changes it: put wakes the owner
-// and waits for a dequeue's space signal, then retries. If the executor
-// stops first, the owner may never dequeue again, so put settles the envelope
-// the way halt's sweep would: it runs a barrier and abandons a task with
-// ErrStopped.
+// so while the queue is full only its owner changes it: put waits on the
+// owner's space event, which every dequeue notifies, then retries. If the
+// executor stops first, the owner may never dequeue again, so put settles
+// the envelope the way halt's sweep would: it runs a barrier and abandons a
+// task with ErrStopped.
 func (ep *epoch) put(w int, env envelope) {
 	e := ep.e
 	for !e.queues[w].TryPut(env) {
@@ -170,8 +181,7 @@ func (ep *epoch) put(w int, env envelope) {
 			}
 			return
 		}
-		e.wakeWorker(w)
-		e.waitSpace(w, nil)
+		e.wakes[w].space.await(func() bool { return !e.queues[w].Full() || e.stopping() })
 	}
 	e.wakeWorker(w)
 }
@@ -229,6 +239,8 @@ func (ep *epoch) run(capture func() [][]envelope, drainSet []int, handoff func()
 	}
 	done := ep.drain(drainSet)
 	ep.gate.Unlock()
+	// The capture emptied hold queues: submitters waiting for room re-check.
+	ep.e.changed.notify()
 	select {
 	case <-done:
 	case <-ep.e.stopped:
@@ -249,6 +261,7 @@ func (ep *epoch) run(capture func() [][]envelope, drainSet []int, handoff func()
 	ep.gate.Lock()
 	release(captured)
 	ep.gate.Unlock()
+	ep.e.changed.notify()
 	return true
 }
 

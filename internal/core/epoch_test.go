@@ -570,7 +570,7 @@ func TestMigrationFullRing(t *testing.T) {
 			if ex.migr.fence.Load() == nil {
 				t.Fatal("the threshold-th sample installed no fence")
 			}
-			waitFor(t, "barrier waiting on worker 0's full ring", func() bool { return ex.wakes[0].spaceWaiters.Load() == 1 })
+			waitFor(t, "barrier waiting on worker 0's full ring", func() bool { return waiters(&ex.wakes[0].space) == 1 })
 
 			stop := func() <-chan struct{} {
 				stopped := make(chan struct{})
@@ -616,7 +616,7 @@ func TestMigrationFullRing(t *testing.T) {
 					}
 				}
 				openExtract()
-				waitFor(t, "release waiting on worker 1's full ring", func() bool { return ex.wakes[1].spaceWaiters.Load() == 1 })
+				waitFor(t, "release waiting on worker 1's full ring", func() bool { return waiters(&ex.wakes[1].space) == 1 })
 				if stopAt == "release" {
 					stop()
 				} else {

@@ -237,13 +237,11 @@ type Executor struct {
 	shutdown chan struct{} // closed once on halt, releases the context watcher
 	haltOnce sync.Once
 
-	// wakes holds the per-worker park/wake state (wake.go); parked counts
-	// workers currently marked idleParked, gating the enqueue-side wake to
-	// one atomic load when the executor is busy; drainWake carries the
-	// in-flight-reached-zero event to a blocked Drain.
-	wakes     []workerWake
-	parked    atomic.Int32
-	drainWake chan struct{}
+	// wakes holds the per-worker idle word and work and space events
+	// (wake.go); changed is the executor-level event Drain, halt's sweep
+	// and hold-queue-full submitters wait on.
+	wakes   []workerWake
+	changed eventCount
 
 	startMu   sync.Mutex // guards started/stoppedAt/shard baselines against concurrent Stats
 	started   time.Time
@@ -462,11 +460,11 @@ func NewExecutor(opts ...Option) (*Executor, error) {
 		wstats:   make([]workerCounters, cfg.workers),
 		waitHist: make([]*latency.Histogram, cfg.workers),
 		execHist: make([]*latency.Histogram, cfg.workers),
+		wakes:    make([]workerWake, cfg.workers),
 		stopped:  make(chan struct{}),
 		shutdown: make(chan struct{}),
 		base:     time.Now(),
 	}
-	e.initWakes(cfg.workers)
 	switch {
 	case migr != nil:
 		e.epoch = &migr.epoch
@@ -769,12 +767,12 @@ func (e *Executor) SubmitAll(ctx context.Context, tasks []Task) ([]*Future, erro
 // reads the new partition — routing a moved-range task to a new owner whose
 // state has not arrived, behind no drain barrier. And a full hold queue falls
 // through to backpressure but NEVER to a worker queue: the state the task
-// needs is in transit.
+// needs is in transit. A blocked submitter waits in waitRoom for the event
+// that can make room: the owner's dequeue, or the epoch's capture or release.
 //
 //kstmvet:hotpath
 func (e *Executor) dispatch(env envelope, ctx context.Context) error {
 	ep := e.epoch
-	var b backoff
 	for attempt := 0; ; attempt++ {
 		if ep != nil {
 			ep.gate.RLock()
@@ -788,9 +786,9 @@ func (e *Executor) dispatch(env envelope, ctx context.Context) error {
 		} else {
 			w = e.repick(env.task.Key)
 		}
-		res := parkMiss
+		res, h := parkMiss, (*holdQueue)(nil)
 		if ep != nil {
-			w, res = e.divert(&env, w)
+			w, h, res = e.divert(&env, w)
 		}
 		room := res == parkMiss && e.queues[w].TryPut(env)
 		if ep != nil {
@@ -803,6 +801,8 @@ func (e *Executor) dispatch(env envelope, ctx context.Context) error {
 			return nil
 		case res == parkHeld:
 			e.submitted.Add(1)
+			// Past Stop, halt's sweep takes it; tell the sweep.
+			e.changed.notify()
 			return nil
 		case e.cfg.backpressure == BackpressureReject:
 			e.decInflight(1)
@@ -818,40 +818,11 @@ func (e *Executor) dispatch(env envelope, ctx context.Context) error {
 			return ctx.Err()
 		default:
 		}
-		if res == parkFull {
-			// Space on a hold queue comes from an epoch's release or capture,
-			// not a worker dequeue — the space event cannot see it, so this
-			// (rare, mid-epoch) wait keeps the timed backoff.
-			b.wait()
-		} else {
-			e.waitSpace(w, ctx)
+		if res == parkMiss {
+			h = nil // a closed hold queue let it through to a full worker queue
 		}
+		e.waitRoom(w, h, ctx)
 	}
-}
-
-// backoff yields for the first spins and then parks in short sleeps. Since
-// event-driven dispatch (wake.go) it survives only on waits with no event
-// source to block on: halt's final sweep (post-stop straggler Puts cannot
-// wake dead workers, so the sweep must poll) and the fenced/hold-queue-full
-// backpressure case, where space comes from an epoch's release rather than a
-// worker dequeue.
-type backoff int
-
-// backoffSpins is how many Gosched-only iterations precede sleeping; short
-// waits stay latency-optimal, long waits cost at most one core wakeup per
-// backoffPark.
-const (
-	backoffSpins = 64
-	backoffPark  = 100 * time.Microsecond
-)
-
-func (b *backoff) wait() {
-	if *b < backoffSpins {
-		*b++
-		runtime.Gosched()
-		return
-	}
-	time.Sleep(backoffPark)
 }
 
 // inject is the closed-world path used by the legacy Pool's producers:
@@ -929,7 +900,7 @@ func (e *Executor) worker(i int) {
 		if e.state.Load() == stateStopped {
 			return
 		}
-		env, ok := e.queues[i].Get()
+		env, ok := e.dequeue(i)
 		if !ok {
 			switch e.state.Load() {
 			case stateStopped:
@@ -937,55 +908,36 @@ func (e *Executor) worker(i int) {
 			case stateDraining:
 				// Drain: other queues (or blocked submitters) may still
 				// produce work for this one; exit only when every accepted
-				// task has finished. Parking is event-driven — the last
-				// finisher's decInflight broadcasts, and any enqueue (a
-				// split release, a migration unpark, a submitter clearing
-				// backpressure) wakes the owner directly.
+				// task has finished. The last finisher's decInflight
+				// broadcasts, and any enqueue (a split release, a migration
+				// unpark, a submitter clearing backpressure) notifies the
+				// owner directly.
 				if e.inflight.Load() == 0 {
 					return
 				}
-				env, ok = e.parkWorker(i)
 			default:
 				// Empty poll: yield through a short spin window (cheap gaps
-				// in a steady stream stay futex-free), then park on the wake
-				// token — a fully idle executor blocks instead of waking
-				// every backoffPark per worker.
+				// in a steady stream stay futex-free), then park on the work
+				// event — an idle worker blocks until an enqueue notifies it.
 				wc.empty.Add(1)
 				if spins < parkSpins {
 					spins++
 					runtime.Gosched()
 					continue
 				}
-				env, ok = e.parkWorker(i)
 			}
-			if !ok {
-				continue
-			}
+			e.parkWorker(i)
+			continue
 		}
 		spins = 0
-		e.signalSpace(i)
 		if env.barrier != nil {
 			// Migration drain point: everything enqueued before it has
 			// executed; tell the migrator and move on.
 			env.barrier()
 			continue
 		}
-		// Drain a batch. A barrier ends it — it must observe every earlier
-		// task executed, and reordering across it would let a pre-fence task
-		// run after the migrator starts extracting its range's state.
 		var barrier func()
-		batch = append(batch[:0], env)
-		for len(batch) < capN {
-			more, ok := e.queues[i].Get()
-			if !ok {
-				break
-			}
-			if more.barrier != nil {
-				barrier = more.barrier
-				break
-			}
-			batch = append(batch, more)
-		}
+		batch, barrier = e.fill(i, append(batch[:0], env), capN)
 		if e.cfg.sortBatch > 1 && len(batch) > 1 {
 			slices.SortFunc(batch, func(a, b envelope) int { return cmp.Compare(a.task.Key, b.task.Key) })
 		}
@@ -997,6 +949,27 @@ func (e *Executor) worker(i int) {
 		// the next poll parks so a long-idle worker pins none of them.
 		clear(batch)
 	}
+}
+
+// fill is the worker's batch loop: it dequeues from worker i's queue into
+// batch until capN envelopes or the queue runs dry. A barrier ends the batch
+// and comes back apart — it must observe every earlier task executed, and
+// reordering across it would let a pre-fence task run after the migrator
+// starts extracting its range's state.
+//
+//kstmvet:hotpath
+func (e *Executor) fill(i int, batch []envelope, capN int) ([]envelope, func()) {
+	for len(batch) < capN {
+		env, ok := e.dequeue(i)
+		if !ok {
+			break
+		}
+		if env.barrier != nil {
+			return batch, env.barrier
+		}
+		batch = append(batch, env)
+	}
+	return batch, nil
 }
 
 // execBatch runs one drained batch, re-checking the stop state before every
@@ -1194,6 +1167,7 @@ func (e *Executor) markStopped() {
 		e.startMu.Unlock()
 		e.state.Store(stateStopped)
 		close(e.stopped)
+		e.broadcast()
 	})
 }
 
@@ -1217,18 +1191,12 @@ func (e *Executor) Drain() error {
 		return ErrNotRunning
 	}
 	// Broadcast the state change: workers parked under stateRunning must
-	// re-check it (a fully idle executor drains by exiting, not by waiting
-	// out a sleep quantum).
-	e.wakeAll()
-	// Event-driven drain barrier: the decrement that takes in-flight to zero
-	// (decInflight) signals drainWake; the loop re-checks because a failing
-	// post-drain submission can bounce the count through zero more than once.
-	for e.inflight.Load() > 0 && e.state.Load() == stateDraining {
-		select {
-		case <-e.drainWake:
-		case <-e.stopped:
-		}
-	}
+	// re-check it (a fully idle executor drains by exiting).
+	e.broadcast()
+	// The decrement that takes in-flight to zero (decInflight) broadcasts;
+	// await re-checks because a failing post-drain submission can bounce the
+	// count through zero more than once.
+	e.changed.await(func() bool { return e.inflight.Load() == 0 || e.state.Load() != stateDraining })
 	e.halt()
 	return e.Err()
 }
@@ -1258,43 +1226,42 @@ func (e *Executor) halt() {
 			<-e.split.done
 			e.split.flushFinal()
 		}
-		var b backoff
-		for {
-			drained := false
-			for i := range e.queues {
-				for {
-					env, ok := e.queues[i].Get()
-					if !ok {
-						break
-					}
-					drained = true
-					if env.barrier != nil {
-						// Unexecuted migration barrier: signal it so the
-						// migrator unblocks (it observes the stopped state
-						// and aborts); barriers carry no task accounting.
-						env.barrier()
-						continue
-					}
-					e.abandon(i, env, ErrStopped)
-				}
-			}
-			// Tasks parked on a hold queue are in flight too.
-			if e.epoch != nil {
-				for _, env := range e.takeHeld() {
-					drained = true
-					e.abandon(0, env, ErrStopped)
-				}
-			}
-			if e.inflight.Load() == 0 {
-				return
-			}
-			if !drained {
-				// Remaining in-flight entries are blocked submitters
-				// that will observe the stopped state and give up.
-				b.wait()
-			}
-		}
+		// Sweep until nothing is in flight. What is left after a sweep is a
+		// blocked submitter, which gives up on the stopped state and
+		// decrements, or a straggler still routing, which lands in a queue
+		// or hold queue and notifies changed: either wakes the re-check.
+		e.changed.await(func() bool {
+			e.sweep()
+			return e.inflight.Load() == 0
+		})
 	})
+}
+
+// sweep abandons every envelope left in a worker queue or a hold queue
+// (halt path, after the workers have exited).
+func (e *Executor) sweep() {
+	for i := range e.queues {
+		for {
+			env, ok := e.queues[i].Get()
+			if !ok {
+				break
+			}
+			if env.barrier != nil {
+				// Unexecuted migration barrier: signal it so the migrator
+				// unblocks (it observes the stopped state and aborts);
+				// barriers carry no task accounting.
+				env.barrier()
+				continue
+			}
+			e.abandon(i, env, ErrStopped)
+		}
+	}
+	// Tasks parked on a hold queue are in flight too.
+	if e.epoch != nil {
+		for _, env := range e.takeHeld() {
+			e.abandon(0, env, ErrStopped)
+		}
+	}
 }
 
 // ShardStats reports one state partition's share of a run: which workers

@@ -477,21 +477,18 @@ func TestBackpressureBlockWaitsForSpace(t *testing.T) {
 }
 
 func TestBackpressureBlockHonorsContext(t *testing.T) {
-	gate := newGateWorkload()
-	ex, err := NewExecutor(WithWorkload(gate), WithWorkers(1), WithQueueDepth(1))
-	if err != nil {
+	gate := newEntryGate()
+	ex := startExecutor(t, WithWorkload(&heldWorkload{gate: gate}), WithWorkers(1), WithQueueDepth(1))
+	// The cleanup Stop joins the worker, so the gate must open first.
+	defer close(gate.open)
+	// Pin the worker inside the first task before filling the queue: a
+	// worker still draining its batch would take the second task too.
+	if _, err := ex.SubmitAsync(context.Background(), Task{Key: 1, Op: OpNoop}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ex.Start(context.Background()); err != nil {
+	<-gate.entered
+	if _, err := ex.SubmitAsync(context.Background(), Task{Key: 1, Op: OpNoop}); err != nil {
 		t.Fatal(err)
-	}
-	// Stop joins workers, so the gate must open before it runs (LIFO).
-	defer ex.Stop()
-	defer gate.release()
-	for i := 0; i < 2; i++ {
-		if _, err := ex.SubmitAsync(context.Background(), Task{Key: 1}); err != nil {
-			t.Fatal(err)
-		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
@@ -608,7 +605,7 @@ func TestDispatchSamplesEachKeyOnce(t *testing.T) {
 	// One submitter holds the queue's only slot; every other one waits for
 	// space before the worker moves at all.
 	waitFor("the submitters to block", func() bool {
-		return ex.wakes[0].spaceWaiters.Load() >= 3*perPath-1
+		return waiters(&ex.wakes[0].space) >= 3*perPath-1
 	})
 	release()
 	subs.Wait()
@@ -625,7 +622,7 @@ func TestDispatchSamplesEachKeyOnce(t *testing.T) {
 		t.Fatal("no SubmitFuncOrRun call was declined: the queued path was not exercised")
 	}
 
-	waitFor("the worker to park", func() bool { return ex.parked.Load() == 1 })
+	waitFor("the worker to park", func() bool { return parkedWorkers(ex) == 1 })
 	ran := 0
 	for i := 0; i < borrows; i++ {
 		settled.Add(1)

@@ -162,14 +162,13 @@ func (f *fence) rangeOf(key uint64) int {
 	return -1
 }
 
-// park holds env if its key is in a moved range (and the fence is not yet
-// released); bound caps each range's hold queue.
-func (f *fence) park(env envelope, bound int) parkResult {
-	i := f.rangeOf(env.task.Key)
+// hold returns the hold queue of the moved range containing key, or nil.
+func (f *fence) hold(key uint64) *holdQueue {
+	i := f.rangeOf(key)
 	if i < 0 {
-		return parkMiss
+		return nil
 	}
-	return f.held[i].park(env, bound)
+	return &f.held[i]
 }
 
 // migrator owns the executor's epoch-fenced shard-state hand-off. It is
@@ -235,9 +234,15 @@ func (m *migrator) migrate(f *fence, start time.Time) {
 		oldOwners[i] = g.from
 	}
 	var moved uint64
-	ok := m.run(nil, oldOwners,
+	m.run(nil, oldOwners,
 		func() { moved = m.handoff(groups) },
 		func([][]envelope) {
+			// Publish the epoch's counters before any held task can run, so
+			// a caller that waited for one (or whose Drain returned) sees
+			// them. run reaches this step only when no stop cut it short.
+			m.keysMoved.Add(moved)
+			m.pauseNs.Add(uint64(time.Since(start)))
+			m.epochs.Add(1)
 			// Unpark: every hold queue goes to its range's new owner, then
 			// the fence clears — the new epoch is live.
 			for i := range f.held {
@@ -245,12 +250,6 @@ func (m *migrator) migrate(f *fence, start time.Time) {
 			}
 			m.fence.Store(nil)
 		})
-	if !ok {
-		return
-	}
-	m.keysMoved.Add(moved)
-	m.pauseNs.Add(uint64(time.Since(start)))
-	m.epochs.Add(1)
 }
 
 // handoff extracts each moved range from its old shard and installs it into

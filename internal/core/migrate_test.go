@@ -289,6 +289,37 @@ func TestMigrationFencesOnlyMovedRanges(t *testing.T) {
 	}
 }
 
+// TestMigrationCountersBeforeRelease: an epoch publishes its counters before
+// it releases its held tasks, so once a held task has run — here, once Drain
+// has returned — MigrationStats shows the epoch, with no wait. The lookup is
+// held whenever the fence is still up, and a fence already down means the
+// release, and the counters before it, happened.
+func TestMigrationCountersBeforeRelease(t *testing.T) {
+	const probe = 20000
+	ex := newMigrationRepro(t, MigrateOnRepartition, &mapFactory{})
+	ctx := context.Background()
+	if err := ex.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Stop()
+	if _, err := ex.Submit(ctx, Task{Key: probe, Op: OpInsert, Arg: probe}); err != nil {
+		t.Fatal(err)
+	}
+	forceRepartition(t, ctx, ex, 1)
+	if ex.Scheduler().(*Adaptive).Epochs() != 1 {
+		t.Fatal("the threshold-th sample did not re-partition")
+	}
+	if _, err := ex.SubmitAsync(ctx, Task{Key: probe, Op: OpLookup, Arg: probe}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if st := ex.MigrationStats(); st.Epochs < 1 || st.KeysMoved < 1 {
+		t.Fatalf("MigrationStats after Drain = %+v, want >= 1 epoch and >= 1 key moved", st)
+	}
+}
+
 // TestMigrationStopMidHandoff stops the executor while a migration is held
 // open: parked tasks must settle with ErrStopped and nothing may hang.
 func TestMigrationStopMidHandoff(t *testing.T) {
@@ -531,11 +562,11 @@ func TestFenceClampsOutOfRangeKeys(t *testing.T) {
 		max:    65535,
 		held:   make([]holdQueue, 1),
 	}
-	if got := f.park(envelope{task: Task{Key: 1 << 20}}, 0); got != parkHeld {
-		t.Errorf("key above scheduler max: park = %v, want parkHeld (clamps onto the moved top range)", got)
+	if f.hold(1<<20) != &f.held[0] {
+		t.Error("key above scheduler max: no hold queue, want the moved top range's (clamps onto it)")
 	}
-	if got := f.park(envelope{task: Task{Key: 10}}, 0); got != parkMiss {
-		t.Errorf("unmoved in-range key parked: %v", got)
+	if h := f.hold(10); h != nil {
+		t.Errorf("unmoved in-range key held by %p", h)
 	}
 	g := &fence{
 		ranges: []movedRange{{lo: 100, hi: 5000, from: 1, to: 0}},
@@ -543,8 +574,8 @@ func TestFenceClampsOutOfRangeKeys(t *testing.T) {
 		max:    65535,
 		held:   make([]holdQueue, 1),
 	}
-	if got := g.park(envelope{task: Task{Key: 5}}, 0); got != parkHeld {
-		t.Errorf("key below scheduler min: park = %v, want parkHeld (clamps onto the moved bottom range)", got)
+	if g.hold(5) != &g.held[0] {
+		t.Error("key below scheduler min: no hold queue, want the moved bottom range's (clamps onto it)")
 	}
 }
 

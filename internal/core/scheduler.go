@@ -218,9 +218,9 @@ func (a *Adaptive) maybeAdapt() {
 
 // Repick returns the worker for key on the current partition WITHOUT
 // sampling the key into the histogram. Dispatch retry loops (backpressure
-// waits) use it so a submitter blocked for many backoff ticks contributes
-// one sample per task, not one per tick — otherwise a saturated queue's
-// keys would dominate the learned distribution.
+// waits) use it so a submitter that retries many times contributes one
+// sample per task, not one per retry — otherwise a saturated queue's keys
+// would dominate the learned distribution.
 func (a *Adaptive) Repick(key uint64) int { return a.current.Load().Pick(key) }
 
 // Name implements Scheduler.

@@ -418,20 +418,20 @@ func (s *splitRunner) route(worker int, t Task) (splitAction, *splitKey, splitph
 // queues (each worker absorbs them into its own accumulator slot);
 // everything else on a split key parks on the key's hold queue and nudges
 // the coordinator. Keys not in the table go where the scheduler picked.
-func (s *splitRunner) divert(env *envelope, w int) (int, parkResult) {
+func (s *splitRunner) divert(env *envelope, w int) (int, *holdQueue, parkResult) {
 	sk := s.lookup(env.task.Key)
 	if sk == nil {
-		return w, parkMiss
+		return w, nil, parkMiss
 	}
 	if !sk.demoting.Load() && s.kinds[env.task.Op] != splitphase.KindNone {
-		return int(sk.rr.Add(1)) % len(s.e.queues), parkMiss
+		return int(sk.rr.Add(1)) % len(s.e.queues), nil, parkMiss
 	}
 	res := sk.hold.park(*env, s.e.cfg.maxDepth)
 	if res == parkHeld {
 		s.parkedTasks.Add(1)
 		s.requestMerge()
 	}
-	return w, res
+	return w, &sk.hold, res
 }
 
 // splitIdleTicks is how many consecutive quiescent epochs the coordinator

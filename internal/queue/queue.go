@@ -20,17 +20,17 @@
 // Every kind is wake-free: the executor's event-driven dispatch
 // (core/wake.go, DESIGN.md §5.4) keeps its park/wake hooks on the EXECUTOR
 // side of every put, not inside the queue. What the executor relies on is the
-// queue half of the wake handshake's Dekker argument. The worker stores its
-// idle word (parked) and then polls its ring; a producer publishes its value
-// and then loads the idle word. The ring's Get reads the head slot's
-// sequence, and TryPut's publish is a store to that sequence, so with Go's
-// sequentially consistent atomics one of two things holds: the worker's poll
-// sees the published value, or the producer's load sees the parked word and
-// wakes the worker. A slot claimed but not yet published makes Get report
-// empty even when later slots are published; the worker then parks, and the
-// claimant's own idle-word load, which follows its publish, wakes it. The
-// later publishers need not: the worker reaches their values only through the
-// claimant's slot.
+// queue half of the wake handshake's Dekker argument. The worker registers as
+// a waiter on its work event and then asks its ring whether a value is ready;
+// a producer publishes its value and then loads the event's waiter count.
+// Ready, like Get, reads the head slot's sequence, and TryPut's publish is a
+// store to that sequence, so with Go's sequentially consistent atomics one of
+// two things holds: the worker's check sees the published value, or the
+// producer's load sees the waiter and wakes the worker. A slot claimed but not
+// yet published makes the ring report nothing ready even when later slots are
+// published; the worker then sleeps, and the claimant's own notify, which
+// follows its publish, wakes it. The later publishers need not: the worker
+// reaches their values only through the claimant's slot.
 package queue
 
 import (

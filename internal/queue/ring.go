@@ -119,6 +119,15 @@ func (r *Ring[T]) Get() (v T, ok bool) {
 	return v, true
 }
 
+// Ready reports whether the oldest ticket is published, so that the
+// consumer's next Get returns a value. Like Get, it reads the head slot's
+// sequence, which TryPut's publish stores.
+func (r *Ring[T]) Ready() bool {
+	p := r.head.Load()
+	s, i := r.slot(p)
+	return s.seq.Load()+2*i == 2*p+1
+}
+
 // Len returns the number of claimed tickets not yet taken, within [0, n]:
 // tail − head, counting claimed-but-unpublished values.
 func (r *Ring[T]) Len() int {

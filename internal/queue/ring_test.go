@@ -97,10 +97,14 @@ func TestRingZeroSlotsReadEmpty(t *testing.T) {
 }
 
 // TestRingUnpublishedSlotBlocksGet claims a ticket by hand without
-// publishing it: Get must report empty — even with a later ticket already
-// published — and deliver both, in ticket order, once the claimant publishes.
+// publishing it: Get (and Ready) must report empty — even with a later
+// ticket already published — and deliver both, in ticket order, once the
+// claimant publishes.
 func TestRingUnpublishedSlotBlocksGet(t *testing.T) {
 	r := NewRing[int](4)
+	if r.Ready() {
+		t.Fatal("Ready on a fresh ring")
+	}
 	// Claim ticket 0 the way TryPut does, stopping before the write.
 	p := r.tail.Load()
 	if !r.tail.CompareAndSwap(p, p+1) {
@@ -109,8 +113,8 @@ func TestRingUnpublishedSlotBlocksGet(t *testing.T) {
 	if !r.TryPut(2) { // ticket 1, published
 		t.Fatal("TryPut refused")
 	}
-	if v, ok := r.Get(); ok {
-		t.Fatalf("Get past an unpublished head = (%d,true), want empty", v)
+	if v, ok := r.Get(); ok || r.Ready() {
+		t.Fatalf("Get past an unpublished head = (%d,%v), Ready = %v; want empty, false", v, ok, r.Ready())
 	}
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 (claimed tickets count)", r.Len())
@@ -119,9 +123,15 @@ func TestRingUnpublishedSlotBlocksGet(t *testing.T) {
 	s.val = 1
 	s.seq.Store(2*p + 1 - 2*i) // publish
 	for want := 1; want <= 2; want++ {
+		if !r.Ready() {
+			t.Fatalf("Ready = false with value %d published at the head", want)
+		}
 		if v, ok := r.Get(); !ok || v != want {
 			t.Fatalf("Get = (%d,%v), want %d", v, ok, want)
 		}
+	}
+	if r.Ready() {
+		t.Fatal("Ready on a drained ring")
 	}
 }
 
