@@ -80,7 +80,6 @@ func pollThenWait(f *core.Future) {
 	if _, ok := f.Poll(); ok {
 		return
 	}
-	<-f.Done()
 	_, _ = f.Wait(nil)
 }
 

@@ -46,6 +46,12 @@ type epoch struct {
 	// hand-offs). Coordinator-only: epochs of one executor never overlap.
 	threads map[int]*stm.Thread
 	lastErr atomic.Pointer[error]
+	// ev is the coordinator's event (DESIGN.md §5.4); only the coordinator
+	// waits on it. The last drain barrier notifies it, and so do the stop
+	// broadcast and, under split phase, parks and the epoch timer.
+	ev eventCount
+	// barriers counts the current epoch's drain barriers not yet run.
+	barriers atomic.Int32
 }
 
 // parkResult is the outcome of offering an envelope to a hold queue.
@@ -71,21 +77,22 @@ type holdQueue struct {
 	closed bool // set by a final take; parking then declines
 }
 
-// park holds env unless the queue is closed. bound caps the queue (0 =
+// park holds env unless the queue is closed, and reports whether env is the
+// first of its generation (the queue was empty). bound caps the queue (0 =
 // unbounded), mirroring the per-worker queue depth so a held range or key
 // sheds or blocks exactly like a full worker queue instead of absorbing
 // unbounded load mid-epoch.
-func (h *holdQueue) park(env envelope, bound int) parkResult {
+func (h *holdQueue) park(env envelope, bound int) (parkResult, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		return parkMiss
+		return parkMiss, false
 	}
 	if bound > 0 && len(h.held) >= bound {
-		return parkFull
+		return parkFull, false
 	}
 	h.held = append(h.held, env)
-	return parkHeld
+	return parkHeld, len(h.held) == 1
 }
 
 // take removes and returns the held envelopes. A final take also closes the
@@ -124,7 +131,8 @@ func (e *Executor) divert(env *envelope, w int) (int, *holdQueue, parkResult) {
 	if m := e.migr; m != nil {
 		if f := m.fence.Load(); f != nil {
 			if h := f.hold(env.task.Key); h != nil {
-				return w, h, h.park(*env, e.cfg.maxDepth)
+				res, _ := h.park(*env, e.cfg.maxDepth)
+				return w, h, res
 			}
 		}
 		return w, nil, parkMiss
@@ -187,22 +195,24 @@ func (ep *epoch) put(w int, env envelope) {
 }
 
 // drain enqueues one barrier envelope per listed worker queue; the caller
-// holds the write gate. The returned channel closes once every barrier has
-// run: the queues are FIFO, so by then every task enqueued before them has
-// executed.
-func (ep *epoch) drain(workers []int) <-chan struct{} {
-	var left atomic.Int32
-	left.Store(int32(len(workers)))
-	done := make(chan struct{})
-	barrier := func() {
-		if left.Add(-1) == 0 {
-			close(done)
-		}
-	}
+// holds the write gate. The last barrier to run notifies the epoch's event:
+// the queues are FIFO, so by then every task enqueued before them has
+// executed. Epochs of one executor never overlap, so one countdown serves
+// them all.
+func (ep *epoch) drain(workers []int) {
+	ep.barriers.Store(int32(len(workers)))
+	arrive := ep.arrive
 	for _, w := range workers {
-		ep.put(w, envelope{barrier: barrier})
+		ep.put(w, envelope{barrier: arrive})
 	}
-	return done
+}
+
+// arrive is a drain barrier's hook, run by its worker (or by halt's sweep,
+// or put on a stopped executor).
+func (ep *epoch) arrive() {
+	if ep.barriers.Add(-1) == 0 {
+		ep.ev.notify()
+	}
 }
 
 // release hands held envelopes to owner's queue in park order. The caller
@@ -237,18 +247,14 @@ func (ep *epoch) run(capture func() [][]envelope, drainSet []int, handoff func()
 	if capture != nil {
 		captured = capture()
 	}
-	done := ep.drain(drainSet)
+	ep.drain(drainSet)
 	ep.gate.Unlock()
 	// The capture emptied hold queues: submitters waiting for room re-check.
 	ep.e.changed.notify()
-	select {
-	case <-done:
-	case <-ep.e.stopped:
-	}
-	// Deterministic stop check: halt's queue sweep (and put, on a full queue)
-	// signals unexecuted barriers too, so when both channels are ready the
-	// select may have taken the barrier branch — a stopped executor must not
-	// run a hand-off (and mutate Stats) after Stop/Drain has returned.
+	ep.ev.await(func() bool { return ep.barriers.Load() == 0 || ep.e.stopping() })
+	// halt's sweep (and put, on a full queue) runs unexecuted barriers too,
+	// so the countdown can finish on a stopped executor, which must not run
+	// a hand-off (and mutate Stats) after Stop/Drain has returned.
 	if ep.e.stopping() {
 		ep.abandon(captured)
 		return false

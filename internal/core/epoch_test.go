@@ -171,6 +171,10 @@ func newMigrationRig(t *testing.T, stage string, opts ...Option) *holdRig {
 		<-factory.execGate.entered
 	} else {
 		forceRepartition(t, ctx, ex, 1)
+		// A Submit returns once its task settles, a moment before the worker
+		// retires it from the in-flight count: let the last one retire, so
+		// the rows' InFlight checks count only what they submit.
+		waitFor(t, "setup tasks retired", func() bool { return ex.Stats().InFlight == 0 })
 	}
 	waitFor(t, "fence install", func() bool { return ex.migr.fence.Load() != nil })
 	if entered != nil {

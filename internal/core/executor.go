@@ -234,8 +234,9 @@ type Executor struct {
 	workers  sync.WaitGroup
 	stopped  chan struct{} // closed once on the transition to the stopped state
 	stopOnce sync.Once
-	shutdown chan struct{} // closed once on halt, releases the context watcher
 	haltOnce sync.Once
+	// unwatch deregisters Start's context.AfterFunc(ctx, halt); halt calls it.
+	unwatch func() bool
 
 	// wakes holds the per-worker idle word and work and space events
 	// (wake.go); changed is the executor-level event Drain, halt's sweep
@@ -243,7 +244,9 @@ type Executor struct {
 	wakes   []workerWake
 	changed eventCount
 
-	startMu   sync.Mutex // guards started/stoppedAt/shard baselines against concurrent Stats
+	// startMu guards started/stoppedAt/shard baselines against concurrent
+	// Stats, and orders Start's spawns before markStopped (see Start).
+	startMu   sync.Mutex
 	started   time.Time
 	stoppedAt time.Time
 	// base is the executor's monotonic epoch, fixed at construction: enq
@@ -462,7 +465,6 @@ func NewExecutor(opts ...Option) (*Executor, error) {
 		execHist: make([]*latency.Histogram, cfg.workers),
 		wakes:    make([]workerWake, cfg.workers),
 		stopped:  make(chan struct{}),
-		shutdown: make(chan struct{}),
 		base:     time.Now(),
 	}
 	switch {
@@ -484,46 +486,47 @@ func NewExecutor(opts ...Option) (*Executor, error) {
 	return e, nil
 }
 
-// Start spawns the worker threads. Cancelling ctx is equivalent to Stop:
-// submission closes and queued tasks complete with ErrStopped.
+// Start spawns the worker threads (and the split coordinator). Cancelling
+// ctx is equivalent to Stop: submission closes and queued tasks complete
+// with ErrStopped.
 func (e *Executor) Start(ctx context.Context) error {
 	if ctx == nil {
 		ctx = backgroundCtx
 	}
+	// startMu is held from the state change through the last spawn, and
+	// markStopped takes it to store the stopped state: a halt either stops
+	// the executor before the CAS below (which then fails) or waits until
+	// every goroutine Start spawns is counted in e.workers, which it joins.
+	e.startMu.Lock()
+	defer e.startMu.Unlock()
 	e.borrowOK = e.epoch == nil && e.cfg.sortBatch <= 1 && e.onDone == nil
 	if !e.state.CompareAndSwap(stateNew, stateRunning) {
 		return ErrAlreadyStarted
 	}
-	e.startMu.Lock()
 	e.started = time.Now()
 	for i := range e.shards {
 		e.shards[i].before = e.shards[i].stm.Stats()
 	}
-	e.startMu.Unlock()
 	for i := 0; i < e.cfg.workers; i++ {
-		e.workers.Add(1)
-		go func(i int) {
-			defer e.workers.Done()
-			e.worker(i)
-		}(i)
+		e.spawn(func() { e.worker(i) })
 	}
-	if e.split != nil {
+	if s := e.split; s != nil {
 		// The epoch-merge coordinator is not a worker: it outlives the
 		// draining state (parked tasks count in flight and Drain needs their
-		// release) and exits on the stopped channel.
-		e.split.started.Store(true)
-		go e.split.loop()
+		// release) and exits once the executor stops.
+		e.spawn(s.loop)
 	}
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				e.halt()
-			case <-e.shutdown:
-			}
-		}()
-	}
+	e.unwatch = context.AfterFunc(ctx, e.halt)
 	return nil
+}
+
+// spawn runs f on a goroutine that halt joins.
+func (e *Executor) spawn(f func()) {
+	e.workers.Add(1)
+	go func() {
+		defer e.workers.Done()
+		f()
+	}()
 }
 
 // Submit dispatches one task and blocks until it completes (or ctx is
@@ -1036,9 +1039,8 @@ func (e *Executor) execOne(i int, sh *shardState, th *stm.Thread, wc *workerCoun
 		act, sk, kind := s.route(i, env.task)
 		switch act {
 		case splitActPark:
-			sk.hold.park(*env, 0)
-			s.parkedTasks.Add(1)
-			s.requestMerge()
+			_, first := sk.hold.park(*env, 0)
+			s.parked(first)
 			return start
 		case splitActLocal:
 			localAcc, localKind = sk, kind
@@ -1050,9 +1052,9 @@ func (e *Executor) execOne(i int, sh *shardState, th *stm.Thread, wc *workerCoun
 		// Pool accounting the harness results are built on.
 		if localAcc != nil {
 			localAcc.acc.Apply(i, localKind, env.task.Arg)
-			// Nudge AFTER Apply: a deep-idle coordinator's recheck either
-			// sees this slot dirty, or this load sees the idle flag.
-			e.split.nudgeIdle()
+			// Notify AFTER Apply: a deep-idle coordinator's re-check either
+			// sees this slot dirty, or this notify sees the waiter.
+			e.split.sawTraffic()
 			e.finish(i, wc, env, TaskResult{})
 			return 0
 		}
@@ -1075,7 +1077,7 @@ func (e *Executor) execOne(i int, sh *shardState, th *stm.Thread, wc *workerCoun
 		// return nil values on the STM path too, so the settle below is
 		// indistinguishable from a transactional completion.
 		localAcc.acc.Apply(i, localKind, env.task.Arg)
-		e.split.nudgeIdle()
+		e.split.sawTraffic()
 	} else {
 		val, err = sh.workload.Execute(th, env.task)
 	}
@@ -1164,8 +1166,8 @@ func (e *Executor) markStopped() {
 	e.stopOnce.Do(func() {
 		e.startMu.Lock()
 		e.stoppedAt = time.Now()
-		e.startMu.Unlock()
 		e.state.Store(stateStopped)
+		e.startMu.Unlock()
 		close(e.stopped)
 		e.broadcast()
 	})
@@ -1211,19 +1213,21 @@ func (e *Executor) Stop() error {
 
 // halt is the terminal transition shared by Stop, Drain, context
 // cancellation and the legacy harness: set the stopped state, join the
-// workers, then settle everything left behind — queued envelopes and
-// blocked submitters — until the in-flight count reaches zero.
+// workers and the split coordinator, then settle everything left behind —
+// queued envelopes and blocked submitters — until the in-flight count
+// reaches zero.
 func (e *Executor) halt() {
 	e.haltOnce.Do(func() {
 		e.markStopped()
-		close(e.shutdown)
+		if e.unwatch != nil {
+			e.unwatch()
+		}
 		e.workers.Wait()
-		if e.split != nil && e.split.started.Load() {
-			// Wait the coordinator out, then fold every accumulator's
+		if e.split != nil {
+			// With the coordinator joined, fold every accumulator's
 			// remainder into the stores: locally-absorbed commutative ops
 			// already settled as completed, so their deltas must land even
 			// on a hard Stop.
-			<-e.split.done
 			e.split.flushFinal()
 		}
 		// Sweep until nothing is in flight. What is left after a sweep is a

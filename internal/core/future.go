@@ -16,7 +16,7 @@ const (
 	// futPending: not yet settled; res must not be read.
 	futPending uint32 = iota
 	// futSettled: res is readable, but the settler may still be signalling
-	// (closing the done channel, sending the wake-up token).
+	// (sending the wake-up token).
 	futSettled
 	// futReleased: the settler is completely done with the shell.
 	futReleased
@@ -36,16 +36,13 @@ const (
 // Sequential re-waits are fine (a Wait that returns the CALLER's context
 // error has not consumed the Future; waiting again later — the orphaned-task
 // pattern — is legal). Goroutines that need to observe completion alongside
-// the waiter use Done() (a broadcast channel) or Poll (never consumes),
-// both safe concurrently with the one waiter until it consumes.
+// the waiter use Poll (never consumes), safe concurrently with the one
+// waiter until it consumes.
 type Future struct {
 	state atomic.Uint32
 	// sem is a reusable one-token wake-up channel, allocated once per shell
 	// and kept across recycles, so a blocking Wait allocates nothing.
 	sem chan struct{}
-	// done is the lazily-created broadcast channel behind Done(): callers
-	// that only Poll or Wait never pay for it.
-	done atomic.Pointer[doneChan]
 	// cb, when set (SubmitFunc), turns the shell into a callback carrier:
 	// complete invokes it with the result and recycles immediately — no
 	// waiter handshake, because the shell was never handed to a caller.
@@ -60,15 +57,6 @@ type Future struct {
 	// as cb: the envelope must stay in the 64-byte node class.
 	deadline time.Duration
 }
-
-// doneChan pairs the broadcast channel with a close-once guard: both the
-// settler and a Done() caller that lost the install race may try to close it.
-type doneChan struct {
-	ch   chan struct{}
-	once sync.Once
-}
-
-func (d *doneChan) close() { d.once.Do(func() { close(d.ch) }) }
 
 // futurePool recycles settled-and-consumed Future shells. Steady-state
 // Submit traffic allocates no futures and no channels.
@@ -106,9 +94,6 @@ func (f *Future) complete(res TaskResult) {
 	}
 	f.res = res
 	f.state.Store(futSettled)
-	if d := f.done.Load(); d != nil {
-		d.close()
-	}
 	select {
 	case f.sem <- struct{}{}:
 	default:
@@ -143,7 +128,6 @@ func (f *Future) recycle() {
 	f.res = TaskResult{}
 	f.cb = nil
 	f.deadline = 0
-	f.done.Store(nil)
 	select {
 	case <-f.sem: // drain a wake-up token the consumer never received
 	default:
@@ -152,36 +136,12 @@ func (f *Future) recycle() {
 	futurePool.Put(f)
 }
 
-// Done returns a channel closed when the result is available. The channel is
-// created lazily — Poll- and Wait-only callers never allocate it.
-func (f *Future) Done() <-chan struct{} {
-	if d := f.done.Load(); d != nil {
-		return d.ch
-	}
-	d := &doneChan{ch: make(chan struct{})}
-	if f.state.Load() != futPending {
-		// Already settled; the settler may be past its done-channel check,
-		// so close it ourselves rather than install it.
-		d.close()
-		return d.ch
-	}
-	if !f.done.CompareAndSwap(nil, d) {
-		return f.done.Load().ch
-	}
-	if f.state.Load() != futPending {
-		// complete ran between the install and this check and may have
-		// missed the channel; the once-guard makes the double close safe.
-		d.close()
-	}
-	return d.ch
-}
-
 // Wait blocks for the result or the context, whichever comes first. On
 // completion it returns the result and the task's own error (res.Err) — and
 // CONSUMES the future: the shell is recycled and must not be touched again.
 // A ctx.Err() return does not consume; Wait may be called again. At most one
 // goroutine may block here at a time (see the type doc); concurrent
-// observers use Done or Poll.
+// observers use Poll.
 //
 // Orphaned-task contract: a ctx.Err() return means only that the CALLER
 // stopped waiting — the task itself remains accepted and may still execute

@@ -167,11 +167,10 @@ func TestFutureRecycleHandshake(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFuturePollAndDoneVsWait drives the lazy-channel paths concurrently
-// with settle and consume: Poll never consumes, Done observes completion
-// whether its channel was installed before or after the settle, and the one
-// Wait that returns the result is the single consumer.
-func TestFuturePollAndDoneVsWait(t *testing.T) {
+// TestFuturePollVsWait drives Poll concurrently with settle and consume:
+// Poll never consumes, and the one Wait that returns the result is the
+// single consumer.
+func TestFuturePollVsWait(t *testing.T) {
 	ex := hotpathExecutor(t, 2)
 	ctx := context.Background()
 	for i := 0; i < 300; i++ {
@@ -179,21 +178,16 @@ func TestFuturePollAndDoneVsWait(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wg sync.WaitGroup
-		wg.Add(2)
+		polled := make(chan struct{})
 		go func() { // Poll-only observer: must never consume.
-			defer wg.Done()
+			defer close(polled)
 			for {
 				if _, ok := fut.Poll(); ok {
 					return
 				}
 			}
 		}()
-		go func() { // Done observer: the lazily-created channel closes.
-			defer wg.Done()
-			<-fut.Done()
-		}()
-		wg.Wait() // both observers finish BEFORE the consuming Wait
+		<-polled // the observer finishes BEFORE the consuming Wait
 		res, err := fut.Wait(ctx)
 		if err != nil {
 			t.Fatal(err)

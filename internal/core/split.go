@@ -239,25 +239,17 @@ type splitRunner struct {
 	// table is read by dispatch under the epoch's read gate, so a capture or
 	// a table swap (write side) never interleaves with a half-routed task.
 	table atomic.Pointer[splitTable]
-	// wake nudges the coordinator when a task parks (capacity 1; a full
-	// channel means a merge is already pending).
-	wake chan struct{}
+	// traffic is the deep-idle event: only the coordinator waits on it, and
+	// only in deep idle (sleep). Workers notify it after every absorb and
+	// detector sample, so while the coordinator ticks that notify is one
+	// atomic load.
+	traffic eventCount
 
-	// started records that Start launched the coordinator; done is closed
-	// when it exits. halt waits on done (only if started — a never-started
-	// executor would wait forever) before the final accumulator flush so
-	// the two never install merges concurrently.
-	started atomic.Bool
-	done    chan struct{}
-	// idle is the coordinator's deep-idle flag: set (by the coordinator)
-	// after splitIdleTicks consecutive quiescent epochs, at which point the
-	// epoch ticker stops and the coordinator blocks on wake alone. Workers
-	// clear it with a CAS-guarded nudge (nudgeIdle) on the first sample or
-	// absorb that arrives — so a quiescent executor costs zero coordinator
-	// wakeups, and resuming traffic pays one atomic load per task while
-	// active.
-	idle atomic.Bool
-
+	// timer notifies the epoch's event at the next merge deadline, the epoch
+	// interval's or a park's coalesce delay; due is the epoch interval's.
+	// Coordinator-only.
+	timer *time.Timer
+	due   time.Time
 	// low counts consecutive below-demote-share folds per split key, and
 	// all lists every worker queue for the epoch drain (commutative ops
 	// scatter to all of them). Coordinator-only, built on first use.
@@ -303,8 +295,6 @@ func newSplitRunner(cfg *execConfig, shards []shardState) (*splitRunner, error) 
 		cfg:   sc,
 		det:   splitphase.NewDetector(cfg.workers, sc.reservoir, sc.seed),
 		merge: make([]SplitMergeWorkload, len(shards)),
-		wake:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
 	}
 	var kinds map[Op]splitphase.Kind
 	for i := range shards {
@@ -353,26 +343,24 @@ func (s *splitRunner) lookup(key uint64) *splitKey {
 	return s.table.Load().lookup(key)
 }
 
-// requestMerge nudges the coordinator; non-blocking, collapses bursts.
-func (s *splitRunner) requestMerge() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
+// parked counts a task parked on a split key's hold queue. The first
+// parker of a generation wakes the coordinator on both its events — a
+// ticking coordinator waits on the epoch's, a deep-idle one on traffic;
+// later parkers need not, since the coordinator re-checks the hold queues
+// whenever it wakes.
+func (s *splitRunner) parked(first bool) {
+	s.parkedTasks.Add(1)
+	if first {
+		s.ev.notify()
+		s.traffic.notify()
 	}
 }
 
-// nudgeIdle wakes a deep-idle coordinator. The common case (coordinator
-// ticking, or already nudged) is one atomic load; the CAS makes the nudge
-// once-per-idle-period. Paired with the coordinator's store-then-recheck in
-// loop(): either the worker's Apply/Sample is visible to the recheck, or
-// the worker sees the idle flag and nudges — dirt can never strand.
+// sawTraffic wakes a deep-idle coordinator, called by a worker after every
+// absorb and detector sample: the notify half of sleep's handshake.
 //
 //kstmvet:hotpath
-func (s *splitRunner) nudgeIdle() {
-	if s.idle.Load() && s.idle.CompareAndSwap(true, false) {
-		s.requestMerge()
-	}
-}
+func (s *splitRunner) sawTraffic() { s.traffic.notify() }
 
 // splitAction is the worker-side routing decision for a dequeued envelope.
 type splitAction int
@@ -396,7 +384,7 @@ func (s *splitRunner) route(worker int, t Task) (splitAction, *splitKey, splitph
 	sk := s.lookup(t.Key)
 	if sk == nil {
 		s.det.Sample(worker, t.Key)
-		s.nudgeIdle() // new traffic must restart detector folding
+		s.sawTraffic() // new traffic must restart detector folding
 		return splitActExec, nil, splitphase.KindNone
 	}
 	if sk.demoting.Load() {
@@ -416,7 +404,7 @@ func (s *splitRunner) route(worker int, t Task) (splitAction, *splitKey, splitph
 // divert is the split table's answer to dispatch (under the read gate):
 // commutative ops on a split key scatter round-robin across ALL worker
 // queues (each worker absorbs them into its own accumulator slot);
-// everything else on a split key parks on the key's hold queue and nudges
+// everything else on a split key parks on the key's hold queue and wakes
 // the coordinator. Keys not in the table go where the scheduler picked.
 func (s *splitRunner) divert(env *envelope, w int) (int, *holdQueue, parkResult) {
 	sk := s.lookup(env.task.Key)
@@ -426,70 +414,45 @@ func (s *splitRunner) divert(env *envelope, w int) (int, *holdQueue, parkResult)
 	if !sk.demoting.Load() && s.kinds[env.task.Op] != splitphase.KindNone {
 		return int(sk.rr.Add(1)) % len(s.e.queues), nil, parkMiss
 	}
-	res := sk.hold.park(*env, s.e.cfg.maxDepth)
+	res, first := sk.hold.park(*env, s.e.cfg.maxDepth)
 	if res == parkHeld {
-		s.parkedTasks.Add(1)
-		s.requestMerge()
+		s.parked(first)
 	}
 	return w, &sk.hold, res
 }
 
 // splitIdleTicks is how many consecutive quiescent epochs the coordinator
-// tolerates before entering deep idle (ticker stopped, blocked on wake
-// alone). Small enough that a quiescent executor stops ticking within ~10
-// epochs; large enough that trickle traffic does not thrash the
+// tolerates before entering deep idle (timer stopped, blocked on the
+// traffic event). Small enough that a quiescent executor stops ticking
+// within ~10 epochs; large enough that trickle traffic does not thrash the
 // idle/resume transition.
 const splitIdleTicks = 8
 
 // loop is the epoch-merge coordinator: it folds the detector and merges
-// accumulators every epoch interval, and sooner when a parked task wakes it
-// (after a short coalesce window so a burst of parkers shares one epoch).
-// It keeps running through the draining state — parked tasks count in
-// flight, so Drain completes only after the coordinator releases them — and
-// exits when the executor stops.
-//
-// After splitIdleTicks consecutive quiescent epochs it enters deep idle:
-// the ticker stops and the coordinator blocks on the wake channel, so a
-// quiescent executor burns no epoch wakeups at all. Parks already
-// requestMerge; samples and local absorbs nudge through the idle flag
-// (nudgeIdle). The store-then-recheck below closes the race with a worker
-// that absorbed between this loop's last tick and the flag store: either
-// the recheck sees the dirt, or the worker sees the flag and nudges.
+// accumulators every epoch interval, and sooner when a task parks (after a
+// short coalesce delay so a burst of parkers shares one epoch). It keeps
+// running through the draining state — parked tasks count in flight, so
+// Drain completes only after the coordinator releases them — and exits
+// when the executor stops. After splitIdleTicks consecutive quiescent
+// epochs it sleeps (deep idle) until traffic resumes, then merges after
+// the coalesce delay. Every wait is a handshake on an eventCount.
 func (s *splitRunner) loop() {
-	defer close(s.done)
-	e := s.e
-	ticker := time.NewTicker(s.cfg.epoch)
-	defer ticker.Stop()
+	s.timer = time.AfterFunc(s.cfg.epoch, s.ev.notify)
+	defer s.timer.Stop()
+	s.due = time.Now().Add(s.cfg.epoch)
 	quiet := 0
 	for {
+		var soon time.Time
 		if quiet >= splitIdleTicks {
 			quiet = 0
-			s.idle.Store(true)
-			if s.busyCheck() {
-				s.idle.Store(false)
-			} else {
-				ticker.Stop()
-				select {
-				case <-e.stopped:
-					return
-				case <-s.wake:
-				}
-				s.idle.Store(false)
-				ticker.Reset(s.cfg.epoch)
-				if !s.coalesce() {
-					return
-				}
-			}
-		} else {
-			select {
-			case <-e.stopped:
+			if !s.sleep() {
 				return
-			case <-s.wake:
-				if !s.coalesce() {
-					return
-				}
-			case <-ticker.C:
 			}
+			now := time.Now()
+			s.due, soon = now.Add(s.cfg.epoch), now.Add(s.cfg.coalesce)
+		}
+		if !s.wait(soon) {
+			return
 		}
 		if s.tick() {
 			quiet = 0
@@ -499,20 +462,56 @@ func (s *splitRunner) loop() {
 	}
 }
 
-// coalesce delays a wake-triggered merge by the configured window so a burst
-// of parkers shares one epoch; false means the executor stopped meanwhile.
-func (s *splitRunner) coalesce() bool {
-	if s.cfg.coalesce <= 0 {
+// wait blocks until the next merge is due — the epoch deadline, or the
+// coalesce delay after a park (soon, once set) — and reports false once the
+// executor stops. The timer, re-armed for whichever comes first, the first
+// parker of a generation and the stop broadcast notify the epoch's event.
+func (s *splitRunner) wait(soon time.Time) bool {
+	for {
+		key := s.ev.prepareWait()
+		if s.e.stopping() {
+			s.ev.cancelWait(key)
+			return false
+		}
+		now := time.Now()
+		if soon.IsZero() && s.held() {
+			soon = now.Add(s.cfg.coalesce)
+		}
+		at := s.due
+		if !soon.IsZero() && soon.Before(at) {
+			at = soon
+		}
+		if now.Before(at) {
+			s.timer.Reset(at.Sub(now))
+			s.ev.commitWait(key)
+			continue
+		}
+		s.ev.cancelWait(key)
+		if !now.Before(s.due) {
+			// The epoch interval's merge: the next is one interval on, or
+			// at once if this one came an interval late (a Ticker's one
+			// buffered tick).
+			if s.due = s.due.Add(s.cfg.epoch); s.due.Before(now) {
+				s.due = now
+			}
+		}
 		return true
 	}
-	t := time.NewTimer(s.cfg.coalesce)
-	select {
-	case <-s.e.stopped:
-		t.Stop()
-		return false
-	case <-t.C:
-		return true
+}
+
+// sleep is the deep idle: one handshake on the traffic event, re-checking
+// whether a merge would find work. A worker's absorb or sample, a first
+// park and the stop broadcast notify it; whichever wakes the coordinator,
+// it resumes ticking. It reports false once the executor stops.
+func (s *splitRunner) sleep() bool {
+	s.timer.Stop()
+	key := s.traffic.prepareWait()
+	if s.busyCheck() || s.e.stopping() {
+		s.traffic.cancelWait(key)
+	} else {
+		s.traffic.commitWait(key)
 	}
+	return !s.e.stopping()
 }
 
 // busyCheck reports whether a merge epoch would find work right now —
@@ -633,6 +632,16 @@ func (s *splitRunner) install(sk *splitKey, what string) {
 	}
 }
 
+// held reports whether a split key's hold queue has a parked task.
+func (s *splitRunner) held() bool {
+	for _, sk := range s.table.Load().keys {
+		if !sk.hold.empty() {
+			return true
+		}
+	}
+	return false
+}
+
 // pending reports whether the table holds any work a merge epoch would
 // perform: parked tasks or dirty accumulators.
 func (s *splitRunner) pending(tbl *splitTable) bool {
@@ -709,8 +718,7 @@ func (s *splitRunner) refold() {
 }
 
 // flushFinal installs every accumulator's remaining aggregate at shutdown
-// (halt path, after the workers have joined and the coordinator's done
-// channel has closed). Locally-absorbed commutative ops were settled as
+// (halt path, after the workers and the coordinator have joined). Locally-absorbed commutative ops were settled as
 // completed the moment they hit a worker slot — their submitters were told
 // the op committed — so even a hard Stop must fold them into the stores;
 // dropping them would un-commit acknowledged work. With the workers gone and

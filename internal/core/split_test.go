@@ -411,3 +411,117 @@ func TestSplitPerWorkerShards(t *testing.T) {
 		t.Errorf("owner shard %d sum = %d, want %d", owner, v.Sum, adds)
 	}
 }
+
+// counterSum reads key's sum straight from shard 0's store: what a merge
+// has installed, whatever the accumulators still hold.
+func counterSum(t *testing.T, ex *Executor, w *counterWorkload, key uint32) int64 {
+	t.Helper()
+	v, err := w.c.Value(ex.ShardSTM(0).NewThread(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.Sum
+}
+
+// waitSum polls key's installed sum until it reaches want or d runs out.
+func waitSum(t *testing.T, ex *Executor, w *counterWorkload, key uint32, want int64, d time.Duration, what string) {
+	t.Helper()
+	for end := time.Now().Add(d); ; time.Sleep(100 * time.Microsecond) {
+		got := counterSum(t, ex, w, key)
+		if got == want {
+			return
+		}
+		if time.Now().After(end) {
+			t.Fatalf("%s: installed sum %d after %v, want %d", what, got, d, want)
+		}
+	}
+}
+
+// TestSplitResumesFromDeepIdle pins the split coordinator's wake from deep
+// idle (more than splitIdleTicks quiet epochs): a detector sample must
+// restart the folding that promotes a hot key, and an absorbed add with no
+// reader to park must still be merged. Without the worker-side notify after
+// Sample the key is never promoted; without the one after Apply the add
+// stays in its accumulator.
+func TestSplitResumesFromDeepIdle(t *testing.T) {
+	const (
+		hotKey = 5
+		epoch  = 200 * time.Microsecond
+	)
+	ex, w := newSplitCounterExecutor(t, 64, 2,
+		WithSplitPhase(SplitEpoch(epoch), SplitWindow(256), SplitCoalesce(0)))
+	if err := ex.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Stop()
+	ctx := context.Background()
+	add := func() {
+		t.Helper()
+		if res, err := ex.Submit(ctx, Task{Key: hotKey, Op: OpAdd, Arg: 1}); err != nil || res.Err != nil {
+			t.Fatalf("add: %v / %v", err, res.Err)
+		}
+	}
+	time.Sleep(40 * epoch)
+	adds := int64(0)
+	for end := time.Now().Add(2 * time.Second); ex.Stats().Split.Promoted == 0; adds++ {
+		if time.Now().After(end) {
+			t.Fatalf("key %d not promoted after %d adds in 2s: the coordinator never woke from deep idle", hotKey, adds)
+		}
+		add()
+	}
+	// Adds absorbed after the promotion merge while the coordinator ticks.
+	waitSum(t, ex, w, hotKey, adds, time.Second, "merge after promotion")
+	time.Sleep(40 * epoch)
+	add()
+	waitSum(t, ex, w, hotKey, adds+1, time.Second, "absorbed add after deep idle")
+}
+
+// coreGoroutines counts goroutines running an executor worker or a split
+// coordinator.
+func coreGoroutines() int {
+	n := 0
+	for _, g := range goroutineStacks() {
+		if strings.Contains(g, "kstm/internal/core.(*Executor).worker(") ||
+			strings.Contains(g, "kstm/internal/core.(*splitRunner).loop(") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestStartStopRace races Start against a split-phase add and Stop. Every
+// add Submit acknowledged must be in the store after Stop (an absorbed add
+// reaches it only through halt's final flush), and no worker or coordinator
+// goroutine may outlive Stop: halt must join everything Start spawned.
+func TestStartStopRace(t *testing.T) {
+	const hotKey = 3
+	iters := 300
+	if raceEnabled || testing.Short() {
+		iters = 100
+	}
+	base := coreGoroutines()
+	for i := 0; i < iters; i++ {
+		ex, w := newSplitCounterExecutor(t, 8, 2,
+			WithSplitPhase(SplitKeys(hotKey), SplitEpoch(time.Hour)))
+		started := make(chan struct{})
+		go func() {
+			defer close(started)
+			_ = ex.Start(context.Background())
+		}()
+		acked := int64(0)
+		res, err := ex.Submit(context.Background(), Task{Key: hotKey, Op: OpAdd, Arg: 1})
+		if err == nil && res.Err == nil {
+			acked++
+		}
+		if err := ex.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		if n := coreGoroutines(); n > base {
+			t.Fatalf("iteration %d: %d worker/coordinator goroutines alive after Stop, want at most %d", i, n, base)
+		}
+		<-started
+		if got := counterSum(t, ex, w, hotKey); got != acked {
+			t.Fatalf("iteration %d: sum %d after Stop, want %d acknowledged adds", i, got, acked)
+		}
+	}
+}

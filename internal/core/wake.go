@@ -32,6 +32,12 @@ import (
 //	Executor.changed   Drain; halt's sweep;       in-flight reaching zero past running;
 //	                   hold-queue-full            stop; an epoch's capture and release;
 //	                   submitters                 every put (halt's stragglers)
+//	epoch.ev           the epoch's coordinator:   the last drain barrier; the split
+//	                   run's barrier wait, the    timer; a hold-queue generation's
+//	                   split merge wait           first split park; lifecycle broadcast
+//	split.traffic      the split coordinator      workers after every absorb and
+//	                   in deep idle               detector sample; a generation's first
+//	                                              split park; lifecycle broadcast
 //
 // The worker's idle word keeps its three states for caller-runs: a
 // SubmitFuncOrRun caller whose key's owner is parked with an empty queue
@@ -196,6 +202,12 @@ func (e *Executor) broadcast() {
 		e.wakes[w].space.notify()
 	}
 	e.changed.notify()
+	if e.epoch != nil {
+		e.epoch.ev.notify()
+	}
+	if e.split != nil {
+		e.split.traffic.notify()
+	}
 }
 
 // dequeue takes worker i's next envelope. Every dequeue notifies the

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sort"
 	"strings"
@@ -87,28 +88,70 @@ func TestWakeLatencyBudget(t *testing.T) {
 		median, lat[len(lat)*9/10], lat[len(lat)-1])
 }
 
+// idleExecutors returns two started 4-worker executors, a plain one and a
+// split-phase one, each idle after 64 tasks (so the tests cover post-work
+// parking, not just the initial park): every worker parked, and the split
+// coordinator past splitIdleTicks quiet epochs, asleep in deep idle.
+func idleExecutors(t *testing.T) []*Executor {
+	t.Helper()
+	split, _ := newSplitCounterExecutor(t, 64, 4, WithSplitPhase(SplitEpoch(200*time.Microsecond)))
+	if err := split.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { split.Stop() })
+	exs := []*Executor{hotpathExecutor(t, 4), split}
+	for _, ex := range exs {
+		for i := 0; i < 64; i++ {
+			if _, err := ex.Submit(context.Background(), Task{Key: uint64(i), Op: OpNoop}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitParked(t, ex, 4)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !coordinatorAsleep(split.split); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("split coordinator not in deep idle 5s after the last task")
+		}
+	}
+	return exs
+}
+
+// coordinatorAsleep reports whether s's coordinator is blocked in its deep
+// idle's eventCount.commitWait — the one wait that arms no timer.
+func coordinatorAsleep(s *splitRunner) bool {
+	loop := fmt.Sprintf("kstm/internal/core.(*splitRunner).loop(%p", s)
+	for _, g := range goroutineStacks() {
+		if strings.Contains(g, loop) {
+			return strings.Contains(g, "kstm/internal/core.(*eventCount).commitWait(") &&
+				strings.Contains(g, "kstm/internal/core.(*splitRunner).sleep(")
+		}
+	}
+	return false
+}
+
 // TestIdleExecutorNoPolling is the idle-CPU gate: once every worker is
 // parked, the scheduler-state sample (EmptyPolls) must stay flat — the old
 // loop re-polled every backoffPark (100µs) per worker, ~500 polls per
-// worker over this window.
+// worker over this window — and a deep-idle split coordinator is never
+// woken (its event's word does not move).
 func TestIdleExecutorNoPolling(t *testing.T) {
-	ex := hotpathExecutor(t, 4)
-	ctx := context.Background()
-	// Touch every worker once so the test covers post-work parking, not
-	// just the initial park.
-	for i := 0; i < 64; i++ {
-		if _, err := ex.Submit(ctx, Task{Key: uint64(i) & 65535, Op: OpNoop}); err != nil {
-			t.Fatal(err)
+	exs := idleExecutors(t)
+	traffic := &exs[1].split.traffic
+	var before [2]uint64
+	for i, ex := range exs {
+		before[i] = ex.Stats().EmptyPolls
+	}
+	word := traffic.state.Load()
+	time.Sleep(50 * time.Millisecond)
+	for i, ex := range exs {
+		// A parked worker polls zero times; allow a straggler that was
+		// counted mid-park when the snapshot landed.
+		if delta := ex.Stats().EmptyPolls - before[i]; delta > 4 {
+			t.Fatalf("parked executor %d accumulated %d empty polls over 50ms, want ~0", i, delta)
 		}
 	}
-	waitParked(t, ex, 4)
-	before := ex.Stats().EmptyPolls
-	time.Sleep(50 * time.Millisecond)
-	delta := ex.Stats().EmptyPolls - before
-	// A parked worker polls zero times; allow a straggler that was counted
-	// mid-park when the snapshot landed.
-	if delta > 4 {
-		t.Fatalf("parked executor accumulated %d empty polls over 50ms, want ~0", delta)
+	if w := traffic.state.Load(); w != word || !coordinatorAsleep(exs[1].split) {
+		t.Fatalf("deep-idle split coordinator woke over 50ms (event word %#x → %#x)", word, w)
 	}
 }
 
@@ -551,15 +594,13 @@ func TestStopWakesSubmitterBlockedOnFullQueue(t *testing.T) {
 	}
 }
 
-// TestIdleExecutorNoSleep: no goroutine of an idle executor is ever in
-// time.Sleep — parked workers block on their work events.
+// TestIdleExecutorNoSleep: no goroutine of an idle executor, split phase
+// included, is ever in time.Sleep — parked workers block on their work
+// events, a deep-idle coordinator on its traffic event.
 func TestIdleExecutorNoSleep(t *testing.T) {
-	ex := hotpathExecutor(t, 4)
-	for i := 0; i < 64; i++ {
-		if _, err := ex.Submit(context.Background(), Task{Key: uint64(i), Op: OpNoop}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitParked(t, ex, 4)
+	exs := idleExecutors(t)
 	noSleepFor(t, 50*time.Millisecond)
+	if !coordinatorAsleep(exs[1].split) {
+		t.Fatal("split coordinator left deep idle with no traffic")
+	}
 }
