@@ -143,7 +143,7 @@ func TestDrainTimeoutBounded(t *testing.T) {
 	const backlog = 200
 	submitted := 0
 	for i := 0; i < backlog; i++ {
-		if err := ex.SubmitFunc(ctx, core.Task{Key: uint64(i)}, func(core.TaskResult) {}); err != nil {
+		if _, err := ex.SubmitAsync(ctx, core.Task{Key: uint64(i)}); err != nil {
 			break
 		}
 		submitted++

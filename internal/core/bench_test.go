@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -95,65 +94,6 @@ func BenchmarkSubmitAsync(b *testing.B) {
 	b.StopTimer()
 	for _, f := range futs {
 		f.Wait(ctx)
-	}
-}
-
-// BenchmarkSubmitFunc measures the callback variant servers use: no future,
-// completion counted through a channel-free sink.
-func BenchmarkSubmitFunc(b *testing.B) {
-	ex := benchExecutor(b, 2)
-	ctx := context.Background()
-	done := make(chan struct{}, 1)
-	var pending int
-	sink := func(TaskResult) {
-		select {
-		case done <- struct{}{}:
-		default:
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ex.SubmitFunc(ctx, Task{Key: uint64(i) & 65535, Op: OpNoop}, sink); err != nil {
-			b.Fatal(err)
-		}
-		pending++
-		if pending == 64 {
-			// Rough pacing: drain one completion signal per window so the
-			// queues stay bounded without per-task synchronization.
-			<-done
-			pending = 0
-		}
-	}
-	b.StopTimer()
-	ex.Drain()
-}
-
-// BenchmarkSubmitAll sweeps batch sizes; b.N counts TASKS so ns/op is
-// comparable across sizes.
-func BenchmarkSubmitAll(b *testing.B) {
-	for _, size := range []int{1, 8, 64, 512} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			ex := benchExecutor(b, 4)
-			ctx := context.Background()
-			tasks := make([]Task, size)
-			for i := range tasks {
-				tasks[i] = Task{Key: uint64(i*2654435761) & 65535, Op: OpNoop}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for n := 0; n < b.N; n += size {
-				futs, err := ex.SubmitAll(ctx, tasks)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, f := range futs {
-					if _, err := f.Wait(ctx); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
 	}
 }
 

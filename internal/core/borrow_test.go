@@ -59,8 +59,8 @@ func startExecutor(t *testing.T, opts ...Option) *Executor {
 }
 
 // borrowChurn drives one worker with borrowers (SubmitFuncOrRun, depth 1)
-// and async submitters (SubmitAsync futures and SubmitFunc callbacks) on its
-// keys, with idle gaps so the worker parks and unparks throughout. It returns
+// and async submitters (SubmitAsync futures, waited at once or only after the
+// goroutine's last round) on its keys, with idle gaps so the worker parks and unparks throughout. It returns
 // the per-task settle counts, indexed by Task.Arg.
 func borrowChurn(t *testing.T, ex *Executor, borrowers, asyncs, rounds int) []atomic.Int32 {
 	t.Helper()
@@ -78,6 +78,19 @@ func borrowChurn(t *testing.T, ex *Executor, borrowers, asyncs, rounds int) []at
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var later []*Future
+			defer func() {
+				wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+				defer cancel()
+				for _, fut := range later {
+					res, err := fut.Wait(wctx)
+					if err != nil || res.Value != uint64(res.Task.Arg)+1 {
+						t.Errorf("async task %d: %v, %v", res.Task.Arg, res.Value, err)
+						return
+					}
+					settled[res.Task.Arg].Add(1)
+				}
+			}()
 			for r := 0; r < rounds; r++ {
 				arg := uint32(g*rounds + r)
 				task := Task{Key: uint64(arg) % 1024, Op: OpLookup, Arg: arg}
@@ -106,10 +119,12 @@ func borrowChurn(t *testing.T, ex *Executor, borrowers, asyncs, rounds int) []at
 					}
 					settled[arg].Add(1)
 				default:
-					if err := ex.SubmitFunc(ctx, task, cb); err != nil {
+					fut, err := ex.SubmitAsync(ctx, task)
+					if err != nil {
 						t.Error(err)
 						return
 					}
+					later = append(later, fut)
 				}
 				// Idle gap, varied per goroutine and round: the worker often
 				// outlasts parkSpins and parks, and the next arrivals —

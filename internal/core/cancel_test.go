@@ -84,10 +84,7 @@ func TestStopAbandonedCountedCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 20
-	futs, err := ex.SubmitAll(context.Background(), make([]Task, n))
-	if err != nil {
-		t.Fatal(err)
-	}
+	futs := submitEach(t, ex, context.Background(), make([]Task, n))
 	gate.release()
 	if err := ex.Stop(); err != nil {
 		t.Fatal(err)

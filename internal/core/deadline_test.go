@@ -47,14 +47,11 @@ func TestQueuedDeadlineShed(t *testing.T) {
 	ex, release, executed := deadlineHarness(t)
 	ctx := context.Background()
 
-	blockerDone := make(chan TaskResult, 1)
-	if err := ex.SubmitFunc(ctx, Task{Key: 0}, func(r TaskResult) { blockerDone <- r }); err != nil {
+	blocker, err := ex.SubmitAsync(ctx, Task{Key: 0})
+	if err != nil {
 		t.Fatal(err)
 	}
-	victimDone := make(chan TaskResult, 1)
-	if err := ex.SubmitFuncTimed(ctx, Task{Key: 1}, time.Millisecond, func(r TaskResult) { victimDone <- r }); err != nil {
-		t.Fatal(err)
-	}
+	victimDone := queueBehind(t, ex, Task{Key: 1}, time.Millisecond)
 	// Hold the worker well past the victim's 1ms budget, then let it reach
 	// the victim: the dequeue-time check must shed it.
 	time.Sleep(20 * time.Millisecond)
@@ -63,8 +60,8 @@ func TestQueuedDeadlineShed(t *testing.T) {
 	if r := <-victimDone; !errors.Is(r.Err, ErrDeadlineExpired) {
 		t.Fatalf("victim err = %v, want ErrDeadlineExpired", r.Err)
 	}
-	if r := <-blockerDone; r.Err != nil {
-		t.Fatalf("blocker err = %v", r.Err)
+	if _, err := blocker.Wait(ctx); err != nil {
+		t.Fatalf("blocker err = %v", err)
 	}
 	if n := executed.Load(); n != 0 {
 		t.Fatalf("shed task executed %d times, want 0", n)
@@ -92,8 +89,12 @@ func TestDeadlineAmpleBudgetExecutes(t *testing.T) {
 	close(release) // no blocking this time
 
 	done := make(chan TaskResult, 1)
-	if err := ex.SubmitFuncTimed(ctx, Task{Key: 1}, time.Minute, func(r TaskResult) { done <- r }); err != nil {
+	res, ran, err := ex.SubmitFuncOrRun(ctx, Task{Key: 1}, time.Minute, func(r TaskResult) { done <- r })
+	if err != nil {
 		t.Fatal(err)
+	}
+	if ran {
+		done <- res
 	}
 	if r := <-done; r.Err != nil {
 		t.Fatalf("err = %v", r.Err)
@@ -109,23 +110,23 @@ func TestDeadlineAmpleBudgetExecutes(t *testing.T) {
 	}
 }
 
-// TestDeadlineZeroBudgetIsSubmitFunc: budget 0 means "no deadline", byte-for-
-// byte the SubmitFunc path — the v1 wire back-compat contract depends on it.
+// TestDeadlineZeroBudgetIsSubmitFunc: budget 0 means "no deadline" — a
+// queued task waits out any queue time, like a task submitted without a
+// budget. The wire protocol's deadline field relies on it: 0 is "none".
 func TestDeadlineZeroBudgetIsSubmitFunc(t *testing.T) {
 	ex, release, executed := deadlineHarness(t)
 	ctx := context.Background()
 
-	blockerDone := make(chan TaskResult, 1)
-	if err := ex.SubmitFunc(ctx, Task{Key: 0}, func(r TaskResult) { blockerDone <- r }); err != nil {
+	blocker, err := ex.SubmitAsync(ctx, Task{Key: 0})
+	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan TaskResult, 1)
-	if err := ex.SubmitFuncTimed(ctx, Task{Key: 1}, 0, func(r TaskResult) { done <- r }); err != nil {
-		t.Fatal(err)
-	}
+	done := queueBehind(t, ex, Task{Key: 1}, 0)
 	time.Sleep(10 * time.Millisecond) // would shed any positive budget
 	close(release)
-	<-blockerDone
+	if _, err := blocker.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
 	if r := <-done; r.Err != nil {
 		t.Fatalf("err = %v", r.Err)
 	}
@@ -138,4 +139,17 @@ func TestDeadlineZeroBudgetIsSubmitFunc(t *testing.T) {
 	if st := ex.Stats(); st.DeadlineExpired != 0 {
 		t.Errorf("DeadlineExpired = %d, want 0", st.DeadlineExpired)
 	}
+}
+
+// queueBehind submits task with budget through SubmitFuncOrRun behind the
+// worker's blocker, so it must queue, and returns the channel its callback
+// settles on.
+func queueBehind(t *testing.T, ex *Executor, task Task, budget time.Duration) <-chan TaskResult {
+	t.Helper()
+	done := make(chan TaskResult, 1)
+	_, ran, err := ex.SubmitFuncOrRun(context.Background(), task, budget, func(r TaskResult) { done <- r })
+	if err != nil || ran {
+		t.Fatalf("SubmitFuncOrRun behind the blocker: ran=%v err=%v, want a queued task", ran, err)
+	}
+	return done
 }

@@ -93,9 +93,6 @@ type holdRig struct {
 	// the coordinator has already captured (they stay in flight until open).
 	captured int64
 	log      settleLog
-	// done reports that the epoch's coordinator has nothing left to do after
-	// a stop (the migrator runs on its own goroutine; Stop does not wait it).
-	done func() bool
 	// total reads the hot key's state back after the run.
 	total func(t *testing.T) int64
 }
@@ -104,7 +101,7 @@ const rigHotKey = 20000 // moves from worker 0 to worker 1 in the migration rig
 
 // newMigrationRig forces one re-partition and leaves its hand-off blocked at
 // stage: "drain" (the old owner is pinned inside a task, so the drain barrier
-// cannot run), "handoff" (inside ExtractRange) or "install" (inside the new
+// cannot run), "handoff" (inside ExtractRanges) or "install" (inside the new
 // owner's InstallKeys, the hand-off's last step).
 func newMigrationRig(t *testing.T, stage string, opts ...Option) *holdRig {
 	t.Helper()
@@ -116,9 +113,9 @@ func newMigrationRig(t *testing.T, stage string, opts ...Option) *holdRig {
 		factory.execGate = newEntryGate()
 		rig.open = sync.OnceFunc(func() { close(factory.execGate.open) })
 	case "handoff":
-		gate := make(chan struct{})
-		factory.extractGate = gate
-		rig.open = sync.OnceFunc(func() { close(gate) })
+		factory.extractGate = newEntryGate()
+		entered = factory.extractGate.entered
+		rig.open = sync.OnceFunc(func() { close(factory.extractGate.open) })
 	case "install":
 		factory.installGate = newEntryGate()
 		entered = factory.installGate.entered
@@ -135,7 +132,6 @@ func newMigrationRig(t *testing.T, stage string, opts ...Option) *holdRig {
 		t.Fatal(err)
 	}
 	rig.ex = ex
-	rig.done = func() bool { return !ex.migr.active.Load() }
 	rig.total = func(t *testing.T) int64 {
 		var n int64
 		for _, sh := range factory.shards {
@@ -165,7 +161,7 @@ func newMigrationRig(t *testing.T, stage string, opts ...Option) *holdRig {
 				t.Fatal(err)
 			}
 		}
-		if err := ex.SubmitFunc(ctx, Task{Key: 1, Op: OpNoop}, rig.log.track("pin")); err != nil {
+		if err := submitCallback(ex, ctx, Task{Key: 1, Op: OpNoop}, rig.log.track("pin")); err != nil {
 			t.Fatal(err)
 		}
 		<-factory.execGate.entered
@@ -191,7 +187,7 @@ func newSplitRig(t *testing.T, stage string, opts ...Option) *holdRig {
 	t.Helper()
 	const hot, cold = 3, 6
 	w := &gatedCounterWorkload{counterWorkload: counterWorkload{c: txds.NewCounters(8)}}
-	rig := &holdRig{hot: Task{Key: hot, Op: OpLookup}, captured: 1, done: func() bool { return true }}
+	rig := &holdRig{hot: Task{Key: hot, Op: OpLookup}, captured: 1}
 	switch stage {
 	case "drain":
 		w.execGate = newEntryGate()
@@ -227,12 +223,12 @@ func newSplitRig(t *testing.T, stage string, opts ...Option) *holdRig {
 		t.Fatal(err)
 	}
 	if stage == "drain" {
-		if err := ex.SubmitFunc(ctx, Task{Key: cold, Op: OpNoop}, rig.log.track("pin")); err != nil {
+		if err := submitCallback(ex, ctx, Task{Key: cold, Op: OpNoop}, rig.log.track("pin")); err != nil {
 			t.Fatal(err)
 		}
 		<-w.execGate.entered
 	}
-	if err := ex.SubmitFunc(ctx, rig.hot, rig.log.track("captured")); err != nil {
+	if err := submitCallback(ex, ctx, rig.hot, rig.log.track("captured")); err != nil {
 		t.Fatal(err)
 	}
 	sk := ex.split.lookup(hot)
@@ -407,6 +403,7 @@ func TestEpochStopBetweenPhases(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name+"/"+row.stage, func(t *testing.T) {
+			base := coreGoroutines()
 			rig := row.build(t, row.stage)
 			defer rig.open()
 			ex := rig.ex
@@ -414,7 +411,7 @@ func TestEpochStopBetweenPhases(t *testing.T) {
 			if rig.captured > 0 {
 				held = append(held, "captured")
 			}
-			if err := ex.SubmitFunc(context.Background(), rig.hot, rig.log.track("parked")); err != nil {
+			if err := submitCallback(ex, context.Background(), rig.hot, rig.log.track("parked")); err != nil {
 				t.Fatal(err)
 			}
 			before := ex.Stats()
@@ -423,8 +420,8 @@ func TestEpochStopBetweenPhases(t *testing.T) {
 				ex.Stop()
 				close(stopped)
 			}()
-			// Stop may have to wait for a pinned worker or a held-open merge;
-			// the stopped state is what the epoch reacts to.
+			// Stop may have to wait for a pinned worker or a held-open
+			// hand-off or merge; the stopped state is what the epoch reacts to.
 			<-ex.Stopped()
 			rig.open()
 			select {
@@ -433,7 +430,9 @@ func TestEpochStopBetweenPhases(t *testing.T) {
 				t.Fatal("Stop hung on a held-open epoch")
 			}
 			after := ex.Stats()
-			waitFor(t, "coordinator idle", rig.done)
+			if n := coreGoroutines(); n > base {
+				t.Errorf("%d worker/coordinator goroutines alive after Stop, want at most %d", n, base)
+			}
 			for _, name := range held {
 				errs := rig.log.of(name)
 				if len(errs) != 1 || !errors.Is(errs[0], ErrStopped) {
@@ -511,8 +510,8 @@ func TestMigrationFullRing(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			goroutines := runtime.NumGoroutine()
-			extract := make(chan struct{})
-			openExtract := sync.OnceFunc(func() { close(extract) })
+			extract := newEntryGate()
+			openExtract := sync.OnceFunc(func() { close(extract.open) })
 			factory := &mapFactory{extractGate: extract}
 			ex, err := NewExecutor(
 				WithWorkers(2),
@@ -543,7 +542,7 @@ func TestMigrationFullRing(t *testing.T) {
 			var log orderLog
 			submit := func(name string, task Task) {
 				t.Helper()
-				if err := ex.SubmitFunc(ctx, task, log.track(name)); err != nil {
+				if err := submitCallback(ex, ctx, task, log.track(name)); err != nil {
 					t.Fatalf("submit %s: %v", name, err)
 				}
 			}
@@ -609,7 +608,7 @@ func TestMigrationFullRing(t *testing.T) {
 				for _, h := range []string{"H1", "H2"} {
 					held = append(held, h)
 					go func() {
-						errc <- ex.SubmitFunc(ctx, Task{Key: hot, Op: OpLookup, Arg: hot}, log.track(h))
+						errc <- submitCallback(ex, ctx, Task{Key: hot, Op: OpLookup, Arg: hot}, log.track(h))
 					}()
 					// One at a time, so the hold queue keeps H1 before H2.
 					waitFor(t, h+" parked", func() bool { return heldCount(ex) == len(held) })

@@ -32,7 +32,7 @@ var (
 	// cancellation of the Start context) before a worker executed them.
 	ErrStopped = errors.New("core: executor stopped before task executed")
 	// ErrDeadlineExpired is the completion error of tasks shed because their
-	// submission deadline (SubmitFuncTimed) expired while they sat queued —
+	// queue deadline (SubmitFuncOrRun's budget) expired while they sat queued —
 	// the worker dequeued them after the deadline and settled without
 	// executing. Counted under ExecStats.DeadlineExpired, never Completed.
 	ErrDeadlineExpired = errors.New("core: task deadline expired in queue")
@@ -245,7 +245,7 @@ type Executor struct {
 	changed eventCount
 
 	// startMu guards started/stoppedAt/shard baselines against concurrent
-	// Stats, and orders Start's spawns before markStopped (see Start).
+	// Stats, and orders every spawn before markStopped (Start, onRepartition).
 	startMu   sync.Mutex
 	started   time.Time
 	stoppedAt time.Time
@@ -278,8 +278,8 @@ type Executor struct {
 // envelope carries a task through a worker queue together with its
 // completion plumbing. Fire-and-forget tasks (legacy producers) have a nil
 // fut and ctx and skip all timestamping. Result-carrying tasks settle
-// through fut — a waiter shell (Submit/SubmitAsync/SubmitAll) or a callback
-// shell (SubmitFunc). A barrier envelope (non-nil barrier, everything else
+// through fut — a waiter shell (Submit/SubmitAsync) or a callback shell
+// (SubmitFuncOrRun). A barrier envelope (non-nil barrier, everything else
 // zero) carries no task at all: it marks a drain point in the queue for the
 // migrator — the worker (or halt's sweep) runs the hook once every envelope
 // enqueued before it has been executed.
@@ -288,8 +288,8 @@ type Executor struct {
 // preallocated ring slot, and with the slot's 8-byte sequence that is one
 // 64-byte cache line per queued task (TestRingSlotIsOneCacheLine) — which is
 // why enq is a monotonic duration since the executor's base instant (8
-// bytes) rather than a time.Time (24), and why SubmitFunc's callback rides in
-// the Future shell rather than here.
+// bytes) rather than a time.Time (24), and why SubmitFuncOrRun's callback
+// rides in the Future shell rather than here.
 type envelope struct {
 	task    Task
 	fut     *Future
@@ -520,7 +520,7 @@ func (e *Executor) Start(ctx context.Context) error {
 	return nil
 }
 
-// spawn runs f on a goroutine that halt joins.
+// spawn runs f on a goroutine that halt joins; the caller holds startMu.
 func (e *Executor) spawn(f func()) {
 	e.workers.Add(1)
 	go func() {
@@ -558,29 +558,12 @@ func (e *Executor) Submit(ctx context.Context, t Task) (TaskResult, error) {
 //
 //kstmvet:hotpath
 func (e *Executor) SubmitAsync(ctx context.Context, t Task) (*Future, error) {
-	return e.submit(ctx, t, 0, nil)
-}
-
-// submit is the one submission core behind SubmitAsync, SubmitFunc,
-// SubmitFuncTimed and SubmitAll's loop: admission, shell, stamp,
-// dispatch, unwind. A non-nil cb makes the shell a callback carrier (the
-// returned Future is then the settler's, not the caller's); a positive budget
-// sets the queue deadline.
-//
-//kstmvet:hotpath
-func (e *Executor) submit(ctx context.Context, t Task, budget time.Duration, cb func(TaskResult)) (*Future, error) {
 	if ctx == nil {
 		ctx = backgroundCtx
 	}
-	env, err := e.admit(ctx, t, budget)
+	env, err := e.admit(ctx, t, 0)
 	if err != nil {
 		return nil, err
-	}
-	if cb != nil {
-		// Conditional on purpose: a pooled shell's cb is already nil, and the
-		// shell's cache line was last written by the worker that settled it —
-		// SubmitAsync must not pull it across cores just to store a nil.
-		env.fut.cb = cb
 	}
 	if err := e.post(env, ctx); err != nil {
 		return nil, err
@@ -588,7 +571,7 @@ func (e *Executor) submit(ctx context.Context, t Task, budget time.Duration, cb 
 	return env.fut, nil
 }
 
-// admit is the submission prologue shared by submit and SubmitFuncOrRun:
+// admit is the submission prologue shared by SubmitAsync and SubmitFuncOrRun:
 // count in flight, check the state, take a shell, stamp, set the deadline.
 //
 //kstmvet:hotpath
@@ -626,50 +609,20 @@ func (e *Executor) post(env envelope, ctx context.Context) error {
 	return nil
 }
 
-// SubmitFunc dispatches one task and invokes done with its TaskResult when
-// it settles (executed, cancelled, or abandoned at stop — res.Err carries the
-// completion error exactly as Future.Wait would). It is SubmitAsync without
-// the Future: no per-request shell, no bridging goroutine — the callback
-// form servers use to keep a connection's cost flat regardless of
-// pipelining depth.
+// SubmitFuncOrRun dispatches one task for a caller that may run it itself.
+// When the task's owner worker is parked with an empty queue, the calling
+// goroutine borrows it (caller-runs, DESIGN.md §5.4): it runs the task with
+// the worker's thread, shard and counters and returns the result with
+// ran=true. Otherwise the task is queued (ran=false) and done receives its
+// TaskResult when it settles, res.Err as Future.Wait would report it; done
+// runs on an executor goroutine and MUST NOT block. An acceptance error
+// (ErrQueueFull, ErrNotRunning, ctx.Err) returns here, and done is never
+// called for a borrowed or refused task.
 //
-// done runs on an executor goroutine (usually the settling worker) and MUST
-// NOT block: park the result on your own queue and return. Acceptance errors
-// (ErrQueueFull, ErrNotRunning, ctx.Err) return from SubmitFunc itself, in
-// which case done will never be called.
-//
-//kstmvet:hotpath
-func (e *Executor) SubmitFunc(ctx context.Context, t Task, done func(TaskResult)) error {
-	return e.SubmitFuncTimed(ctx, t, 0, done)
-}
-
-// SubmitFuncTimed is SubmitFunc with a queue deadline: if budget elapses
-// before a worker reaches the task, the worker sheds it without executing —
-// done receives ErrDeadlineExpired and the task counts under
-// ExecStats.DeadlineExpired (DESIGN.md §10.1). A non-positive budget means
-// no deadline (identical to SubmitFunc). The deadline applies to QUEUE time
-// only: once execution begins the task runs to completion.
-//
-// The deadline rides in the pooled Future shell, so the submission stays at
-// SubmitFunc's cost — no extra allocation and no timer; expiry is detected
-// by the dequeuing worker against a clock read it was already paying for.
-//
-//kstmvet:hotpath
-func (e *Executor) SubmitFuncTimed(ctx context.Context, t Task, budget time.Duration, done func(TaskResult)) error {
-	if done == nil {
-		return fmt.Errorf("core: SubmitFunc requires a non-nil callback")
-	}
-	_, err := e.submit(ctx, t, budget, done)
-	return err
-}
-
-// SubmitFuncOrRun is SubmitFuncTimed for a caller that may run the task
-// itself. When the task's owner worker is parked with an empty queue, the
-// calling goroutine borrows it (caller-runs, DESIGN.md §5.4): it executes
-// the task with the worker's thread, shard and counters and returns the
-// result with ran=true, and done is never called. Otherwise the task is
-// queued exactly as SubmitFuncTimed queues it (ran=false, done settles it
-// later) and err reports acceptance.
+// A positive budget is a queue deadline: a worker that reaches the task later
+// sheds it unexecuted, done receives ErrDeadlineExpired and
+// ExecStats.DeadlineExpired counts it (DESIGN.md §10.1). The callback and the
+// deadline ride in the pooled Future shell: a queued call allocates nothing.
 //
 // A borrowed task counts as submitted and completed like a queued one, plus
 // ExecStats.Borrowed. The call never borrows under migration or split phase,
@@ -709,43 +662,6 @@ func (e *Executor) SubmitFuncOrRun(ctx context.Context, t Task, budget time.Dura
 	}
 	env.fut.cb = done
 	return TaskResult{}, false, e.post(env, ctx)
-}
-
-// SubmitAll dispatches a batch: it is a loop over SubmitAsync's submission
-// core, one admission, clock read, pick and dispatch per task, so a batch
-// behaves exactly as the same tasks submitted one SubmitAsync call at a time.
-// Tasks bound for the same worker keep their relative order. A batch may
-// straddle a re-partition (or a migration fence or split epoch): each task is
-// routed on the partition current when its own dispatch picks it.
-//
-// The returned slice is position-aligned with tasks: futs[i] is task i's
-// Future. On success every entry is non-nil. On error (ErrQueueFull under
-// BackpressureReject, ctx.Err on cancellation, ErrNotRunning/ErrStopped past
-// Drain/Stop) submission stops at the failing task, and the entries for it
-// and every later task are nil; under ErrQueueFull, ExecStats.Rejected
-// counts each of them. The non-nil futures are live and settle normally —
-// each completes when its task executes (or with ErrStopped if the executor
-// halts first) — so callers must still Wait them; dropping them leaks no
-// resources but loses those tasks' results.
-//
-//kstmvet:hotpath
-func (e *Executor) SubmitAll(ctx context.Context, tasks []Task) ([]*Future, error) {
-	if len(tasks) == 0 {
-		return nil, nil
-	}
-	futs := make([]*Future, len(tasks)) //kstmvet:ignore the position-aligned result slice SubmitAll's contract returns
-	for i, t := range tasks {
-		fut, err := e.submit(ctx, t, 0, nil)
-		if err != nil {
-			if errors.Is(err, ErrQueueFull) {
-				// dispatch counted task i; the rest were never offered.
-				e.rejected.Add(uint64(len(tasks) - i - 1))
-			}
-			return futs, err
-		}
-		futs[i] = fut
-	}
-	return futs, nil
 }
 
 // dispatch routes an envelope to its worker queue (or, under an epoch gate,
@@ -834,7 +750,7 @@ func (e *Executor) dispatch(env envelope, ctx context.Context) error {
 // stops accepting work.
 func (e *Executor) inject(t Task) bool {
 	e.inflight.Add(1)
-	// Same increment-then-recheck ordering as submit: never enqueue into an
+	// Same increment-then-recheck ordering as admit: never enqueue into an
 	// executor whose halt has already settled.
 	if e.stopping() {
 		e.decInflight(1)
@@ -1012,7 +928,7 @@ func (e *Executor) execOne(i int, sh *shardState, th *stm.Thread, wc *workerCoun
 		default:
 		}
 	}
-	// Queue-deadline shed: a task whose SubmitFuncTimed budget expired while
+	// Queue-deadline shed: a task whose SubmitFuncOrRun budget expired while
 	// it sat queued is doomed — its client has given up — so executing it
 	// only steals service time from live work. Only deadline-carrying shells
 	// pay the check, and the clock read it needs doubles as this (or the
@@ -1315,7 +1231,7 @@ type ExecStats struct {
 	Cancelled uint64
 	// Failed counts tasks whose workload returned a hard error.
 	Failed uint64
-	// DeadlineExpired counts tasks shed because their SubmitFuncTimed queue
+	// DeadlineExpired counts tasks shed because their SubmitFuncOrRun queue
 	// deadline expired before a worker reached them. Like Cancelled they
 	// never executed, but they are counted apart: sheds measure overload
 	// (queue time exceeding client budgets), not client intent.
@@ -1355,7 +1271,7 @@ type ExecStats struct {
 	// epochs, parked tasks); all zero unless WithSplitPhase is configured.
 	Split SplitStats
 	// Wait holds queue-wait latency percentiles over result-carrying
-	// submissions (Submit/SubmitAsync/SubmitAll; the legacy
+	// submissions (Submit/SubmitAsync/SubmitFuncOrRun; the legacy
 	// fire-and-forget path is unclocked).
 	Wait latency.Summary
 	// Service holds workload execution-time percentiles (retries

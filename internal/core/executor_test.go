@@ -30,6 +30,32 @@ func (g *gateWorkload) Execute(th *stm.Thread, t Task) (any, error) {
 
 func (g *gateWorkload) release() { close(g.gate) }
 
+// submitEach submits tasks one SubmitAsync call at a time and returns their
+// futures in task order, failing the test on the first refusal.
+func submitEach(t testing.TB, ex *Executor, ctx context.Context, tasks []Task) []*Future {
+	t.Helper()
+	futs := make([]*Future, len(tasks))
+	for i, task := range tasks {
+		f, err := ex.SubmitAsync(ctx, task)
+		if err != nil {
+			t.Fatalf("task %d: %v", i, err)
+		}
+		futs[i] = f
+	}
+	return futs
+}
+
+// submitCallback submits task through SubmitFuncOrRun and settles it on cb
+// whichever way it went: cb receives a borrowed task's result here, and a
+// queued task's from the settling worker.
+func submitCallback(ex *Executor, ctx context.Context, task Task, cb func(TaskResult)) error {
+	res, ran, err := ex.SubmitFuncOrRun(ctx, task, 0, cb)
+	if ran {
+		cb(res)
+	}
+	return err
+}
+
 // nopWorkload executes instantly.
 type nopWorkload struct{ n atomic.Int64 }
 
@@ -198,10 +224,10 @@ func TestSubmitAsyncFuture(t *testing.T) {
 	// (the §3.5 settle-then-recycle contract).
 }
 
-// TestSubmitAllBatch runs one batch on a plain executor, under a migration
-// fence (re-partitions fire mid-batch) and under a split table (adds absorb,
-// lookups park), and requires every future to settle, once, with its own
-// task.
+// TestSubmitAllBatch submits all of a batch, one SubmitAsync call per task,
+// on a plain executor, under a migration fence (re-partitions fire
+// mid-batch) and under a split table (adds absorb, lookups park), and
+// requires every future to settle, once, with its own task.
 func TestSubmitAllBatch(t *testing.T) {
 	const n = 300
 	rows := []struct {
@@ -289,14 +315,7 @@ func TestSubmitAllBatch(t *testing.T) {
 			for i := range tasks {
 				tasks[i] = row.task(i)
 			}
-			futs, err := ex.SubmitAll(ctx, tasks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(futs) != len(tasks) {
-				t.Fatalf("%d futures", len(futs))
-			}
-			for i, f := range futs {
+			for i, f := range submitEach(t, ex, ctx, tasks) {
 				res, err := f.Wait(ctx)
 				if err != nil {
 					t.Fatal(err)
@@ -364,10 +383,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 50
-	futs, err := ex.SubmitAll(context.Background(), make([]Task, n))
-	if err != nil {
-		t.Fatal(err)
-	}
+	futs := submitEach(t, ex, context.Background(), make([]Task, n))
 	drained := make(chan error, 1)
 	go func() { drained <- ex.Drain() }()
 	// Drain must not finish while tasks are gated.
@@ -499,8 +515,8 @@ func TestBackpressureBlockHonorsContext(t *testing.T) {
 
 // TestDispatchSamplesEachKeyOnce pins repick's contract: a task samples its
 // key into the adaptive histogram exactly once, however often its submitter
-// waits for queue space, on every submission path — SubmitAsync, SubmitAll,
-// and SubmitFuncOrRun both declined (queued behind a busy owner) and borrowed
+// waits for queue space, on every submission path — SubmitAsync and
+// SubmitFuncOrRun both declined (queued behind a busy owner) and borrowed
 // (run on the caller). The threshold is out of reach, so no rebuild resets
 // the histogram and its total is the sample count.
 func TestDispatchSamplesEachKeyOnce(t *testing.T) {
@@ -547,9 +563,9 @@ func TestDispatchSamplesEachKeyOnce(t *testing.T) {
 		futs     []*Future
 		declined atomic.Int64
 	)
-	keep := func(fs ...*Future) {
+	keep := func(f *Future) {
 		mu.Lock()
-		futs = append(futs, fs...)
+		futs = append(futs, f)
 		mu.Unlock()
 	}
 	done := func(res TaskResult) {
@@ -559,7 +575,7 @@ func TestDispatchSamplesEachKeyOnce(t *testing.T) {
 		settled.Done()
 	}
 	for g := 0; g < perPath; g++ {
-		subs.Add(3)
+		subs.Add(2)
 		go func() {
 			defer subs.Done()
 			for i := 0; i < perGo; i++ {
@@ -570,19 +586,6 @@ func TestDispatchSamplesEachKeyOnce(t *testing.T) {
 				}
 				keep(f)
 			}
-		}()
-		go func() {
-			defer subs.Done()
-			tasks := make([]Task, perGo)
-			for i := range tasks {
-				tasks[i] = Task{Key: uint64(200 + i)}
-			}
-			fs, err := ex.SubmitAll(ctx, tasks)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			keep(fs...)
 		}()
 		go func() {
 			defer subs.Done()
@@ -605,7 +608,7 @@ func TestDispatchSamplesEachKeyOnce(t *testing.T) {
 	// One submitter holds the queue's only slot; every other one waits for
 	// space before the worker moves at all.
 	waitFor("the submitters to block", func() bool {
-		return waiters(&ex.wakes[0].space) >= 3*perPath-1
+		return waiters(&ex.wakes[0].space) >= 2*perPath-1
 	})
 	release()
 	subs.Wait()
@@ -640,7 +643,7 @@ func TestDispatchSamplesEachKeyOnce(t *testing.T) {
 		t.Fatal("no SubmitFuncOrRun call borrowed the parked worker: the borrowed path was not exercised")
 	}
 
-	want := uint64(1 + 3*perPath*perGo + borrows)
+	want := uint64(1 + 2*perPath*perGo + borrows)
 	if got := sched.h.Total(); got != want {
 		t.Errorf("histogram holds %d samples for %d tasks, want one per task", got, want)
 	}
@@ -655,10 +658,7 @@ func TestStopAbandonsQueued(t *testing.T) {
 	if err := ex.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	futs, err := ex.SubmitAll(context.Background(), make([]Task, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
+	futs := submitEach(t, ex, context.Background(), make([]Task, 20))
 	gate.release() // workers may finish some tasks; the rest must settle
 	if err := ex.Stop(); err != nil {
 		t.Fatal(err)
@@ -752,9 +752,7 @@ func TestLiveStatsSnapshot(t *testing.T) {
 	// More than two workers can hold in their drain batches, so some stay
 	// queued however soon the workers pick theirs up.
 	const n = 2*drainBatch + 16
-	if _, err := ex.SubmitAll(context.Background(), make([]Task, n)); err != nil {
-		t.Fatal(err)
-	}
+	submitEach(t, ex, context.Background(), make([]Task, n))
 	st := ex.Stats()
 	if st.Submitted != n || st.InFlight != n {
 		t.Errorf("mid-run stats: %+v", st)

@@ -43,7 +43,7 @@ type Future struct {
 	// sem is a reusable one-token wake-up channel, allocated once per shell
 	// and kept across recycles, so a blocking Wait allocates nothing.
 	sem chan struct{}
-	// cb, when set (SubmitFunc), turns the shell into a callback carrier:
+	// cb, when set (SubmitFuncOrRun), turns the shell into a callback carrier:
 	// complete invokes it with the result and recycles immediately — no
 	// waiter handshake, because the shell was never handed to a caller.
 	// Keeping the callback here (instead of widening every envelope by a
@@ -52,7 +52,7 @@ type Future struct {
 	cb  func(TaskResult)
 	res TaskResult
 	// deadline, when non-zero, is the task's queue deadline as a monotonic
-	// offset from the executor's base instant (SubmitFuncTimed). It rides in
+	// offset from the executor's base instant (SubmitFuncOrRun). It rides in
 	// the pooled shell — not the envelope — for the same size-class reason
 	// as cb: the envelope must stay in the 64-byte node class.
 	deadline time.Duration
@@ -84,7 +84,7 @@ func (f *Future) discard() { futurePool.Put(f) }
 //kstmvet:hotpath
 func (f *Future) complete(res TaskResult) {
 	if cb := f.cb; cb != nil {
-		// Callback shell: the settler is the sole owner (SubmitFunc never
+		// Callback shell: the settler is the sole owner (SubmitFuncOrRun never
 		// exposed it), so no handshake — run the callback, recycle.
 		f.cb = nil
 		f.deadline = 0

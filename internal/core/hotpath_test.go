@@ -63,22 +63,28 @@ func TestSubmitSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSubmitFuncTimedAllocs holds the deadline-carrying submission to the
-// same hot-path budget as SubmitFunc: the budget rides in the pooled future
-// shell, so attaching one must not allocate at all.
-func TestSubmitFuncTimedAllocs(t *testing.T) {
+// TestSubmitFuncOrRunQueuedAllocs holds SubmitFuncOrRun's queued,
+// deadline-carrying branch, the one a server takes behind a busy owner, to
+// the hot-path budget: the callback and the budget ride in the pooled future
+// shell, so attaching them must not allocate at all. Borrowing is switched
+// off so every call queues.
+func TestSubmitFuncOrRunQueuedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	ex := hotpathExecutor(t, 1)
+	ex.borrowOK = false
 	ctx := context.Background()
 	var done atomic.Int64
 	cb := func(TaskResult) { done.Add(1) }
+	submit := func(key uint64) {
+		if _, ran, err := ex.SubmitFuncOrRun(ctx, Task{Key: key, Op: OpNoop}, time.Minute, cb); err != nil || ran {
+			t.Fatalf("SubmitFuncOrRun: ran=%v err=%v, want a queued task", ran, err)
+		}
+	}
 	var want int64
 	for i := 0; i < 256; i++ {
-		if err := ex.SubmitFuncTimed(ctx, Task{Key: uint64(i), Op: OpNoop}, time.Minute, cb); err != nil {
-			t.Fatal(err)
-		}
+		submit(uint64(i))
 		want++
 	}
 	waitFor(t, "warmup settled", func() bool { return done.Load() == want })
@@ -88,16 +94,62 @@ func TestSubmitFuncTimedAllocs(t *testing.T) {
 		// submission — the steady state the gate is about; an unbounded
 		// burst legitimately grows the future pool.
 		before := done.Load()
-		if err := ex.SubmitFuncTimed(ctx, Task{Key: 7, Op: OpNoop}, time.Minute, cb); err != nil {
-			t.Fatal(err)
-		}
-		want++
+		submit(7)
 		for done.Load() == before {
 			runtime.Gosched()
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("SubmitFuncTimed allocates %.2f objects/op, want 0", avg)
+		t.Fatalf("queued SubmitFuncOrRun allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// TestPoolClosedWorldAllocs gates the Pool's fire-and-forget path, the loop
+// the paper's figures measure (BenchmarkPoolClosedWorld's configuration):
+// RunCount hands each task to its worker without a Future shell or a
+// callback, so in steady state it allocates nothing per task. Two runs of
+// different lengths cancel the fixed cost of a run (executor, rings,
+// goroutines); routing the Pool through a callback submission costs one
+// allocation per task, far past the bound.
+func TestPoolClosedWorldAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	sched, err := NewScheduler(SchedRoundRobin, 0, 65535, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewPool(Config{
+		STM:      stm.New(),
+		Workload: WorkloadFunc(func(th *stm.Thread, t Task) (any, error) { return nil, nil }),
+		NewSource: func(p int) TaskSource {
+			var k uint64
+			return SourceFunc(func() Task { k++; return Task{Key: k & 65535, Op: OpNoop} })
+		},
+		Workers:   2,
+		Producers: 6,
+		Model:     ModelParallel,
+		Scheduler: sched,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallocs := func(n int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := pool.RunCount(n); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	mallocs(1000) // warm-up
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const short, long = 1000, 51000
+	a, b := mallocs(short), mallocs(long)
+	if perTask := (float64(b) - float64(a)) / (long - short); perTask >= 0.1 {
+		t.Fatalf("RunCount allocates %.3f objects per task (%d for %d tasks, %d for %d), want 0",
+			perTask, a, short, b, long)
 	}
 }
 
@@ -230,20 +282,23 @@ func TestFutureWaitCtxThenWait(t *testing.T) {
 	}
 }
 
-// TestSubmitFuncCallback pins the callback variant: done runs exactly once
-// per task with the task's own result, for executed and abandoned tasks
-// alike.
+// TestSubmitFuncCallback pins SubmitFuncOrRun's callback: done runs exactly
+// once per queued task with the task's own result, for executed and abandoned
+// tasks alike, and never for a task the caller ran itself.
 func TestSubmitFuncCallback(t *testing.T) {
 	ex := hotpathExecutor(t, 2)
 	ctx := context.Background()
 	const n = 200
 	results := make(chan TaskResult, n)
 	for i := 0; i < n; i++ {
-		err := ex.SubmitFunc(ctx, Task{Key: uint64(i), Op: OpNoop, Arg: uint32(i)}, func(res TaskResult) {
+		res, ran, err := ex.SubmitFuncOrRun(ctx, Task{Key: uint64(i), Op: OpNoop, Arg: uint32(i)}, 0, func(res TaskResult) {
 			results <- res
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if ran {
+			results <- res
 		}
 	}
 	seen := make(map[uint32]bool, n)
@@ -257,7 +312,7 @@ func TestSubmitFuncCallback(t *testing.T) {
 		}
 		seen[res.Task.Arg] = true
 	}
-	if err := ex.SubmitFunc(ctx, Task{}, nil); err == nil {
+	if _, _, err := ex.SubmitFuncOrRun(ctx, Task{}, 0, nil); err == nil {
 		t.Error("nil callback accepted")
 	}
 	// Abandoned-at-stop tasks settle their callbacks with ErrStopped. Pin
@@ -284,13 +339,14 @@ func TestSubmitFuncCallback(t *testing.T) {
 	if err := gx.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
+	gx.borrowOK = false // task 0 must block the worker, not this goroutine
 	blocked := make(chan TaskResult, 2)
 	cb := func(res TaskResult) { blocked <- res }
-	if err := gx.SubmitFunc(ctx, Task{Key: 1, Arg: 0}, cb); err != nil {
+	if _, _, err := gx.SubmitFuncOrRun(ctx, Task{Key: 1, Arg: 0}, 0, cb); err != nil {
 		t.Fatal(err)
 	}
 	<-started // the worker is inside task 0
-	if err := gx.SubmitFunc(ctx, Task{Key: 1, Arg: 1}, cb); err != nil {
+	if _, _, err := gx.SubmitFuncOrRun(ctx, Task{Key: 1, Arg: 1}, 0, cb); err != nil {
 		t.Fatal(err)
 	}
 	stopDone := make(chan struct{})

@@ -46,9 +46,13 @@ func WithMigration(m MigrationMode) Option {
 // but the executor guarantees no task for a moving range executes while its
 // state is in transit.
 type ShardStore interface {
-	// ExtractRange removes and returns every key whose scheduling key falls
-	// in the closed range [lo, hi].
-	ExtractRange(th *stm.Thread, lo, hi uint64) ([]uint32, error)
+	// ExtractRanges removes every key whose scheduling key falls in one of
+	// the disjoint closed ranges and returns them per range (out[i] belongs
+	// to ranges[i]); on error, out holds what was already removed. The
+	// migrator calls it once per old owner per epoch, so a store whose
+	// ranges share structure (the hash table's dictionary-key view) visits
+	// it once inside the fence window.
+	ExtractRanges(th *stm.Thread, ranges []Range) ([][]uint32, error)
 	// InstallKeys inserts the given keys into the shard.
 	InstallKeys(th *stm.Thread, keys []uint32) error
 }
@@ -65,18 +69,6 @@ type StoreFactory interface {
 // Range is one contiguous closed interval of the executor's scheduling-key
 // space.
 type Range struct{ Lo, Hi uint64 }
-
-// RangeBatchStore is the optional batch face of a ShardStore: extract
-// several disjoint ranges in ONE pass, returning the removed keys per range
-// (out[i] belongs to ranges[i]). When a re-partition moves more than one
-// range out of a shard, the migrator groups them and calls this once per
-// shard per epoch, so a store whose ranges share structure (the
-// dictionary-key hash-table view, where several ranges can hash to the same
-// buckets) visits that structure once inside the fence window.
-type RangeBatchStore interface {
-	ShardStore
-	ExtractRanges(th *stm.Thread, ranges []Range) ([][]uint32, error)
-}
 
 // MigrationStats reports the epoch-fenced hand-off protocol's work.
 // All counters are monotone over an executor's lifetime.
@@ -210,11 +202,19 @@ func (m *migrator) onRepartition(oldP, newP *hist.Partition) (commit func(), ok 
 	f := &fence{ranges: ranges, min: lo, max: hi, held: make([]holdQueue, len(ranges))}
 	m.fence.Store(f)
 	start := time.Now()
-	return func() { go m.migrate(f, start) }, true
+	return func() {
+		// Under startMu, against markStopped: halt joins the hand-off, or,
+		// stopped already, settles the fence's held tasks in its sweep.
+		m.e.startMu.Lock()
+		defer m.e.startMu.Unlock()
+		if !m.e.stopping() {
+			m.e.spawn(func() { m.migrate(f, start) })
+		}
+	}, true
 }
 
-// migrate runs the hand-off for one epoch (DESIGN.md §4.1) on its own
-// goroutine; workers keep executing unmoved ranges throughout. The fence is
+// migrate runs the hand-off for one epoch (DESIGN.md §4.1) on a goroutine
+// halt joins; workers keep executing unmoved ranges throughout. The fence is
 // already up, so the epoch's capture step is a bare quiesce: a dispatcher
 // that loaded a nil fence just before the install may still be routing a
 // moved-range task to its old owner, and only once those stragglers are out
@@ -256,10 +256,8 @@ func (m *migrator) migrate(f *fence, start time.Time) {
 // the new one, on migrator-owned STM threads, and returns the number of keys
 // moved. The fence guarantees no task for these ranges is executing, so the
 // only concurrency is with unmoved-range transactions (handled by the STM).
-// The ranges come grouped by their old owner so a shard whose store supports
-// batch extraction (RangeBatchStore) is visited in one call per epoch, not
-// one per range — the multi-range re-partition saving that shrinks the
-// fence window.
+// The ranges come grouped by their old owner, so each old shard is visited by
+// one extraction call per epoch, not one per range.
 func (m *migrator) handoff(groups []fromGroup) (moved uint64) {
 	for _, g := range groups {
 		// Re-check stop at each shard boundary so a Stop() mid-hand-off stops
@@ -267,41 +265,25 @@ func (m *migrator) handoff(groups []fromGroup) (moved uint64) {
 		if m.e.stopping() {
 			return moved
 		}
-		bs, batched := m.stores[g.from].(RangeBatchStore)
-		if batched && len(g.ranges) > 1 {
-			ranges := make([]Range, len(g.ranges))
-			for i, r := range g.ranges {
-				ranges[i] = Range{Lo: r.lo, Hi: r.hi}
+		ranges := make([]Range, len(g.ranges))
+		for i, r := range g.ranges {
+			ranges[i] = Range{Lo: r.lo, Hi: r.hi}
+		}
+		keysPer, err := m.stores[g.from].ExtractRanges(m.thread(g.from), ranges)
+		if err != nil {
+			// Whatever the extraction removed before failing goes back; the
+			// whole shard degrades to MigrateOff for this epoch instead of
+			// losing data.
+			var all []uint32
+			for _, keys := range keysPer {
+				all = append(all, keys...)
 			}
-			keysPer, err := bs.ExtractRanges(m.thread(g.from), ranges)
-			if err != nil {
-				// Whatever the one-pass extraction removed before failing
-				// goes back; the whole shard degrades to MigrateOff for
-				// this epoch instead of losing data.
-				var all []uint32
-				for _, keys := range keysPer {
-					all = append(all, keys...)
-				}
-				m.restore(g.from, all,
-					fmt.Errorf("core: migrate batch-extract %d ranges from shard %d: %w", len(ranges), g.from, err))
-				continue
-			}
-			for i, keys := range keysPer {
-				moved += m.installRange(g.ranges[i], keys)
-			}
+			m.restore(g.from, all,
+				fmt.Errorf("core: migrate extract %d ranges from shard %d: %w", len(ranges), g.from, err))
 			continue
 		}
-		for _, r := range g.ranges {
-			keys, err := m.stores[r.from].ExtractRange(m.thread(r.from), r.lo, r.hi)
-			if err != nil {
-				// A partial extraction's keys are already out of the old
-				// shard; restore them so a failed range degrades to the
-				// MigrateOff semantics instead of losing data.
-				m.restore(r.from, keys,
-					fmt.Errorf("core: migrate extract [%d,%d] from shard %d: %w", r.lo, r.hi, r.from, err))
-				continue
-			}
-			moved += m.installRange(r, keys)
+		for i, keys := range keysPer {
+			moved += m.installRange(g.ranges[i], keys)
 		}
 	}
 	return moved

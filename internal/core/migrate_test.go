@@ -15,11 +15,11 @@ import (
 // mapShard is a minimal migratable shard for protocol tests: a mutex-guarded
 // set keyed by Arg, with Key == Arg as the scheduling key. It implements
 // both Workload and ShardStore; extractGate and installGate, when non-nil,
-// block ExtractRange / InstallKeys so tests can hold a migration open
+// block ExtractRanges / InstallKeys so tests can hold a migration open
 // mid-hand-off, and execGate blocks OpNoop executions so tests can pin a
 // worker (and the drain barrier behind it).
 type mapShard struct {
-	extractGate chan struct{}
+	extractGate *entryGate
 	installGate *entryGate
 	execGate    *entryGate
 	failInstall *atomic.Int32 // shared fault injector: >0 fails InstallKeys, decrementing
@@ -52,17 +52,17 @@ func (m *mapShard) Execute(th *stm.Thread, t Task) (any, error) {
 	}
 }
 
-func (m *mapShard) ExtractRange(th *stm.Thread, lo, hi uint64) ([]uint32, error) {
-	if m.extractGate != nil {
-		<-m.extractGate
-	}
+func (m *mapShard) ExtractRanges(th *stm.Thread, ranges []Range) ([][]uint32, error) {
+	m.extractGate.pass()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []uint32
-	for k := range m.keys {
-		if uint64(k) >= lo && uint64(k) <= hi {
-			out = append(out, k)
-			delete(m.keys, k)
+	out := make([][]uint32, len(ranges))
+	for i, r := range ranges {
+		for k := range m.keys {
+			if uint64(k) >= r.Lo && uint64(k) <= r.Hi {
+				out[i] = append(out[i], k)
+				delete(m.keys, k)
+			}
 		}
 	}
 	return out, nil
@@ -85,7 +85,7 @@ var errInjectedInstall = errors.New("injected install failure")
 
 // mapFactory builds mapShards and exposes them as a StoreFactory.
 type mapFactory struct {
-	extractGate chan struct{}
+	extractGate *entryGate
 	installGate *entryGate
 	execGate    *entryGate
 	failInstall *atomic.Int32
@@ -219,12 +219,13 @@ func TestMigrationVisibilityRepro(t *testing.T) {
 }
 
 // TestMigrationFencesOnlyMovedRanges holds a migration open mid-hand-off (a
-// gated ExtractRange) and asserts the fence's scope: tasks for unmoved
+// gated ExtractRanges) and asserts the fence's scope: tasks for unmoved
 // ranges keep completing while moved-range tasks park, and the parked tasks
 // execute against the migrated state once released.
 func TestMigrationFencesOnlyMovedRanges(t *testing.T) {
 	const probe = 20000
-	gate := make(chan struct{})
+	gate := newEntryGate()
+	open := sync.OnceFunc(func() { close(gate.open) })
 	factory := &mapFactory{extractGate: gate}
 	ex := newMigrationRepro(t, MigrateOnRepartition, factory)
 	ctx := context.Background()
@@ -232,14 +233,15 @@ func TestMigrationFencesOnlyMovedRanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ex.Stop()
+	defer open() // before Stop, which joins the hand-off
 	if _, err := ex.Submit(ctx, Task{Key: probe, Op: OpInsert, Arg: probe}); err != nil {
 		t.Fatal(err)
 	}
 	forceRepartition(t, ctx, ex, 1)
 	sched := ex.Scheduler().(*Adaptive)
 	waitFor(t, "adaptation", func() bool { return sched.Epochs() >= 1 })
-	// The hand-off is now blocked inside ExtractRange; the fence is up.
-	waitFor(t, "fence install", func() bool { return ex.migr.fence.Load() != nil })
+	// The hand-off is now blocked inside ExtractRanges; the fence is up.
+	<-gate.entered
 
 	// Unmoved range: key 60000 belongs to worker 1 under both the uniform
 	// and the adapted partition — it must complete while the fence is up.
@@ -266,7 +268,7 @@ func TestMigrationFencesOnlyMovedRanges(t *testing.T) {
 
 	// Release the hand-off: the parked task must now execute on the NEW
 	// owner against the migrated state.
-	close(gate)
+	open()
 	res, err := parked.Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -321,11 +323,16 @@ func TestMigrationCountersBeforeRelease(t *testing.T) {
 }
 
 // TestMigrationStopMidHandoff stops the executor while a migration is held
-// open: parked tasks must settle with ErrStopped and nothing may hang.
+// open inside ExtractRanges. Stop joins the hand-off, as it joins the split
+// coordinator: it returns once the store call does, the parked task settles
+// with ErrStopped, and no hand-off goroutine is left.
 func TestMigrationStopMidHandoff(t *testing.T) {
 	const probe = 20000
-	gate := make(chan struct{})
+	gate := newEntryGate()
+	open := sync.OnceFunc(func() { close(gate.open) })
+	defer open()
 	factory := &mapFactory{extractGate: gate}
+	base := coreGoroutines()
 	ex := newMigrationRepro(t, MigrateOnRepartition, factory)
 	ctx := context.Background()
 	if err := ex.Start(ctx); err != nil {
@@ -335,7 +342,7 @@ func TestMigrationStopMidHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	forceRepartition(t, ctx, ex, 1)
-	waitFor(t, "fence install", func() bool { return ex.migr.fence.Load() != nil })
+	<-gate.entered
 	parked, err := ex.SubmitAsync(ctx, Task{Key: probe, Op: OpLookup, Arg: probe})
 	if err != nil {
 		t.Fatal(err)
@@ -345,16 +352,67 @@ func TestMigrationStopMidHandoff(t *testing.T) {
 		ex.Stop()
 		close(done)
 	}()
+	<-ex.Stopped()
+	select {
+	case <-done:
+		t.Fatal("Stop returned while the hand-off was still inside ExtractRanges")
+	case <-time.After(20 * time.Millisecond):
+	}
+	open()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Stop hung on a mid-hand-off migration")
+		t.Fatal("Stop hung after the hand-off was released")
 	}
 	res, err := parked.Wait(context.Background())
-	if err == nil || res.Err == nil {
+	if !errors.Is(err, ErrStopped) || !errors.Is(res.Err, ErrStopped) {
 		t.Fatalf("parked task settled with (%v, %v), want ErrStopped", res.Err, err)
 	}
-	close(gate) // unblock the migrator goroutine so it can observe the stop
+	if n := coreGoroutines(); n > base {
+		t.Errorf("%d worker/hand-off goroutines alive after Stop, want at most %d", n, base)
+	}
+}
+
+// TestMigrationNoMutationAfterStop holds a hand-off inside its install step
+// and stops the executor: what Stop's return shows — the moved key's shard
+// state and the migration counters — is final. Opening the install gate once
+// Stop has returned must change neither.
+func TestMigrationNoMutationAfterStop(t *testing.T) {
+	rig := newMigrationRig(t, "install")
+	defer rig.open()
+	ex := rig.ex
+	type snapshot struct {
+		total int64
+		migr  MigrationStats
+	}
+	read := func() snapshot { return snapshot{rig.total(t), ex.Stats().Migrations} }
+	var atStop snapshot
+	stopped := make(chan struct{})
+	go func() {
+		ex.Stop()
+		atStop = read()
+		close(stopped)
+	}()
+	<-ex.Stopped()
+	// Give a Stop that does not join the hand-off time to return while the
+	// install is still held.
+	select {
+	case <-stopped:
+	case <-time.After(100 * time.Millisecond):
+	}
+	rig.open()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop hung after the install was released")
+	}
+	waitFor(t, "hand-off exit", func() bool { return !ex.migr.active.Load() })
+	if late := read(); late != atStop {
+		t.Errorf("state moved after Stop returned: at Stop %+v, after the install %+v", atStop, late)
+	}
+	if atStop.total != 1 {
+		t.Errorf("hot key reads %d after Stop, want 1 (state in hand-off lost or duplicated)", atStop.total)
+	}
 }
 
 // TestMigrationStatsMonotone is the -race satellite: concurrent submitters
@@ -659,37 +717,23 @@ func TestDiffPartitions(t *testing.T) {
 	}
 }
 
-// batchMapShard is a mapShard whose store also implements RangeBatchStore,
-// counting how the migrator reaches it.
+// batchMapShard is a mapShard that counts how the migrator reaches its
+// store.
 type batchMapShard struct {
 	mapShard
 	batchCalls  *atomic.Int32 // ExtractRanges invocations (shared across shards)
 	batchRanges *atomic.Int32 // ranges covered by those invocations
-	singleCalls *atomic.Int32 // per-range ExtractRange invocations
-}
-
-func (m *batchMapShard) ExtractRange(th *stm.Thread, lo, hi uint64) ([]uint32, error) {
-	m.singleCalls.Add(1)
-	return m.mapShard.ExtractRange(th, lo, hi)
 }
 
 func (m *batchMapShard) ExtractRanges(th *stm.Thread, ranges []Range) ([][]uint32, error) {
 	m.batchCalls.Add(1)
 	m.batchRanges.Add(int32(len(ranges)))
-	out := make([][]uint32, len(ranges))
-	for i, r := range ranges {
-		keys, err := m.mapShard.ExtractRange(th, r.Lo, r.Hi)
-		out[i] = keys
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	return m.mapShard.ExtractRanges(th, ranges)
 }
 
 type batchMapFactory struct {
-	batchCalls, batchRanges, singleCalls atomic.Int32
-	shards                               []*batchMapShard
+	batchCalls, batchRanges atomic.Int32
+	shards                  []*batchMapShard
 }
 
 func (f *batchMapFactory) NewShard(worker int) Workload {
@@ -697,7 +741,6 @@ func (f *batchMapFactory) NewShard(worker int) Workload {
 		mapShard:    mapShard{keys: make(map[uint32]bool)},
 		batchCalls:  &f.batchCalls,
 		batchRanges: &f.batchRanges,
-		singleCalls: &f.singleCalls,
 	}
 	for len(f.shards) <= worker {
 		f.shards = append(f.shards, nil)
@@ -709,10 +752,10 @@ func (f *batchMapFactory) NewShard(worker int) Workload {
 func (f *batchMapFactory) Store(worker int) ShardStore { return f.shards[worker] }
 
 // TestMigrationBatchExtraction pins the epoch-batched hand-off: when one
-// re-partition moves SEVERAL ranges out of one shard, a RangeBatchStore is
-// asked for all of them in one ExtractRanges call (one structure pass per
-// shard per epoch), single-range shards keep the per-range path, and
-// read-your-writes holds for keys in every moved range.
+// re-partition moves SEVERAL ranges out of one shard, the store is asked for
+// all of them in one ExtractRanges call — one call per old owner per epoch,
+// a single-range shard included — and read-your-writes holds for keys in
+// every moved range.
 func TestMigrationBatchExtraction(t *testing.T) {
 	factory := &batchMapFactory{}
 	ex, err := NewExecutor(
@@ -748,14 +791,11 @@ func TestMigrationBatchExtraction(t *testing.T) {
 	if err := ex.MigrationErr(); err != nil {
 		t.Fatal(err)
 	}
-	if got := factory.batchCalls.Load(); got != 1 {
-		t.Errorf("ExtractRanges calls = %d, want 1 (one pass for the multi-range shard)", got)
+	if got := factory.batchCalls.Load(); got != 2 {
+		t.Errorf("ExtractRanges calls = %d, want 2 (one per old owner)", got)
 	}
-	if got := factory.batchRanges.Load(); got < 2 {
-		t.Errorf("batched ranges = %d, want >= 2", got)
-	}
-	if got := factory.singleCalls.Load(); got != 1 {
-		t.Errorf("per-range ExtractRange calls = %d, want 1 (the single-range shard)", got)
+	if got := factory.batchRanges.Load(); got < 3 {
+		t.Errorf("extracted ranges = %d, want >= 3 (two from shard 0, one from shard 1)", got)
 	}
 	if moved := ex.MigrationStats().KeysMoved; moved == 0 {
 		t.Error("no keys moved")

@@ -192,11 +192,7 @@ func TestOwnerAffinity(t *testing.T) {
 		for i := range tasks {
 			tasks[i] = Task{Key: 1, Op: OpInsert, Arg: 1}
 		}
-		futs, err := ex.SubmitAll(ctx, tasks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range futs {
+		for _, f := range submitEach(t, ex, ctx, tasks) {
 			if _, err := f.Wait(ctx); err != nil {
 				t.Fatal(err)
 			}
@@ -267,12 +263,12 @@ func TestTypedResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSubmitAllPartialFutures pins the SubmitAll contract on a plain
-// executor, under a migration fence and under a split table: when the batch stops early the returned slice stays
-// position-aligned with the tasks — accepted tasks carry live futures that
-// settle normally once the executor gets to them, never-submitted tasks are
-// nil — the in-flight count returns to zero, and Rejected counts exactly the
-// tasks a full queue turned away.
+// TestSubmitAllPartialFutures submits all of a batch, one SubmitAsync call
+// per task and stopping at the first refusal, on a plain executor, under a
+// migration fence and under a split table: the tasks accepted before the
+// refusal carry live futures that settle normally once the executor gets to
+// them, the in-flight count returns to zero, and Rejected counts exactly the
+// submission a full queue turned away.
 func TestSubmitAllPartialFutures(t *testing.T) {
 	const batch = 5
 	rows := []struct {
@@ -320,6 +316,19 @@ func TestSubmitAllPartialFutures(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = Task{Key: 1, Op: OpNoop, Arg: uint32(i)}
 	}
+	// submitAll returns the futures of the tasks accepted before the first
+	// refusal, in task order, and that refusal.
+	submitAll := func(ex *Executor, ctx context.Context) ([]*Future, error) {
+		var futs []*Future
+		for _, task := range tasks {
+			f, err := ex.SubmitAsync(ctx, task)
+			if err != nil {
+				return futs, err
+			}
+			futs = append(futs, f)
+		}
+		return futs, nil
+	}
 	for _, row := range rows {
 		t.Run(row.name+"/reject", func(t *testing.T) {
 			ex, release := row.build(t, WithQueueDepth(1), WithBackpressure(BackpressureReject))
@@ -342,24 +351,15 @@ func TestSubmitAllPartialFutures(t *testing.T) {
 			}
 			// Batch of 5 into a depth-1 queue: the first fills the queue, the
 			// second hits ErrQueueFull, and the rest are never offered.
-			futs, err := ex.SubmitAll(ctx, tasks)
+			futs, err := submitAll(ex, ctx)
 			if !errors.Is(err, ErrQueueFull) {
-				t.Fatalf("SubmitAll error = %v, want ErrQueueFull", err)
+				t.Fatalf("batch error = %v, want ErrQueueFull", err)
 			}
-			if len(futs) != len(tasks) {
-				t.Fatalf("futures slice = %d entries, want position-aligned %d", len(futs), len(tasks))
+			if len(futs) != 1 {
+				t.Fatalf("accepted = %d of %d into a depth-1 queue, want 1", len(futs), len(tasks))
 			}
-			accepted := 0
-			for _, f := range futs {
-				if f != nil {
-					accepted++
-				}
-			}
-			if accepted != 1 {
-				t.Fatalf("accepted = %d of %d into a depth-1 queue, want 1", accepted, len(tasks))
-			}
-			if st := ex.Stats(); st.Rejected != uint64(len(tasks)-accepted) {
-				t.Errorf("Rejected = %d, want %d (every unsubmitted task)", st.Rejected, len(tasks)-accepted)
+			if st := ex.Stats(); st.Rejected != 1 {
+				t.Errorf("Rejected = %d, want 1 (the refused submission)", st.Rejected)
 			}
 			// The accepted futures are usable: release the worker and every
 			// one of them settles with a normal completion echoing its own
@@ -369,9 +369,6 @@ func TestSubmitAllPartialFutures(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, f := range futs {
-				if f == nil {
-					continue
-				}
 				res, err := f.Wait(ctx)
 				if err != nil {
 					t.Fatalf("accepted future %d: %v", i, err)
@@ -396,14 +393,12 @@ func TestSubmitAllPartialFutures(t *testing.T) {
 			if err := ex.Drain(); err != nil {
 				t.Fatal(err)
 			}
-			futs, err := ex.SubmitAll(context.Background(), tasks)
+			futs, err := submitAll(ex, context.Background())
 			if !errors.Is(err, ErrNotRunning) {
-				t.Fatalf("SubmitAll after Drain = %v, want ErrNotRunning", err)
+				t.Fatalf("batch after Drain = %v, want ErrNotRunning", err)
 			}
-			for i, f := range futs {
-				if f != nil {
-					t.Errorf("slot %d carries a future for a task that was never submitted", i)
-				}
+			if len(futs) != 0 {
+				t.Errorf("%d tasks accepted after Drain", len(futs))
 			}
 			if st := ex.Stats(); st.InFlight != 0 || st.Rejected != 0 || st.Submitted != 0 {
 				t.Errorf("after a refused batch: InFlight=%d Rejected=%d Submitted=%d, want all 0", st.InFlight, st.Rejected, st.Submitted)

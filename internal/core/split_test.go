@@ -476,13 +476,14 @@ func TestSplitResumesFromDeepIdle(t *testing.T) {
 	waitSum(t, ex, w, hotKey, adds+1, time.Second, "absorbed add after deep idle")
 }
 
-// coreGoroutines counts goroutines running an executor worker or a split
-// coordinator.
+// coreGoroutines counts goroutines running an executor worker or an epoch
+// coordinator (a split runner or a migration hand-off).
 func coreGoroutines() int {
 	n := 0
 	for _, g := range goroutineStacks() {
 		if strings.Contains(g, "kstm/internal/core.(*Executor).worker(") ||
-			strings.Contains(g, "kstm/internal/core.(*splitRunner).loop(") {
+			strings.Contains(g, "kstm/internal/core.(*splitRunner).loop(") ||
+			strings.Contains(g, "kstm/internal/core.(*migrator).migrate(") {
 			n++
 		}
 	}

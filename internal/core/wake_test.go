@@ -437,7 +437,7 @@ func TestStrandedSubmitter(t *testing.T) {
 	ex.state.Store(stateRunning)
 	t.Cleanup(func() { ex.Stop() })
 	ctx := context.Background()
-	submit := func() error { return ex.SubmitFunc(ctx, Task{Key: 1}, func(TaskResult) {}) }
+	submit := func() error { return submitCallback(ex, ctx, Task{Key: 1}, func(TaskResult) {}) }
 	if err := submit(); err != nil {
 		t.Fatal(err)
 	}

@@ -584,12 +584,13 @@ func TestKeyRangeDictFactoryAliasing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keys, err := src.ExtractRange(th, 0, 1000)
+	out, err := src.ExtractRanges(th, []core.Range{{Lo: 0, Hi: 1000}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	keys := out[0]
 	if len(keys) != 1 || keys[0] != 7 {
-		t.Fatalf("ExtractRange(0,1000) = %v, want [7] (alias %d must stay)", keys, alias)
+		t.Fatalf("ExtractRanges([0,1000]) = %v, want [7] (alias %d must stay)", keys, alias)
 	}
 	if err := dst.InstallKeys(th, keys); err != nil {
 		t.Fatal(err)
@@ -608,12 +609,12 @@ func TestKeyRangeDictFactoryAliasing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bkeys, err := g.Store(0).ExtractRange(th, 0, 1000)
+	bout, err := g.Store(0).ExtractRanges(th, []core.Range{{Lo: 0, Hi: 1000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bkeys) != 2 {
-		t.Fatalf("bucket-space ExtractRange(0,1000) = %v, want both aliases", bkeys)
+	if len(bout[0]) != 2 {
+		t.Fatalf("bucket-space ExtractRanges([0,1000]) = %v, want both aliases", bout[0])
 	}
 }
 
@@ -760,18 +761,14 @@ func TestNewOpenExecutorLifecycle(t *testing.T) {
 }
 
 // TestKeyRangeStoreBatches pins the kstmd store pairing: the dictionary-key
-// hash store exposes the core.RangeBatchStore face and its one-pass
-// extraction matches per-range extraction.
+// hash store's one-pass extraction of several ranges matches per-range
+// extraction.
 func TestKeyRangeStoreBatches(t *testing.T) {
 	f := NewKeyRangeDictFactory(txds.KindHashTable)
 	w := f.NewShard(0)
-	st := f.Store(0)
-	if st == nil {
+	bs := f.Store(0)
+	if bs == nil {
 		t.Fatal("key-range hash store is nil")
-	}
-	bs, ok := st.(core.RangeBatchStore)
-	if !ok {
-		t.Fatal("key-range hash store does not implement core.RangeBatchStore")
 	}
 	th := stm.New().NewThread()
 	for _, k := range []uint32{10, 20, 5000, 5001, 60000} {

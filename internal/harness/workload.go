@@ -204,9 +204,9 @@ func (f *DictFactory) Store(worker int) core.ShardStore {
 }
 
 // keyRangeHashStore views a hash table through dictionary-key ranges
-// (ExtractKeyRange) instead of its native bucket ranges. It implements
-// txds.RangeBatchStore: ExtractKeyRanges visits the union of an epoch's
-// bucket images, so buckets shared by several ranges are drained once.
+// (ExtractKeyRange) instead of its native bucket ranges. Its ExtractRanges is
+// the batch face dictStore looks for: ExtractKeyRanges visits the union of an
+// epoch's bucket images, so buckets shared by several ranges are drained once.
 type keyRangeHashStore struct{ t *txds.HashTable }
 
 func (s keyRangeHashStore) ExtractRange(th *stm.Thread, lo, hi uint32) ([]uint32, error) {
@@ -222,10 +222,9 @@ func (s keyRangeHashStore) InstallKeys(th *stm.Thread, keys []uint32) error {
 }
 
 // dictStore adapts a txds.RangeStore (32-bit scheduling keys) to
-// core.ShardStore (the partition's 64-bit key space). It always offers the
-// core.RangeBatchStore face: wrapped stores that batch natively (the
-// dictionary-key hash view) extract every range in one pass, the rest fall
-// back to a per-range loop with identical semantics.
+// core.ShardStore (the partition's 64-bit key space). A wrapped store that
+// batches natively (the dictionary-key hash view) extracts every range in one
+// pass; the rest loop over the ranges with identical semantics.
 type dictStore struct{ rs txds.RangeStore }
 
 // clampRange folds a 64-bit partition range into the 32-bit dictionary
@@ -241,19 +240,15 @@ func clampRange(lo, hi uint64) (lo32, hi32 uint32, ok bool) {
 	return uint32(lo), uint32(hi), true
 }
 
-func (s dictStore) ExtractRange(th *stm.Thread, lo, hi uint64) ([]uint32, error) {
-	lo32, hi32, ok := clampRange(lo, hi)
-	if !ok {
-		return nil, nil // whole range above the 32-bit dictionary space
-	}
-	return s.rs.ExtractRange(th, lo32, hi32)
-}
-
+// ExtractRanges implements core.ShardStore. Ranges above the 32-bit space
+// extract nothing; their output slot stays empty.
 func (s dictStore) ExtractRanges(th *stm.Thread, ranges []core.Range) ([][]uint32, error) {
 	out := make([][]uint32, len(ranges))
-	if bs, ok := s.rs.(txds.RangeBatchStore); ok {
-		// One structure pass for the whole epoch. Ranges above the 32-bit
-		// space extract nothing; their output slot stays empty.
+	type batchStore interface {
+		ExtractRanges(th *stm.Thread, ranges []txds.KeyRange) ([][]uint32, error)
+	}
+	if bs, ok := s.rs.(batchStore); ok {
+		// One structure pass for the whole epoch.
 		krs := make([]txds.KeyRange, 0, len(ranges))
 		slot := make([]int, 0, len(ranges))
 		for i, r := range ranges {
@@ -269,7 +264,11 @@ func (s dictStore) ExtractRanges(th *stm.Thread, ranges []core.Range) ([][]uint3
 		return out, err
 	}
 	for i, r := range ranges {
-		keys, err := s.ExtractRange(th, r.Lo, r.Hi)
+		lo32, hi32, ok := clampRange(r.Lo, r.Hi)
+		if !ok {
+			continue
+		}
+		keys, err := s.rs.ExtractRange(th, lo32, hi32)
 		out[i] = keys
 		if err != nil {
 			return out, err

@@ -50,18 +50,9 @@ type RangeStore interface {
 	InstallKeys(th *stm.Thread, keys []uint32) error
 }
 
-// KeyRange is one closed scheduling-key interval for batch extraction.
+// KeyRange is one closed scheduling-key interval for batch extraction
+// (HashTable.ExtractKeyRanges).
 type KeyRange struct{ Lo, Hi uint32 }
-
-// RangeBatchStore is the optional batch face of a RangeStore: extract
-// several disjoint ranges in ONE pass over the structure, returning the
-// removed keys per range (out[i] belongs to ranges[i]). The hash table's
-// dictionary-key view implements it: ranges whose bucket images overlap
-// visit each shared bucket once instead of once per range.
-type RangeBatchStore interface {
-	RangeStore
-	ExtractRanges(th *stm.Thread, ranges []KeyRange) ([][]uint32, error)
-}
 
 // Kind names a benchmark data structure.
 type Kind string

@@ -191,8 +191,11 @@ var NewSkipList = txds.NewSkipList
 // The closed-world Pool below is the driver the paper's figures run; it
 // runs on the same engine.
 
-// Executor is the open key-based executor: Submit routes each task to a
-// worker by its transaction key through the configured dispatch policy.
+// Executor is the open key-based executor: each task is routed to a worker
+// by its transaction key through the configured dispatch policy. It has
+// three ways in: Submit (wait for the result), SubmitAsync (a Future) and
+// SubmitFuncOrRun (a callback, or the caller runs the task on a parked
+// owner; the server's path).
 type Executor = core.Executor
 
 // Option configures NewExecutor.
@@ -314,17 +317,13 @@ type CounterValue = txds.CounterValue
 // NewCounters creates a bank of n zeroed counters.
 var NewCounters = txds.NewCounters
 
-// ShardStore is the migratable transactional state of one shard: range
-// extraction and key installation in the executor's scheduling-key space.
+// ShardStore is the migratable transactional state of one shard: batch range
+// extraction (every range an epoch moves out of the shard, in one call) and
+// key installation, in the executor's scheduling-key space.
 type ShardStore = core.ShardStore
 
 // Range is one contiguous closed interval of the scheduling-key space.
 type Range = core.Range
-
-// RangeBatchStore is the optional batch face of a ShardStore: extract all
-// of an epoch's moved ranges in one structure pass. The migrator uses it
-// when one re-partition moves several ranges out of the same shard.
-type RangeBatchStore = core.RangeBatchStore
 
 // StoreFactory is a WorkloadFactory whose shards expose migratable state.
 type StoreFactory = core.StoreFactory
@@ -386,7 +385,7 @@ var (
 	ErrAlreadyStarted = core.ErrAlreadyStarted
 	ErrStopped        = core.ErrStopped
 	// ErrDeadlineExpired is the completion error of tasks shed because their
-	// SubmitFuncTimed queue deadline expired before a worker reached them.
+	// SubmitFuncOrRun queue deadline expired before a worker reached them.
 	ErrDeadlineExpired = core.ErrDeadlineExpired
 )
 

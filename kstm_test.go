@@ -112,7 +112,7 @@ func TestFacadeExecutorEndToEnd(t *testing.T) {
 
 // TestFacadeOpenExecutor drives the open API end-to-end through the public
 // surface: concurrent clients submit dictionary transactions against an
-// adaptive executor, one batch goes through SubmitAll, and Drain closes the
+// adaptive executor, two more go through SubmitAsync, and Drain closes the
 // lifecycle with every future resolved.
 func TestFacadeOpenExecutor(t *testing.T) {
 	table := kstm.NewHashTable(0)
@@ -154,12 +154,13 @@ func TestFacadeOpenExecutor(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	futs, err := ex.SubmitAll(ctx, []kstm.Task{
-		{Key: uint64(table.Hash(1)), Op: kstm.OpInsert, Arg: 1},
-		{Key: uint64(table.Hash(2)), Op: kstm.OpInsert, Arg: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
+	var futs []*kstm.Future
+	for _, k := range []uint32{1, 2} {
+		f, err := ex.SubmitAsync(ctx, kstm.Task{Key: uint64(table.Hash(k)), Op: kstm.OpInsert, Arg: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs = append(futs, f)
 	}
 	for _, f := range futs {
 		if _, err := f.Wait(ctx); err != nil {
@@ -365,11 +366,19 @@ func (f *migFacadeFactory) Store(worker int) kstm.ShardStore {
 // the executor's 64-bit ShardStore ranges.
 type hashRangeStore struct{ t *kstm.HashTable }
 
-func (s hashRangeStore) ExtractRange(th *kstm.Thread, lo, hi uint64) ([]uint32, error) {
-	if m := uint64(^uint32(0)); hi > m {
-		hi = m
+func (s hashRangeStore) ExtractRanges(th *kstm.Thread, ranges []kstm.Range) ([][]uint32, error) {
+	out := make([][]uint32, len(ranges))
+	for i, r := range ranges {
+		if m := uint64(^uint32(0)); r.Hi > m {
+			r.Hi = m
+		}
+		keys, err := s.t.ExtractRange(th, uint32(r.Lo), uint32(r.Hi))
+		out[i] = keys
+		if err != nil {
+			return out, err
+		}
 	}
-	return s.t.ExtractRange(th, uint32(lo), uint32(hi))
+	return out, nil
 }
 
 func (s hashRangeStore) InstallKeys(th *kstm.Thread, keys []uint32) error {
