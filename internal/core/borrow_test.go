@@ -60,8 +60,9 @@ func startExecutor(t *testing.T, opts ...Option) *Executor {
 
 // borrowChurn drives one worker with borrowers (SubmitFuncOrRun, depth 1)
 // and async submitters (SubmitAsync futures, waited at once or only after the
-// goroutine's last round) on its keys, with idle gaps so the worker parks and unparks throughout. It returns
-// the per-task settle counts, indexed by Task.Arg.
+// goroutine's last round) on its keys, with idle gaps so the worker parks and
+// unparks throughout. It returns the per-task settle counts, indexed by
+// Task.Arg.
 func borrowChurn(t *testing.T, ex *Executor, borrowers, asyncs, rounds int) []atomic.Int32 {
 	t.Helper()
 	total := (borrowers + asyncs) * rounds
