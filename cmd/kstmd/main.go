@@ -7,8 +7,7 @@
 //
 //	kstmd                                # hash table on :7707, GOMAXPROCS workers
 //	kstmd -addr :9000 -workers 8 -structure rbtree
-//	kstmd -sharding perworker            # private STM + dictionary per worker
-//	kstmd -sharding perworker -migrate   # + epoch-fenced state hand-off on re-adaptation
+//	kstmd -sharding perworker            # private STM + dictionary per worker, state moves on re-adaptation
 //	kstmd -queue-depth 1024              # smaller per-worker queues (earlier busy)
 //	kstmd -structure counters            # keyed aggregates (add/max/min/topk ops)
 //	kstmd -structure counters -split     # + split-phase execution for contended keys
@@ -30,7 +29,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -42,13 +40,18 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], nil)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "kstmd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run serves until ctx is done (main's: SIGINT or SIGTERM), then drains.
+// A non-nil serving is called once the server listens.
+func run(ctx context.Context, args []string, serving func(*server.Server, net.Addr)) error {
 	fs := flag.NewFlagSet("kstmd", flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", ":7707", "listen address")
@@ -57,7 +60,6 @@ func run(args []string) error {
 		sharding   = fs.String("sharding", "shared", "state partitioning: shared or perworker")
 		depth      = fs.Int("queue-depth", 4096, "per-worker queue bound (busy above it)")
 		threshold  = fs.Int("threshold", 10000, "adaptive sample threshold (the paper's 10000)")
-		migrate    = fs.Bool("migrate", false, "move shard state on re-partition (requires -sharding perworker); keeps read-your-writes across adaptations")
 		readapt    = fs.Bool("readapt", false, "re-estimate the key distribution every threshold samples instead of adapting once")
 		split      = fs.Bool("split", false, "split-phase execution for contended keys (requires -structure counters)")
 		statsEach  = fs.Duration("stats", 0, "periodic stats line interval (0 = off)")
@@ -69,12 +71,10 @@ func run(args []string) error {
 		return err
 	}
 
-	ex, err := buildExecutor(*structure, kstm.ShardMode(*sharding), *workers, *depth, *threshold, *migrate, *readapt, *split)
+	ex, err := buildExecutor(*structure, kstm.ShardMode(*sharding), *workers, *depth, *threshold, *readapt, *split)
 	if err != nil {
 		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	if err := ex.Start(context.Background()); err != nil {
 		return err
 	}
@@ -102,7 +102,7 @@ func run(args []string) error {
 	if *admitRate > 0 {
 		sopts = append(sopts, server.WithAdmission(*admitRate, *admitBurst))
 	}
-	if *migrate {
+	if ex.Sharding() == kstm.ShardPerWorker {
 		// Hand-off ranges live in the masked dispatch space: an Arg above
 		// it would dispatch by its masked key but never be extracted by a
 		// dictionary-key range — stranded across re-partitions. Bound Arg
@@ -112,6 +112,9 @@ func run(args []string) error {
 	srv := server.New(ex, sopts...)
 	log.Printf("kstmd: serving %s (%s, %d workers, %s sharding, split=%v) on %s",
 		*structure, ex.Scheduler().Name(), ex.Workers(), ex.Sharding(), ex.SplitPhase(), ln.Addr())
+	if serving != nil {
+		serving(srv, ln.Addr())
+	}
 
 	if *statsEach > 0 {
 		go func() {
@@ -168,12 +171,12 @@ const structureCounters = "counters"
 
 // buildExecutor assembles the executor for a dictionary structure, shared or
 // per-worker sharded, with reject-mode backpressure — a server sheds load
-// rather than stalling connection handlers. With migrate set, shards are
-// built migratable (dictionary-key-range stores, sized per shard like the
-// rest) and the executor runs the epoch-fenced hand-off on every
-// re-partition. The counters structure serves keyed aggregates instead,
-// optionally under split-phase execution for its contended keys.
-func buildExecutor(structure string, mode kstm.ShardMode, workers, depth, threshold int, migrate, readapt, split bool) (*kstm.Executor, error) {
+// rather than stalling connection handlers. Per-worker shards are built
+// migratable (dictionary-key-range stores, sized per shard), so the adaptive
+// executor runs the epoch-fenced hand-off on every re-partition. The
+// counters structure serves keyed aggregates instead, optionally under
+// split-phase execution for its contended keys.
+func buildExecutor(structure string, mode kstm.ShardMode, workers, depth, threshold int, readapt, split bool) (*kstm.Executor, error) {
 	kind := txds.Kind(structure)
 	if split && structure != structureCounters {
 		return nil, fmt.Errorf("-split requires -structure counters (dictionary ops do not commute)")
@@ -181,9 +184,6 @@ func buildExecutor(structure string, mode kstm.ShardMode, workers, depth, thresh
 	if structure == structureCounters {
 		if mode != kstm.ShardShared {
 			return nil, fmt.Errorf("-structure counters requires -sharding shared")
-		}
-		if migrate {
-			return nil, fmt.Errorf("-structure counters is incompatible with -migrate")
 		}
 		opts := []core.Option{
 			core.WithBackpressure(core.BackpressureReject),
@@ -208,33 +208,20 @@ func buildExecutor(structure string, mode kstm.ShardMode, workers, depth, thresh
 	}
 	switch mode {
 	case kstm.ShardShared:
-		if migrate {
-			return nil, fmt.Errorf("-migrate requires -sharding perworker (shared state needs no migration)")
-		}
 		set, err := txds.New(kind)
 		if err != nil {
 			return nil, err
 		}
 		opts = append(opts, core.WithWorkload(harness.NewDictWorkload(set)))
 	case kstm.ShardPerWorker:
-		n := workers
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
+		if _, err := txds.New(kind); err != nil {
+			return nil, err // the factory would panic on it in NewExecutor
 		}
-		factory := harness.NewDictFactory(kind)
-		if migrate {
-			// Wire clients dispatch on their own (key-masked) Task.Key —
-			// the dictionary key, not a hash output — so hand-off ranges
-			// must be dictionary-key ranges too (key-range stores), or a
-			// hash table would migrate bucket ranges the partition never
-			// moved.
-			factory = harness.NewKeyRangeDictFactory(kind)
-			opts = append(opts, core.WithMigration(core.MigrateOnRepartition))
-		}
+		// Wire clients dispatch on their own (key-masked) Task.Key, the
+		// dictionary key, so the stores move dictionary-key ranges.
 		opts = append(opts,
 			core.WithSharding(core.ShardPerWorker),
-			core.WithWorkloadFactory(factory),
-			core.WithWorkers(n))
+			core.WithWorkloadFactory(harness.NewKeyRangeDictFactory(kind)))
 	default:
 		return nil, fmt.Errorf("unknown -sharding %q (want shared or perworker)", mode)
 	}

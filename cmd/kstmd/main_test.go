@@ -2,18 +2,23 @@ package main
 
 import (
 	"context"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"kstm"
+	"kstm/client"
 	"kstm/internal/core"
+	"kstm/internal/rng"
 	"kstm/internal/stm"
 	"kstm/internal/txds"
+	"kstm/server"
 )
 
 func TestBuildExecutorModes(t *testing.T) {
 	for _, mode := range []kstm.ShardMode{kstm.ShardShared, kstm.ShardPerWorker} {
-		ex, err := buildExecutor(string(txds.KindHashTable), mode, 2, 64, 10000, false, false, false)
+		ex, err := buildExecutor(string(txds.KindHashTable), mode, 2, 64, 10000, false, false)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -35,38 +40,98 @@ func TestBuildExecutorModes(t *testing.T) {
 }
 
 func TestBuildExecutorRejectsBadConfig(t *testing.T) {
-	if _, err := buildExecutor("btree", kstm.ShardShared, 2, 64, 10000, false, false, false); err == nil {
-		t.Error("unknown structure accepted")
+	for _, mode := range []kstm.ShardMode{kstm.ShardShared, kstm.ShardPerWorker} {
+		if _, err := buildExecutor("btree", mode, 2, 64, 10000, false, false); err == nil {
+			t.Errorf("%s: unknown structure accepted", mode)
+		}
 	}
-	if _, err := buildExecutor(string(txds.KindHashTable), "replicated", 2, 64, 10000, false, false, false); err == nil {
+	if _, err := buildExecutor(string(txds.KindHashTable), "replicated", 2, 64, 10000, false, false); err == nil {
 		t.Error("unknown sharding mode accepted")
 	}
-	if _, err := buildExecutor(string(txds.KindHashTable), kstm.ShardShared, 2, 64, 10000, true, false, false); err == nil {
-		t.Error("-migrate with shared sharding accepted")
-	}
-	if _, err := buildExecutor(string(txds.KindHashTable), kstm.ShardShared, 2, 64, 10000, false, false, true); err == nil {
+	if _, err := buildExecutor(string(txds.KindHashTable), kstm.ShardShared, 2, 64, 10000, false, true); err == nil {
 		t.Error("-split without -structure counters accepted")
 	}
-	if _, err := buildExecutor(structureCounters, kstm.ShardPerWorker, 2, 64, 10000, false, false, true); err == nil {
+	if _, err := buildExecutor(structureCounters, kstm.ShardPerWorker, 2, 64, 10000, false, true); err == nil {
 		t.Error("counters with perworker sharding accepted")
-	}
-	if _, err := buildExecutor(structureCounters, kstm.ShardShared, 2, 64, 10000, true, false, false); err == nil {
-		t.Error("counters with -migrate accepted")
 	}
 }
 
-// TestBuildExecutorMigrate checks the -migrate wiring: perworker shards come
-// up migratable and the executor reports the hand-off mode; every structure
-// kind builds (all four dictionaries implement RangeStore).
+// TestBuildExecutorMigrate checks the perworker wiring: every structure kind
+// builds under the adaptive scheduler, which NewExecutor accepts only with a
+// migratable store for every shard.
 func TestBuildExecutorMigrate(t *testing.T) {
 	for _, kind := range []txds.Kind{txds.KindHashTable, txds.KindRBTree, txds.KindSortedList, txds.KindSkipList} {
-		ex, err := buildExecutor(string(kind), kstm.ShardPerWorker, 2, 64, 10000, true, true, false)
+		ex, err := buildExecutor(string(kind), kstm.ShardPerWorker, 2, 64, 10000, true, false)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		if got := ex.Migration(); got != kstm.MigrateOnRepartition {
-			t.Errorf("%s: Migration() = %q", kind, got)
+		if got := ex.Scheduler().Name(); got != string(kstm.SchedAdaptive) {
+			t.Errorf("%s: scheduler %q, want adaptive", kind, got)
 		}
+	}
+}
+
+// TestServePerWorkerMigrates serves `-sharding perworker -readapt` over
+// loopback and drives it with one client whose keys drift across the key
+// space, so the re-adapting partition moves ranges between the two workers.
+// Every lookup of the client's own earlier insert must hit, and at least one
+// migration epoch must have moved keys.
+func TestServePerWorkerMigrates(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type up struct {
+		srv  *server.Server
+		addr net.Addr
+	}
+	ready := make(chan up, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "2", "-sharding", "perworker",
+			"-readapt", "-threshold", "500"}, func(srv *server.Server, addr net.Addr) { ready <- up{srv, addr} })
+	}()
+	var u up
+	select {
+	case u = <-ready:
+	case err := <-done:
+		t.Fatalf("run: %v", err)
+	}
+	c, err := client.Dial(u.addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const total = 4000
+	r := rng.New(1)
+	var inserted []uint32
+	misses := 0
+	for i := 0; i < total; i++ {
+		// A Gaussian whose mean slides from 1/8 to 7/8 of the key space.
+		kf := kstm.MaxKey*(0.125+0.75*float64(i)/total) + 2000*r.NormFloat64()
+		k := uint32(min(max(kf, 0), kstm.MaxKey))
+		if _, err := c.DoBool(ctx, kstm.Task{Key: uint64(k), Op: kstm.OpInsert, Arg: k}); err != nil {
+			t.Fatal(err)
+		}
+		inserted = append(inserted, k)
+		if i%4 == 3 {
+			q := inserted[r.Intn(len(inserted))]
+			found, err := c.DoBool(ctx, kstm.Task{Key: uint64(q), Op: kstm.OpLookup, Arg: q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !found {
+				misses++
+			}
+		}
+	}
+	if misses != 0 {
+		t.Errorf("%d of %d own-insert lookups missed", misses, total/4)
+	}
+	if m := u.srv.Stats().Migrations; m.Epochs == 0 || m.KeysMoved == 0 {
+		t.Errorf("migrations = %+v, want at least one epoch that moved keys", m)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Errorf("run: %v", err)
 	}
 }
 
@@ -75,7 +140,7 @@ func TestBuildExecutorMigrate(t *testing.T) {
 // sum either way.
 func TestBuildExecutorCounters(t *testing.T) {
 	for _, split := range []bool{false, true} {
-		ex, err := buildExecutor(structureCounters, kstm.ShardShared, 2, 64, 10000, false, false, split)
+		ex, err := buildExecutor(structureCounters, kstm.ShardShared, 2, 64, 10000, false, split)
 		if err != nil {
 			t.Fatalf("split=%v: %v", split, err)
 		}
@@ -106,13 +171,19 @@ func TestBuildExecutorCounters(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-structure", "btree", "-addr", "127.0.0.1:0"}); err == nil {
+	ctx := context.Background()
+	if err := run(ctx, []string{"-structure", "btree", "-addr", "127.0.0.1:0"}, nil); err == nil {
 		t.Error("unknown structure accepted by run")
 	}
-	if err := run([]string{"-bogus"}); err == nil {
+	if err := run(ctx, []string{"-bogus"}, nil); err == nil {
 		t.Error("unknown flag accepted")
 	}
-	if err := run([]string{"-split", "-addr", "127.0.0.1:0"}); err == nil {
+	// Per-worker shards always migrate; there is no flag to ask for it.
+	if err := run(ctx, []string{"-sharding", "perworker", "-migrate"}, nil); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: -migrate") {
+		t.Errorf("-migrate: err = %v, want an unknown flag", err)
+	}
+	if err := run(ctx, []string{"-split", "-addr", "127.0.0.1:0"}, nil); err == nil {
 		t.Error("-split without -structure counters accepted by run")
 	}
 }

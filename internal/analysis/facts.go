@@ -21,7 +21,10 @@ package analysis
 //     []byte/string conversions);
 //   - blocking operations: channel send/receive, select without default,
 //     sync.Cond.Wait, sync.WaitGroup.Wait, time.Sleep, core.Future.Wait —
-//     each with the set of locks held at that point;
+//     each with the set of locks held at that point (and, for Cond.Wait,
+//     the waited Cond, whose bound lock Wait releases);
+//   - Cond bindings: c.L = &mu and c = sync.NewCond(&mu), naming the lock
+//     a Cond's Wait releases;
 //   - clock reads: time.Now and time.Since;
 //   - lock acquisitions: sync.Mutex/RWMutex Lock/RLock with the locks
 //     already held at the acquisition (the lock-order graph's edges);
@@ -78,10 +81,13 @@ type AllocUse struct {
 }
 
 // BlockUse is one potentially-blocking operation, with the locks held there.
+// Cond names the waited Cond of a sync.Cond.Wait (its declaration identity,
+// as for locks), "" otherwise.
 type BlockUse struct {
 	What string
 	Pos  token.Pos
 	Held []string
+	Cond string
 }
 
 // ClockUse is one time.Now/time.Since read.
@@ -124,7 +130,8 @@ type FuncFacts struct {
 	Calls         []CallUse
 	Closures      []Closure
 	Gos           []token.Pos
-	FieldRefs     map[string]bool // "pkgpath.Type.Field"
+	FieldRefs     map[string]bool   // "pkgpath.Type.Field"
+	CondLocks     map[string]string // Cond identity → the lock bound as its L here
 }
 
 // Allocates reports whether the function's body heap-allocates.
@@ -137,13 +144,32 @@ func (ff *FuncFacts) BlocksDirectly() bool { return ff != nil && len(ff.Blocks) 
 func (ff *FuncFacts) ReadsClock() bool { return ff != nil && len(ff.Clocks) > 0 }
 
 // Facts is the program-wide fact table: one summary per function, keyed by
-// FuncKey.
+// FuncKey, and every Cond binding any of them makes.
 type Facts struct {
-	Fns map[string]*FuncFacts
+	Fns       map[string]*FuncFacts
+	CondLocks map[string]string // Cond identity → the lock its Wait releases
 }
 
 // NewFacts returns an empty table.
-func NewFacts() *Facts { return &Facts{Fns: make(map[string]*FuncFacts)} }
+func NewFacts() *Facts {
+	return &Facts{Fns: make(map[string]*FuncFacts), CondLocks: make(map[string]string)}
+}
+
+// HeldAcross returns the locks b holds while it blocks: for a Cond.Wait,
+// every held lock but the one the Wait releases.
+func (f *Facts) HeldAcross(b BlockUse) []string {
+	released := f.CondLocks[b.Cond]
+	if released == "" {
+		return b.Held
+	}
+	var held []string
+	for _, l := range b.Held {
+		if l != released {
+			held = append(held, l)
+		}
+	}
+	return held
+}
 
 // Of returns the summary for key, or nil if the function was not summarized
 // (not loaded from source — stdlib, or reached only dynamically).
@@ -173,6 +199,9 @@ func (f *Facts) AddPackage(fset *token.FileSet, pkg *Package, esc *Escapes) {
 			}
 			markColdErrPaths(fset, pkg.Info, fd, ff.Allocs)
 			f.Fns[key] = ff
+			for c, l := range ff.CondLocks {
+				f.CondLocks[c] = l
+			}
 		}
 	}
 }
@@ -248,8 +277,11 @@ func (w *factWalker) walkStmt(s ast.Stmt, held heldSet) {
 		for _, e := range st.Rhs {
 			w.walkExpr(e, held)
 		}
-		for _, e := range st.Lhs {
+		for i, e := range st.Lhs {
 			w.walkExpr(e, held)
+			if len(st.Rhs) == len(st.Lhs) {
+				w.bindCond(e, st.Rhs[i])
+			}
 		}
 	case *ast.IncDecStmt:
 		w.walkExpr(st.X, held)
@@ -487,7 +519,11 @@ func (w *factWalker) walkCall(call *ast.CallExpr, held heldSet) {
 				delete(held, id)
 			}
 		} else if what, ok := blockingCalls[key]; ok {
-			w.ff.Blocks = append(w.ff.Blocks, BlockUse{What: what, Pos: call.Pos(), Held: held.snapshot()})
+			b := BlockUse{What: what, Pos: call.Pos(), Held: held.snapshot()}
+			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && key == "sync.Cond.Wait" {
+				b.Cond = w.lockID(sel.X)
+			}
+			w.ff.Blocks = append(w.ff.Blocks, b)
 		} else if key == "time.Now" || key == "time.Since" {
 			w.ff.Clocks = append(w.ff.Clocks, ClockUse{What: key, Pos: call.Pos()})
 		}
@@ -509,6 +545,27 @@ var blockingCalls = map[string]string{
 	"sync.WaitGroup.Wait":          "sync.WaitGroup.Wait",
 	CorePath + ".Future.Wait":      "Future.Wait",
 	CorePath + ".Future.WaitValue": "Future.WaitValue",
+}
+
+// bindCond records lhs = rhs when it binds a Cond to the lock its Wait
+// releases: c.L = &mu, or c = sync.NewCond(&mu).
+func (w *factWalker) bindCond(lhs, rhs ast.Expr) {
+	var cond string
+	if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && sel.Sel.Name == "L" && IsNamed(w.typ(sel.X), "sync", "Cond") {
+		cond = w.lockID(sel.X)
+	} else if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && len(call.Args) == 1 && FuncKey(Callee(w.info, call)) == "sync.NewCond" {
+		cond, rhs = w.lockID(lhs), call.Args[0]
+	}
+	addr, ok := ast.Unparen(rhs).(*ast.UnaryExpr)
+	if cond == "" || !ok || addr.Op != token.AND {
+		return
+	}
+	if lock := w.lockID(addr.X); lock != "" {
+		if w.ff.CondLocks == nil {
+			w.ff.CondLocks = make(map[string]string)
+		}
+		w.ff.CondLocks[cond] = lock
+	}
 }
 
 // lockCallID reports the lock identity a call acquires or releases, or ""

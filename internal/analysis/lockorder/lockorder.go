@@ -7,7 +7,9 @@
 //     opposite orders can deadlock even if neither ever has (DESIGN.md §8.6);
 //   - blocking operations performed while a lock is held — channel
 //     send/receive, select without default, Future.Wait, Cond.Wait,
-//     time.Sleep — directly or via a called module function.
+//     time.Sleep — directly or via a called module function. A Cond.Wait
+//     releases the lock its Cond is bound to (c.L = &mu, or
+//     sync.NewCond(&mu)), so only the other locks held count against it.
 //
 // Lock identities name declaration sites (pkg.Owner.field, pkg.var,
 // pkg.func.var), so the ordering contract is stated per lock declaration,
@@ -66,8 +68,8 @@ func reportBlocking(pass *analysis.Pass) {
 			direct := map[token.Pos]bool{}
 			for _, b := range ff.Blocks {
 				direct[b.Pos] = true
-				if len(b.Held) > 0 {
-					pass.Reportf(b.Pos, "blocking operation (%s) while holding %s", b.What, strings.Join(b.Held, ", "))
+				if held := pass.Facts.HeldAcross(b); len(held) > 0 {
+					pass.Reportf(b.Pos, "blocking operation (%s) while holding %s", b.What, strings.Join(held, ", "))
 				}
 			}
 			for _, c := range ff.Calls {

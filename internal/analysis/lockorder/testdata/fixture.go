@@ -91,3 +91,48 @@ func (p *pair) suppressedSend() {
 	p.ch <- 3 //kstmvet:ignore fixture demonstrates an audited handoff under lock
 	p.a.Unlock()
 }
+
+// waiter binds each Cond to its mutex: cond through its L field, ncond
+// through sync.NewCond.
+type waiter struct {
+	mu    sync.Mutex
+	other sync.Mutex
+	cond  sync.Cond
+	ncond *sync.Cond
+	ready bool
+}
+
+func (w *waiter) bind() {
+	w.cond.L = &w.mu
+	w.ncond = sync.NewCond(&w.mu)
+}
+
+// waitOwn holds only the lock its Wait releases: not a finding.
+func (w *waiter) waitOwn() {
+	w.mu.Lock()
+	for !w.ready {
+		w.cond.Wait()
+	}
+	w.mu.Unlock()
+}
+
+// waitNewCond is waitOwn through the NewCond binding: not a finding.
+func (w *waiter) waitNewCond() {
+	w.mu.Lock()
+	for !w.ready {
+		w.ncond.Wait()
+	}
+	w.mu.Unlock()
+}
+
+// waitNested holds a second lock across the Wait, which only the Cond's own
+// lock is released by: the finding names the other lock alone.
+func (w *waiter) waitNested() {
+	w.other.Lock()
+	w.mu.Lock()
+	for !w.ready {
+		w.cond.Wait() // want `blocking operation \(sync\.Cond\.Wait\) while holding [^,]*waiter\.other$`
+	}
+	w.mu.Unlock()
+	w.other.Unlock()
+}

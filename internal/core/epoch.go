@@ -35,7 +35,8 @@ import (
 //
 // An epoch serialises on this one gate and neither hand-off callback is
 // written to run inside the other's fence, which is the reason NewExecutor
-// rejects WithSplitPhase × WithMigration.
+// rejects WithSplitPhase with a migrating executor (ShardPerWorker under
+// SchedAdaptive).
 type epoch struct {
 	e *Executor
 	// gate orders dispatch (read side) against capture and release (write

@@ -160,9 +160,9 @@ func WithWorkloadFactory(f WorkloadFactory) Option {
 // WithSharding selects the state-partitioning mode (default ShardShared).
 // ShardPerWorker requires WithWorkloadFactory and is incompatible with
 // WithSTM: every worker builds a private STM instance, so transactional
-// state never crosses worker boundaries. The learned adaptive partition
-// still moves key ranges between workers; moved ranges see their shard-
-// local state, not the old worker's (see DESIGN.md "Sharding").
+// state never crosses worker boundaries. It requires key-stable routing:
+// SchedFixed, or SchedAdaptive with a StoreFactory, whose re-partitions
+// migrate the moved ranges' state (DESIGN.md "Sharding").
 func WithSharding(m ShardMode) Option { return func(c *execConfig) { c.sharding = m } }
 
 // WithWorkers sets the worker-thread count; the default is GOMAXPROCS.
@@ -217,8 +217,8 @@ type Executor struct {
 	// entry under ShardShared, one per worker under ShardPerWorker.
 	// Worker i executes in shards[shardOf(i)].
 	shards []shardState
-	// migr runs the epoch-fenced shard-state hand-off; nil unless
-	// MigrateOnRepartition is configured.
+	// migr runs the epoch-fenced shard-state hand-off; nil unless the
+	// executor is ShardPerWorker under SchedAdaptive.
 	migr *migrator
 	// split runs split-phase execution for contended keys (detector, local
 	// accumulators, epoch-merge coordinator); nil unless WithSplitPhase is
@@ -345,7 +345,6 @@ func defaultExecConfig() execConfig {
 		schedMin:     0,
 		schedMax:     dist.MaxKey,
 		backpressure: BackpressureBlock,
-		migration:    MigrateOff,
 	}
 }
 
@@ -398,7 +397,8 @@ func NewExecutor(opts ...Option) (*Executor, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown sharding mode %q", cfg.sharding)
 	}
-	if cfg.scheduler == nil {
+	prebuilt := cfg.scheduler != nil
+	if !prebuilt {
 		s, err := NewScheduler(cfg.schedKind, cfg.schedMin, cfg.schedMax, cfg.workers, cfg.adaptOpts...)
 		if err != nil {
 			return nil, err
@@ -406,42 +406,21 @@ func NewExecutor(opts ...Option) (*Executor, error) {
 		cfg.scheduler = s
 	}
 	var migr *migrator
-	switch cfg.migration {
-	case MigrateOff, "":
-	case MigrateOnRepartition:
-		if cfg.sharding != ShardPerWorker {
-			return nil, fmt.Errorf("core: WithMigration(MigrateOnRepartition) requires WithSharding(ShardPerWorker); shared state needs no migration")
-		}
-		sf, ok := cfg.factory.(StoreFactory)
-		if !ok {
-			return nil, fmt.Errorf("core: WithMigration(MigrateOnRepartition) requires a WorkloadFactory implementing StoreFactory (shard state must be extractable)")
-		}
-		ad, ok := cfg.scheduler.(*Adaptive)
-		if !ok {
-			return nil, fmt.Errorf("core: WithMigration(MigrateOnRepartition) requires the adaptive scheduler (%q never re-partitions)", cfg.scheduler.Name())
-		}
-		if ad.workers != cfg.workers {
-			// Dispatch clamps a mismatched scheduler's picks into range;
-			// the migrator indexes shards and queues by partition owner
-			// and cannot — reject the configuration up front.
-			return nil, fmt.Errorf("core: WithMigration(MigrateOnRepartition): scheduler partitions %d workers but the executor has %d", ad.workers, cfg.workers)
-		}
-		migr = &migrator{stores: make([]ShardStore, cfg.workers)}
-		for i := range migr.stores {
-			st := sf.Store(i)
-			if st == nil {
-				return nil, fmt.Errorf("core: WithMigration(MigrateOnRepartition): StoreFactory returned a nil store for shard %d", i)
-			}
-			migr.stores[i] = st
-		}
-		ad.setRepartitionGate(migr.onRepartition)
-	default:
+	switch {
+	case cfg.migration != "" && cfg.migration != MigrateOnRepartition:
 		return nil, fmt.Errorf("core: unknown migration mode %q", cfg.migration)
+	case cfg.sharding == ShardPerWorker:
+		var err error
+		if migr, err = keyStableRouting(&cfg, prebuilt); err != nil {
+			return nil, err
+		}
+	case cfg.migration != "":
+		return nil, fmt.Errorf("core: WithMigration requires WithSharding(ShardPerWorker): shared state needs no migration")
 	}
 	var split *splitRunner
 	if cfg.split != nil {
 		if migr != nil {
-			return nil, fmt.Errorf("core: WithSplitPhase is incompatible with WithMigration(MigrateOnRepartition): an epoch serialises on one dispatch gate, and neither hand-off (range move, accumulator merge) is written to run inside the other's fence")
+			return nil, fmt.Errorf("core: WithSplitPhase is incompatible with ShardPerWorker under SchedAdaptive, which migrates shard state: an epoch serialises on one dispatch gate, and neither hand-off (range move, accumulator merge) is written to run inside the other's fence")
 		}
 		var err error
 		if split, err = newSplitRunner(&cfg, shards); err != nil {
@@ -1260,12 +1239,12 @@ type ExecStats struct {
 	// ShardShared, one per worker under ShardPerWorker).
 	Shards []ShardStats
 	// SchedulerEpochs counts the adaptive scheduler's partition rebuilds
-	// (0 under other policies) — with migration on, the re-partitions the
-	// hand-off protocol tracked; without it, the moves that re-routed
-	// ranges away from their state.
+	// (0 under other policies); under ShardPerWorker each one that moved a
+	// range is a migration epoch.
 	SchedulerEpochs uint64
 	// Migrations reports the epoch-fenced shard-state hand-off counters;
-	// all zero unless WithMigration(MigrateOnRepartition) is configured.
+	// all zero unless the executor is ShardPerWorker under SchedAdaptive,
+	// the one configuration that migrates.
 	Migrations MigrationStats
 	// Split reports the split-phase execution counters (split keys, merge
 	// epochs, parked tasks); all zero unless WithSplitPhase is configured.
@@ -1399,14 +1378,6 @@ func (e *Executor) ShardWorkload(i int) Workload { return e.shards[i].workload }
 // NumShards returns the shard count (1, or workers under ShardPerWorker).
 func (e *Executor) NumShards() int { return len(e.shards) }
 
-// Migration returns the shard-state migration mode in force.
-func (e *Executor) Migration() MigrationMode {
-	if e.migr == nil {
-		return MigrateOff
-	}
-	return MigrateOnRepartition
-}
-
 // MigrationStats returns the hand-off counters without assembling a full
 // Stats snapshot (no per-worker loops, no histogram merges) — the cheap
 // read for periodic operator stats.
@@ -1418,8 +1389,9 @@ func (e *Executor) MigrationStats() MigrationStats {
 }
 
 // MigrationErr returns the most recent hand-off error, if any. A failed
-// range keeps its old-owner state (restored on partial failure — the
-// MigrateOff behaviour for that range); execution itself continues.
+// range's extracted keys are put back into their old shard, which the new
+// partition no longer routes the range to, so they stay stored but unread
+// until a later re-partition returns the range; execution itself continues.
 func (e *Executor) MigrationErr() error {
 	if e.migr == nil {
 		return nil

@@ -10,17 +10,11 @@ import (
 	"kstm/internal/stm"
 )
 
-// MigrationMode selects whether sharded executor state follows the learned
-// partition when the adaptive scheduler re-partitions the key space.
+// MigrationMode names the shard-state migration an executor runs; the one
+// mode only asserts what ShardPerWorker under SchedAdaptive always does.
 type MigrationMode string
 
-// Migration modes.
 const (
-	// MigrateOff keeps the pre-migration semantics: a re-partition re-routes
-	// key ranges between workers without moving shard state, so keys written
-	// through the old owner become invisible through the new one (the
-	// DESIGN.md §4 trade-off). This is the default.
-	MigrateOff MigrationMode = "off"
 	// MigrateOnRepartition runs the epoch-fenced hand-off protocol on every
 	// partition change: dispatch for the moved ranges is fenced (new tasks
 	// park on per-range hold queues while untouched ranges keep executing),
@@ -31,27 +25,28 @@ const (
 	MigrateOnRepartition MigrationMode = "onrepartition"
 )
 
-// WithMigration selects the shard-state migration mode (default MigrateOff).
-// MigrateOnRepartition requires ShardPerWorker, an adaptive scheduler, and a
-// WorkloadFactory that implements StoreFactory.
+// WithMigration asserts that the executor migrates shard state: NewExecutor
+// rejects it unless the configuration migrates anyway (ShardPerWorker, the
+// adaptive scheduler and a StoreFactory). It changes nothing else.
 func WithMigration(m MigrationMode) Option {
 	return func(c *execConfig) { c.migration = m }
 }
 
 // ShardStore is the migratable transactional state of one shard. Ranges are
-// in the executor's scheduling-key space (the same space the dispatch
-// partition cuts): the dictionary key itself for ordered structures, the
-// hash output for hash tables. Both methods run on a migrator-owned STM
-// thread of the shard's instance, concurrently with the shard's worker —
-// but the executor guarantees no task for a moving range executes while its
-// state is in transit.
+// in the executor's scheduling-key space, the space the dispatch partition
+// cuts. Both methods run on a migrator-owned STM thread of the shard's
+// instance, concurrently with the shard's worker — but the executor
+// guarantees no task for a moving range executes while its state is in
+// transit.
 type ShardStore interface {
 	// ExtractRanges removes every key whose scheduling key falls in one of
-	// the disjoint closed ranges and returns them per range (out[i] belongs
-	// to ranges[i]); on error, out holds what was already removed. The
-	// migrator calls it once per old owner per epoch, so a store whose
-	// ranges share structure (the hash table's dictionary-key view) visits
-	// it once inside the fence window.
+	// the disjoint closed ranges, which come in ascending order, and
+	// returns them per range (out[i] belongs to ranges[i]); on error, out
+	// holds what was already removed. The migrator calls it once per old
+	// owner per epoch, so a store whose ranges share structure (the hash
+	// table's dictionary-key view) visits it once inside the fence window.
+	// The store must not keep ranges; the migrator is done with out before
+	// the store's next call, so a store may reuse it.
 	ExtractRanges(th *stm.Thread, ranges []Range) ([][]uint32, error)
 	// InstallKeys inserts the given keys into the shard.
 	InstallKeys(th *stm.Thread, keys []uint32) error
@@ -59,8 +54,7 @@ type ShardStore interface {
 
 // StoreFactory is a WorkloadFactory whose shards expose migratable state.
 // Store(worker) is called after NewShard(worker) and must return the store
-// backing that worker's shard (nil disables migration for configuration
-// validation to catch).
+// backing that worker's shard; NewExecutor rejects a nil one.
 type StoreFactory interface {
 	WorkloadFactory
 	Store(worker int) ShardStore
@@ -164,10 +158,12 @@ func (f *fence) hold(key uint64) *holdQueue {
 }
 
 // migrator owns the executor's epoch-fenced shard-state hand-off. It is
-// present (non-nil on the Executor) only under MigrateOnRepartition.
+// present (non-nil on the Executor) exactly under ShardPerWorker with
+// SchedAdaptive.
 type migrator struct {
 	epoch
 	stores []ShardStore
+	ranges []Range // handoff's reused argument: epochs never overlap
 	fence  atomic.Pointer[fence]
 	// active serializes migrations: a re-partition arriving while one is in
 	// flight is skipped (the scheduler re-samples and retries next window).
@@ -176,6 +172,36 @@ type migrator struct {
 	epochs    atomic.Uint64
 	keysMoved atomic.Uint64
 	pauseNs   atomic.Uint64
+}
+
+// keyStableRouting enforces what ShardPerWorker means: a key's tasks reach
+// the shard that holds its state. SchedFixed never moves a range;
+// SchedAdaptive does, so it gets the migrator (returned; nil under
+// SchedFixed). Round-robin ignores the key; a prebuilt scheduler promises
+// nothing.
+func keyStableRouting(cfg *execConfig, prebuilt bool) (*migrator, error) {
+	switch {
+	case prebuilt:
+		return nil, fmt.Errorf("core: ShardPerWorker requires key-stable routing: WithSchedulerKind(SchedFixed or SchedAdaptive), not a prebuilt WithScheduler")
+	case cfg.schedKind == SchedFixed && cfg.migration != "":
+		return nil, fmt.Errorf("core: WithMigration requires SchedAdaptive: %q never re-partitions", cfg.schedKind)
+	case cfg.schedKind == SchedFixed:
+		return nil, nil
+	case cfg.schedKind != SchedAdaptive:
+		return nil, fmt.Errorf("core: ShardPerWorker requires key-stable routing (SchedFixed or SchedAdaptive): %q ignores the key", cfg.schedKind)
+	}
+	sf, ok := cfg.factory.(StoreFactory)
+	if !ok {
+		return nil, fmt.Errorf("core: ShardPerWorker with SchedAdaptive requires a StoreFactory: a re-partition moves shard state")
+	}
+	m := &migrator{stores: make([]ShardStore, cfg.workers)}
+	for i := range m.stores {
+		if m.stores[i] = sf.Store(i); m.stores[i] == nil {
+			return nil, fmt.Errorf("core: ShardPerWorker with SchedAdaptive: StoreFactory returned a nil store for shard %d", i)
+		}
+	}
+	cfg.scheduler.(*Adaptive).setRepartitionGate(m.onRepartition)
+	return m, nil
 }
 
 // onRepartition is the adaptive scheduler's gate: called after a new
@@ -265,21 +291,21 @@ func (m *migrator) handoff(groups []fromGroup) (moved uint64) {
 		if m.e.stopping() {
 			return moved
 		}
-		ranges := make([]Range, len(g.ranges))
-		for i, r := range g.ranges {
-			ranges[i] = Range{Lo: r.lo, Hi: r.hi}
+		m.ranges = m.ranges[:0]
+		for _, r := range g.ranges {
+			m.ranges = append(m.ranges, Range{Lo: r.lo, Hi: r.hi})
 		}
-		keysPer, err := m.stores[g.from].ExtractRanges(m.thread(g.from), ranges)
+		keysPer, err := m.stores[g.from].ExtractRanges(m.thread(g.from), m.ranges)
 		if err != nil {
-			// Whatever the extraction removed before failing goes back; the
-			// whole shard degrades to MigrateOff for this epoch instead of
-			// losing data.
+			// Whatever the extraction removed before failing goes back into
+			// the old shard: no key is lost, but none of this group's keys
+			// reach the new owners (see restore).
 			var all []uint32
 			for _, keys := range keysPer {
 				all = append(all, keys...)
 			}
 			m.restore(g.from, all,
-				fmt.Errorf("core: migrate extract %d ranges from shard %d: %w", len(ranges), g.from, err))
+				fmt.Errorf("core: migrate extract %d ranges from shard %d: %w", len(g.ranges), g.from, err))
 			continue
 		}
 		for i, keys := range keysPer {
@@ -330,8 +356,9 @@ func groupByFrom(ranges []movedRange) []fromGroup {
 // restore puts a failed range's in-hand keys back into the shard they were
 // extracted from (best-effort — InstallKeys retries transactionally, so a
 // second failure means the shard's STM itself is broken) and records the
-// range's error. A restored range keeps its old-owner state, which is
-// exactly the MigrateOff behaviour for that range.
+// range's error. The partition has already handed the range to its new
+// owner, so the restored keys stay stored but unread until a later
+// re-partition returns the range to their shard.
 func (m *migrator) restore(shard int, keys []uint32, cause error) {
 	if len(keys) > 0 {
 		if rerr := m.stores[shard].InstallKeys(m.thread(shard), keys); rerr != nil {

@@ -109,14 +109,13 @@ const reproThreshold = 1000
 // newMigrationRepro builds the deterministic re-adaptation setup: 2 workers
 // over the 16-bit key space, initial uniform partition (boundary 32767), a
 // low adaptive threshold, re-adaptation on.
-func newMigrationRepro(t *testing.T, mode MigrationMode, factory *mapFactory) *Executor {
+func newMigrationRepro(t *testing.T, factory *mapFactory) *Executor {
 	t.Helper()
 	ex, err := NewExecutor(
 		WithWorkers(2),
 		WithSharding(ShardPerWorker),
 		WithWorkloadFactory(factory),
 		WithSchedulerKind(SchedAdaptive, 0, 65535, WithThreshold(reproThreshold), WithReAdaptation()),
-		WithMigration(mode),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -157,56 +156,47 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestMigrationVisibilityRepro is the deterministic reproducer for the
-// DESIGN.md §4 visibility hole, and the proof the tentpole closes it: a key
-// inserted through the pre-adaptation owner is invisible after the range
-// moves under MigrateOff, and visible under MigrateOnRepartition.
+// visibility hole a sharded re-partition would open without migration, and
+// the proof the hand-off closes it: a key inserted through the
+// pre-adaptation owner stays visible after its range moves.
 func TestMigrationVisibilityRepro(t *testing.T) {
 	const probe = 20000 // owned by worker 0 before adaptation, worker 1 after
-	run := func(mode MigrationMode) (found bool, st ExecStats) {
-		factory := &mapFactory{}
-		ex := newMigrationRepro(t, mode, factory)
-		ctx := context.Background()
-		if err := ex.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
-		defer ex.Stop()
-		// Pre-move insert through the old owner.
-		if res, err := ex.Submit(ctx, Task{Key: probe, Op: OpInsert, Arg: probe}); err != nil || res.Value != true {
-			t.Fatalf("probe insert: value=%v err=%v", res.Value, err)
-		}
-		// The probe key must really be in worker 0's shard.
-		factory.shards[0].mu.Lock()
-		pre := factory.shards[0].keys[probe]
-		factory.shards[0].mu.Unlock()
-		if !pre {
-			t.Fatal("probe key not in worker 0's shard before adaptation")
-		}
-		forceRepartition(t, ctx, ex, 1) // the probe insert was sample #1
-		sched := ex.Scheduler().(*Adaptive)
-		waitFor(t, "adaptation", func() bool { return sched.Epochs() >= 1 })
-		if w := sched.Partition().Pick(probe); w != 1 {
-			t.Fatalf("probe key still owned by worker %d after adaptation", w)
-		}
-		if mode == MigrateOnRepartition {
-			waitFor(t, "migration epoch", func() bool { return ex.Stats().Migrations.Epochs >= 1 })
-		}
-		res, err := ex.Submit(ctx, Task{Key: probe, Op: OpLookup, Arg: probe})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ex.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		return res.Value.(bool), ex.Stats()
+	factory := &mapFactory{}
+	ex := newMigrationRepro(t, factory)
+	ctx := context.Background()
+	if err := ex.Start(ctx); err != nil {
+		t.Fatal(err)
 	}
-
-	if found, _ := run(MigrateOff); found {
-		t.Error("MigrateOff: pre-move insert visible after re-partition — the §4 caveat no longer reproduces")
+	defer ex.Stop()
+	// Pre-move insert through the old owner.
+	if res, err := ex.Submit(ctx, Task{Key: probe, Op: OpInsert, Arg: probe}); err != nil || res.Value != true {
+		t.Fatalf("probe insert: value=%v err=%v", res.Value, err)
 	}
-	found, st := run(MigrateOnRepartition)
-	if !found {
-		t.Error("MigrateOnRepartition: pre-move insert invisible after re-partition — migration failed read-your-writes")
+	// The probe key must really be in worker 0's shard.
+	factory.shards[0].mu.Lock()
+	pre := factory.shards[0].keys[probe]
+	factory.shards[0].mu.Unlock()
+	if !pre {
+		t.Fatal("probe key not in worker 0's shard before adaptation")
 	}
+	forceRepartition(t, ctx, ex, 1) // the probe insert was sample #1
+	sched := ex.Scheduler().(*Adaptive)
+	waitFor(t, "adaptation", func() bool { return sched.Epochs() >= 1 })
+	if w := sched.Partition().Pick(probe); w != 1 {
+		t.Fatalf("probe key still owned by worker %d after adaptation", w)
+	}
+	waitFor(t, "migration epoch", func() bool { return ex.Stats().Migrations.Epochs >= 1 })
+	res, err := ex.Submit(ctx, Task{Key: probe, Op: OpLookup, Arg: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if found := res.Value.(bool); !found {
+		t.Error("pre-move insert invisible after re-partition — migration failed read-your-writes")
+	}
+	st := ex.Stats()
 	if st.Migrations.Epochs < 1 {
 		t.Errorf("Migrations.Epochs = %d, want >= 1", st.Migrations.Epochs)
 	}
@@ -227,7 +217,7 @@ func TestMigrationFencesOnlyMovedRanges(t *testing.T) {
 	gate := newEntryGate()
 	open := sync.OnceFunc(func() { close(gate.open) })
 	factory := &mapFactory{extractGate: gate}
-	ex := newMigrationRepro(t, MigrateOnRepartition, factory)
+	ex := newMigrationRepro(t, factory)
 	ctx := context.Background()
 	if err := ex.Start(ctx); err != nil {
 		t.Fatal(err)
@@ -298,7 +288,7 @@ func TestMigrationFencesOnlyMovedRanges(t *testing.T) {
 // release, and the counters before it, happened.
 func TestMigrationCountersBeforeRelease(t *testing.T) {
 	const probe = 20000
-	ex := newMigrationRepro(t, MigrateOnRepartition, &mapFactory{})
+	ex := newMigrationRepro(t, &mapFactory{})
 	ctx := context.Background()
 	if err := ex.Start(ctx); err != nil {
 		t.Fatal(err)
@@ -333,7 +323,7 @@ func TestMigrationStopMidHandoff(t *testing.T) {
 	defer open()
 	factory := &mapFactory{extractGate: gate}
 	base := coreGoroutines()
-	ex := newMigrationRepro(t, MigrateOnRepartition, factory)
+	ex := newMigrationRepro(t, factory)
 	ctx := context.Background()
 	if err := ex.Start(ctx); err != nil {
 		t.Fatal(err)
@@ -522,14 +512,14 @@ func TestMigrationStatsMonotone(t *testing.T) {
 
 // TestMigrationInstallFailureRestores pins the failure contract: when a
 // range's install fails, its extracted keys are put back into the OLD
-// shard (MigrateOff semantics for that range — degraded visibility, never
-// data loss) and the error surfaces through MigrationErr.
+// shard (unread while the new partition routes the range elsewhere, but
+// never lost) and the error surfaces through MigrationErr.
 func TestMigrationInstallFailureRestores(t *testing.T) {
 	const probe = 20000
 	var fail atomic.Int32
 	fail.Store(1) // first InstallKeys call (the new owner's) fails
 	factory := &mapFactory{failInstall: &fail}
-	ex := newMigrationRepro(t, MigrateOnRepartition, factory)
+	ex := newMigrationRepro(t, factory)
 	ctx := context.Background()
 	if err := ex.Start(ctx); err != nil {
 		t.Fatal(err)
@@ -558,54 +548,102 @@ func TestMigrationInstallFailureRestores(t *testing.T) {
 	}
 }
 
-// TestMigrationValidation pins the configuration contract.
+// TestMigrationValidation pins the configuration contract: under
+// ShardPerWorker, SchedAdaptive always builds the migrator and needs a store
+// for every shard, SchedFixed builds none, and every other routing is
+// rejected; WithMigration only asserts a migrating configuration.
 func TestMigrationValidation(t *testing.T) {
-	factory := &mapFactory{}
 	plain := WorkloadFactoryFunc(func(worker int) Workload {
 		return &mapShard{keys: map[uint32]bool{}}
 	})
-	if _, err := NewExecutor(WithWorkers(2), WithWorkload(&nopWorkload{}),
-		WithMigration(MigrateOnRepartition)); err == nil {
-		t.Error("migration without ShardPerWorker succeeded")
-	}
-	if _, err := NewExecutor(WithWorkers(2), WithSharding(ShardPerWorker),
-		WithWorkloadFactory(plain), WithMigration(MigrateOnRepartition)); err == nil {
-		t.Error("migration without a StoreFactory succeeded")
-	}
-	if _, err := NewExecutor(WithWorkers(2), WithSharding(ShardPerWorker),
-		WithWorkloadFactory(factory), WithSchedulerKind(SchedFixed, 0, 65535),
-		WithMigration(MigrateOnRepartition)); err == nil {
-		t.Error("migration with a fixed scheduler succeeded")
-	}
-	if _, err := NewExecutor(WithWorkers(2), WithSharding(ShardPerWorker),
-		WithWorkloadFactory(&mapFactory{}), WithMigration("teleport")); err == nil {
-		t.Error("unknown migration mode succeeded")
-	}
-	// A prebuilt adaptive scheduler sized for a different worker count
-	// must be rejected: the migrator indexes shards by partition owner.
-	wide, err := NewAdaptive(0, 65535, 8)
+	prebuilt, err := NewAdaptive(0, 65535, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewExecutor(WithWorkers(2), WithSharding(ShardPerWorker),
-		WithWorkloadFactory(&mapFactory{}), WithScheduler(wide),
-		WithMigration(MigrateOnRepartition)); err == nil {
-		t.Error("migration with a size-mismatched scheduler succeeded")
+	sharded := func(opts ...Option) (*Executor, error) {
+		return NewExecutor(append([]Option{WithWorkers(2), WithSharding(ShardPerWorker)}, opts...)...)
 	}
-	ex, err := NewExecutor(WithWorkers(2), WithSharding(ShardPerWorker),
-		WithWorkloadFactory(&mapFactory{}), WithMigration(MigrateOnRepartition))
+	for name, build := range map[string]func() (*Executor, error){
+		"migration without ShardPerWorker": func() (*Executor, error) {
+			return NewExecutor(WithWorkers(2), WithWorkload(&nopWorkload{}), WithMigration(MigrateOnRepartition))
+		},
+		"adaptive without a StoreFactory": func() (*Executor, error) { return sharded(WithWorkloadFactory(plain)) },
+		"migration with a fixed scheduler": func() (*Executor, error) {
+			return sharded(WithWorkloadFactory(&mapFactory{}), WithSchedulerKind(SchedFixed, 0, 65535),
+				WithMigration(MigrateOnRepartition))
+		},
+		"round-robin": func() (*Executor, error) {
+			return sharded(WithWorkloadFactory(&mapFactory{}), WithSchedulerKind(SchedRoundRobin, 0, 65535))
+		},
+		"a prebuilt scheduler": func() (*Executor, error) {
+			return sharded(WithWorkloadFactory(&mapFactory{}), WithScheduler(prebuilt))
+		},
+		"an unknown migration mode": func() (*Executor, error) {
+			return sharded(WithWorkloadFactory(&mapFactory{}), WithMigration("teleport"))
+		},
+	} {
+		if _, err := build(); err == nil {
+			t.Errorf("%s succeeded", name)
+		}
+	}
+	for _, opts := range [][]Option{
+		{WithWorkloadFactory(&mapFactory{})},
+		{WithWorkloadFactory(&mapFactory{}), WithMigration(MigrateOnRepartition)},
+	} {
+		ex, err := sharded(opts...)
+		if err != nil {
+			t.Fatalf("valid migrating config rejected: %v", err)
+		}
+		if ex.migr == nil {
+			t.Error("ShardPerWorker under SchedAdaptive built no migrator")
+		}
+	}
+	fixed, err := sharded(WithWorkloadFactory(plain), WithSchedulerKind(SchedFixed, 0, 65535))
 	if err != nil {
-		t.Fatalf("valid migration config rejected: %v", err)
+		t.Fatalf("ShardPerWorker under SchedFixed rejected: %v", err)
 	}
-	if ex.Migration() != MigrateOnRepartition {
-		t.Errorf("Migration() = %q", ex.Migration())
+	if fixed.migr != nil {
+		t.Error("ShardPerWorker under SchedFixed built a migrator")
 	}
-	off, err := NewExecutor(WithWorkers(2), WithWorkload(&nopWorkload{}))
+}
+
+// keptStore is a shard that allocates nothing of its own: every extraction
+// hands back the same keys, and installs are dropped.
+type keptStore struct{ out [][]uint32 }
+
+func (s *keptStore) Execute(*stm.Thread, Task) (any, error) { return nil, nil }
+
+func (s *keptStore) ExtractRanges(*stm.Thread, []Range) ([][]uint32, error) { return s.out, nil }
+
+func (s *keptStore) InstallKeys(*stm.Thread, []uint32) error { return nil }
+
+type keptFactory struct{ shards []*keptStore }
+
+func (f *keptFactory) NewShard(worker int) Workload {
+	f.shards = append(f.shards, &keptStore{out: [][]uint32{{7, 8}}})
+	return f.shards[worker]
+}
+
+func (f *keptFactory) Store(worker int) ShardStore { return f.shards[worker] }
+
+// TestHandoffAllocs pins the migrator's own allocations in one one-range
+// hand-off: its extraction argument is a reused buffer, so with a store that
+// allocates nothing, moving the range allocates nothing.
+func TestHandoffAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	ex, err := NewExecutor(WithWorkers(2), WithSharding(ShardPerWorker), WithWorkloadFactory(&keptFactory{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Migration() != MigrateOff {
-		t.Errorf("default Migration() = %q", off.Migration())
+	groups := groupByFrom([]movedRange{{lo: 100, hi: 200, from: 0, to: 1}})
+	var moved uint64
+	if got := testing.AllocsPerRun(100, func() { moved = ex.migr.handoff(groups) }); got != 0 {
+		t.Errorf("one one-range hand-off: %.1f allocs, want 0", got)
+	}
+	if moved != 2 {
+		t.Errorf("moved %d keys, want 2", moved)
 	}
 }
 

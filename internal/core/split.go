@@ -33,8 +33,8 @@ import (
 //     a partial merge. The ordering argument is epoch.go's; tasks parked
 //     after a capture simply wait one more epoch.
 //
-// WithSplitPhase is incompatible with WithMigration (the reason is stated on
-// the epoch type).
+// WithSplitPhase is incompatible with migration, so with ShardPerWorker under
+// SchedAdaptive (the reason is stated on the epoch type).
 
 // CommutativeWorkload is a Workload whose ops can be split-phase-absorbed:
 // CommutativeOps maps each mergeable opcode to its splitphase.Kind. Ops
@@ -145,7 +145,7 @@ func SplitKeys(keys ...uint64) SplitOption {
 
 // WithSplitPhase enables split-phase execution for contended keys. Every
 // shard workload must implement CommutativeWorkload and SplitMergeWorkload;
-// incompatible with WithMigration(MigrateOnRepartition).
+// incompatible with ShardPerWorker under SchedAdaptive, which migrates.
 func WithSplitPhase(opts ...SplitOption) Option {
 	return func(c *execConfig) {
 		sc := defaultSplitConfig()

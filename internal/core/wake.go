@@ -96,12 +96,12 @@ func (ec *eventCount) cancelWait(key uint32) {
 // commitWait blocks until a notify after the matching prepareWait, which
 // moves the epoch past key and withdraws the waiter.
 func (ec *eventCount) commitWait(key uint32) {
-	c := ec.slow()
-	c.L.Lock()
+	ec.once.Do(ec.bind)
+	ec.mu.Lock()
 	for uint32(ec.state.Load()>>32) == key {
-		c.Wait()
+		ec.cond.Wait()
 	}
-	c.L.Unlock()
+	ec.mu.Unlock()
 }
 
 // notify wakes every prepared waiter and withdraws them all, so a notify
@@ -113,16 +113,15 @@ func (ec *eventCount) notify() {
 	if uint32(ec.state.Load()) == 0 {
 		return
 	}
-	c := ec.slow()
-	c.L.Lock()
+	ec.mu.Lock()
 	for {
 		s := ec.state.Load()
 		if uint32(s) == 0 || ec.state.CompareAndSwap(s, (s>>32+1)<<32) {
 			break
 		}
 	}
-	c.L.Unlock()
-	c.Broadcast()
+	ec.mu.Unlock()
+	ec.cond.Broadcast()
 }
 
 // await blocks until cond holds: the handshake in a loop, for waiters whose
@@ -149,13 +148,8 @@ func (ec *eventCount) awaitCtx(ctx context.Context, cond func() bool) {
 	ec.await(cond)
 }
 
-// slow returns the slow path's condition variable, bound to mu on first use
-// so that the zero eventCount needs no constructor.
-func (ec *eventCount) slow() *sync.Cond {
-	ec.once.Do(ec.bind)
-	return &ec.cond
-}
-
+// bind points the condition variable at mu on the first wait, so the zero
+// eventCount needs no constructor; notify's Broadcast does not read L.
 func (ec *eventCount) bind() { ec.cond.L = &ec.mu }
 
 // workerWake is one worker's park and borrow state, padded to whole cache

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -451,19 +452,16 @@ func TestShardingExperiment(t *testing.T) {
 }
 
 // TestMigrationVisibilityUnderDrift drives ShardPerWorker + re-adaptation
-// with a drifting key stream, the served configuration (kstmd -migrate,
-// benchmark inproc-migrate): dictionary-key dispatch over key-range stores.
-// Clients insert fresh keys and re-look-up their own earlier inserts; nothing
-// deletes, so every lookup miss is a key stranded in a shard its range was
-// re-routed away from. MigrateOnRepartition must report zero such misses
-// while completing at least one hand-off epoch that moves keys, and
-// MigrateOff must still re-partition on the identical layout (its miss count
-// depends on timing, so only the migrated side is asserted exactly; the
-// deterministic off-mode reproducer lives in internal/core).
+// with a drifting key stream, the served configuration (kstmd -sharding
+// perworker, benchmark inproc-migrate): dictionary-key dispatch over
+// key-range stores. Clients insert fresh keys and re-look-up their own
+// earlier inserts; nothing deletes, so every lookup miss is a key stranded in
+// a shard its range was re-routed away from. There must be none, and at
+// least one hand-off epoch must have moved keys.
 func TestMigrationVisibilityUnderDrift(t *testing.T) {
-	st, vis := driftingInsertLookup(t, core.MigrateOnRepartition, 4, 4, 8000)
+	st, vis := driftingInsertLookup(t, shardedOptions(core.SchedAdaptive), 4, 8000)
 	if vis != 0 {
-		t.Errorf("MigrateOnRepartition: %d visibility errors, want 0", vis)
+		t.Errorf("%d visibility errors, want 0", vis)
 	}
 	if st.Migrations.Epochs == 0 {
 		t.Error("no migration epoch completed — the drift did not force a re-partition")
@@ -474,33 +472,119 @@ func TestMigrationVisibilityUnderDrift(t *testing.T) {
 	if st.Completed == 0 {
 		t.Error("degenerate run: nothing completed")
 	}
-	stOff, _ := driftingInsertLookup(t, core.MigrateOff, 4, 4, 8000)
-	if stOff.Migrations.Epochs != 0 || stOff.Migrations.KeysMoved != 0 {
-		t.Errorf("MigrateOff reported migrations: %+v", stOff.Migrations)
-	}
-	if stOff.SchedulerEpochs == 0 {
-		t.Error("MigrateOff: scheduler never re-partitioned")
+}
+
+// shardedOptions is driftingInsertLookup's executor: 4 workers, each with a
+// private hash table behind a key-range store, dispatching by dictionary key
+// under sched (re-adapting every 1500 samples when adaptive).
+func shardedOptions(sched core.SchedulerKind) []core.Option {
+	return []core.Option{
+		core.WithSharding(core.ShardPerWorker),
+		core.WithWorkloadFactory(NewKeyRangeDictFactory(txds.KindHashTable)),
+		core.WithWorkers(4),
+		core.WithSchedulerKind(sched, 0, dist.MaxKey, core.WithThreshold(1500), core.WithReAdaptation()),
 	}
 }
 
+// TestShardingConfigurations pins which sharding × scheduler × WithMigration
+// configurations NewExecutor accepts: every scheduler over shared state, and
+// over per-worker shards only key-stable routing — fixed, or adaptive, which
+// always migrates, so WithMigration only asserts it. Every rejection names
+// its rule, and every accepted per-worker row loses none of its own inserts
+// under driftingInsertLookup.
+func TestShardingConfigurations(t *testing.T) {
+	type row struct {
+		name   string
+		opts   func() []core.Option
+		reject string // a substring of the error naming the rule; "" = accepted
+	}
+	var rows []row
+	for _, sharding := range []core.ShardMode{core.ShardShared, core.ShardPerWorker} {
+		for _, sched := range core.SchedulerKinds() {
+			for _, migrate := range []bool{false, true} {
+				r := row{name: fmt.Sprintf("%s/%s/migrate=%v", sharding, sched, migrate)}
+				r.opts = func() []core.Option {
+					opts := append(shardedOptions(sched), core.WithSharding(sharding))
+					if migrate {
+						opts = append(opts, core.WithMigration(core.MigrateOnRepartition))
+					}
+					return opts
+				}
+				switch {
+				case migrate && sharding == core.ShardShared:
+					r.reject = "WithMigration requires WithSharding(ShardPerWorker)"
+				case sharding == core.ShardPerWorker && sched == core.SchedRoundRobin:
+					r.reject = "ShardPerWorker requires key-stable routing"
+				case migrate && sched == core.SchedFixed:
+					r.reject = "WithMigration requires SchedAdaptive"
+				}
+				rows = append(rows, r)
+			}
+		}
+	}
+	prebuilt, err := core.NewFixed(0, dist.MaxKey, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := core.WorkloadFactoryFunc(func(int) core.Workload { return NewDictWorkload(txds.NewHashTable(0)) })
+	rows = append(rows,
+		row{"perworker/prebuilt", func() []core.Option {
+			return append(shardedOptions(core.SchedFixed), core.WithScheduler(prebuilt))
+		}, "not a prebuilt WithScheduler"},
+		row{"perworker/adaptive/plain-factory", func() []core.Option {
+			return append(shardedOptions(core.SchedAdaptive), core.WithWorkloadFactory(plain))
+		}, "requires a StoreFactory"},
+		row{"perworker/adaptive/nil-store", func() []core.Option {
+			return append(shardedOptions(core.SchedAdaptive), core.WithWorkloadFactory(nilStoreFactory{NewKeyRangeDictFactory(txds.KindHashTable)}))
+		}, "nil store for shard 0"},
+		row{"perworker/adaptive/unknown-migration", func() []core.Option {
+			return append(shardedOptions(core.SchedAdaptive), core.WithMigration("off"))
+		}, "unknown migration mode"},
+	)
+	accepted := map[[2]string]bool{}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			ex, err := core.NewExecutor(r.opts()...)
+			if r.reject != "" {
+				if err == nil || !strings.Contains(err.Error(), r.reject) {
+					t.Fatalf("err = %v, want a rejection naming %q", err, r.reject)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("rejected: %v", err)
+			}
+			accepted[[2]string{string(ex.Sharding()), ex.Scheduler().Name()}] = true
+			if ex.Sharding() != core.ShardPerWorker {
+				return
+			}
+			st, vis := driftingInsertLookup(t, r.opts(), 4, 8000)
+			if vis != 0 {
+				t.Errorf("%d of the own-insert lookups missed, want 0", vis)
+			}
+			if adaptive := ex.Scheduler().Name() == string(core.SchedAdaptive); adaptive != (st.Migrations.Epochs > 0) {
+				t.Errorf("adaptive=%v but %d migration epochs", adaptive, st.Migrations.Epochs)
+			}
+		})
+	}
+	if len(accepted) != 5 {
+		t.Errorf("accepted %d configurations, want 5: %v", len(accepted), accepted)
+	}
+}
+
+// nilStoreFactory is a StoreFactory whose shards have no migratable store.
+type nilStoreFactory struct{ *DictFactory }
+
+func (nilStoreFactory) Store(int) core.ShardStore { return nil }
+
 // driftingInsertLookup runs total synchronous submissions from clients
-// goroutines against a sharded, re-adapting hash-table executor and returns
-// its final stats and the number of own-insert lookups that missed. The key
-// stream is a Gaussian whose mean slides from 1/8 to 7/8 of the key space
-// with GLOBAL progress, so every 1500-sample adaptation window sees a
+// goroutines against an executor built from opts and returns its final
+// stats and the number of own-insert lookups that missed. The key stream is
+// a Gaussian whose mean slides from 1/8 to 7/8 of the key space with GLOBAL
+// progress, so under re-adaptation every 1500-sample window sees a
 // different mass profile and the learned partition genuinely moves.
-func driftingInsertLookup(t *testing.T, mode core.MigrationMode, workers, clients, total int) (core.ExecStats, uint64) {
+func driftingInsertLookup(t *testing.T, opts []core.Option, clients, total int) (core.ExecStats, uint64) {
 	t.Helper()
-	opts := []core.Option{
-		core.WithSharding(core.ShardPerWorker),
-		core.WithWorkloadFactory(NewKeyRangeDictFactory(txds.KindHashTable)),
-		core.WithWorkers(workers),
-		core.WithSchedulerKind(core.SchedAdaptive, 0, dist.MaxKey,
-			core.WithThreshold(1500), core.WithReAdaptation()),
-	}
-	if mode != core.MigrateOff {
-		opts = append(opts, core.WithMigration(mode))
-	}
 	ex, err := core.NewExecutor(opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -560,7 +644,7 @@ func driftingInsertLookup(t *testing.T, mode core.MigrationMode, workers, client
 	return ex.Stats(), visErrors.Load()
 }
 
-// TestKeyRangeDictFactoryAliasing pins the kstmd store pairing: with
+// TestKeyRangeDictFactoryAliasing pins the sharded store pairing: with
 // dict-key dispatch (Task.Key == Arg), hand-off ranges are dictionary-key
 // ranges — a hash-table store must move ONLY the keys in the range, not
 // every key aliased into the same bucket (k and k+Buckets() share one). The
@@ -598,52 +682,30 @@ func TestKeyRangeDictFactoryAliasing(t *testing.T) {
 	if found, err := table.Contains(th, alias); err != nil || !found {
 		t.Fatalf("aliased key %d lost from the source shard: %v %v", alias, found, err)
 	}
-	// A full-size structure-space store keeps bucket semantics for executors
-	// that dispatch on keyFn = Hash: the same range moves the whole bucket.
-	g := NewDictFactory(txds.KindHashTable)
-	g.NewShard(0)
-	gt := g.Shard(0).(*txds.HashTable)
-	galias := uint32(gt.Buckets()) + 7 // same bucket as key 7 in this table
-	for _, k := range []uint32{7, galias} {
-		if _, err := gt.Insert(th, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bout, err := g.Store(0).ExtractRanges(th, []core.Range{{Lo: 0, Hi: 1000}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bout[0]) != 2 {
-		t.Fatalf("bucket-space ExtractRanges([0,1000]) = %v, want both aliases", bout[0])
-	}
 }
 
 // TestNewExecutorSizesShards pins the ShardSizer contract: under
-// ShardPerWorker the executor tells both dictionary factories its worker
-// count, so every hash-table shard holds shardedBuckets(workers) buckets —
-// the key-range factory included, with its migratable store intact — while
-// a ShardShared executor's one table keeps the full size.
+// ShardPerWorker the executor tells the dictionary factory its worker count,
+// so every hash-table shard holds shardedBuckets(workers) buckets, with its
+// migratable store intact, while a ShardShared executor's one table keeps
+// the full size.
 func TestNewExecutorSizesShards(t *testing.T) {
 	const workers = 4
 	want := shardedBuckets(workers)
-	for name, f := range map[string]*DictFactory{
-		"structure": NewDictFactory(txds.KindHashTable),
-		"keyrange":  NewKeyRangeDictFactory(txds.KindHashTable),
-	} {
-		if _, err := core.NewExecutor(
-			core.WithSharding(core.ShardPerWorker),
-			core.WithWorkloadFactory(f),
-			core.WithWorkers(workers),
-		); err != nil {
-			t.Fatal(err)
+	sharded := NewKeyRangeDictFactory(txds.KindHashTable)
+	if _, err := core.NewExecutor(
+		core.WithSharding(core.ShardPerWorker),
+		core.WithWorkloadFactory(sharded),
+		core.WithWorkers(workers),
+	); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < workers; w++ {
+		if got := sharded.Shard(w).(*txds.HashTable).Buckets(); got != want {
+			t.Errorf("shard %d: %d buckets, want %d", w, got, want)
 		}
-		for w := 0; w < workers; w++ {
-			if got := f.Shard(w).(*txds.HashTable).Buckets(); got != want {
-				t.Errorf("%s shard %d: %d buckets, want %d", name, w, got, want)
-			}
-		}
-		if st := f.Store(0); (st != nil) != f.keyRange {
-			t.Errorf("%s: Store(0) = %v, want a store only for the key-range factory", name, st)
+		if sharded.Store(w) == nil {
+			t.Errorf("shard %d: nil store", w)
 		}
 	}
 	f := NewKeyRangeDictFactory(txds.KindHashTable)
@@ -700,7 +762,7 @@ func TestNewShardedExecutorIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One insert per fixed key range: each lands in its worker's shard.
-	keys := []uint32{9, 29000}
+	keys := []uint32{9, 60000}
 	for _, k := range keys {
 		v, err := ex.Submit(ctx, core.Task{Key: keyFn(k), Op: core.OpInsert, Arg: k})
 		if err != nil || v.Value != true {
@@ -725,10 +787,10 @@ func TestNewShardedExecutorIsolation(t *testing.T) {
 	if found, _ := set0.Contains(th0, 9); !found {
 		t.Error("shard 0 missing its key")
 	}
-	if found, _ := set0.Contains(th0, 29000); found {
+	if found, _ := set0.Contains(th0, 60000); found {
 		t.Error("shard 0 holds shard 1's key")
 	}
-	if found, _ := set1.Contains(th1, 29000); !found {
+	if found, _ := set1.Contains(th1, 60000); !found {
 		t.Error("shard 1 missing its key")
 	}
 }
@@ -760,7 +822,7 @@ func TestNewOpenExecutorLifecycle(t *testing.T) {
 	}
 }
 
-// TestKeyRangeStoreBatches pins the kstmd store pairing: the dictionary-key
+// TestKeyRangeStoreBatches pins the sharded store pairing: the dictionary-key
 // hash store's one-pass extraction of several ranges matches per-range
 // extraction.
 func TestKeyRangeStoreBatches(t *testing.T) {
@@ -793,6 +855,23 @@ func TestKeyRangeStoreBatches(t *testing.T) {
 		if found != want {
 			t.Errorf("key %d present = %v, want %v", k, found, want)
 		}
+	}
+}
+
+// TestKeyRangeStoreAllocs pins the store adapter's share of a hand-off:
+// extracting one range through a hash-table shard's store allocates exactly
+// what the table's own ExtractKeyRanges does, since the store reuses its
+// range buffer and maps no output slots.
+func TestKeyRangeStoreAllocs(t *testing.T) {
+	f := NewKeyRangeDictFactory(txds.KindHashTable)
+	f.NewShard(0)
+	st, table := f.Store(0), f.Shard(0).(*txds.HashTable)
+	th := stm.New().NewThread()
+	ranges, krs := []core.Range{{Lo: 100, Hi: 200}}, []txds.KeyRange{{Lo: 100, Hi: 200}}
+	direct := testing.AllocsPerRun(100, func() { table.ExtractKeyRanges(th, krs) })
+	viaStore := testing.AllocsPerRun(100, func() { st.ExtractRanges(th, ranges) })
+	if viaStore != direct {
+		t.Errorf("one-range extraction: %.1f allocs through the store, %.1f direct; want equal", viaStore, direct)
 	}
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 
 	"kstm/internal/core"
 	"kstm/internal/dist"
@@ -73,49 +74,29 @@ func (d *DictWorkload) Execute(th *stm.Thread, t core.Task) (any, error) {
 
 // DictFactory builds shard-local dictionaries for sharded executors: every
 // shard gets a private structure of the same kind, so the executor's
-// per-worker STM instances never share transactional objects. Dispatch
-// stays independent of the shard layout: the transaction-key function is
-// computed against a full-size prototype, while each shard hash table is
-// right-sized to its share of the keys (shardedBuckets, from the worker
-// count the executor passes to SetShards), keeping the sharded
-// configuration's total footprint equal to the shared one instead of
-// multiplying it by the worker count.
-//
-// A migratable factory (NewKeyRangeDictFactory) moves keys by dictionary-key
-// range, so every shard agrees with the dispatch partition — and with each
-// other — on which keys a range holds whatever its table size; its hash
-// tables are right-sized too. The other structures schedule by the
-// dictionary key itself and need no such alignment.
+// per-worker STM instances never share transactional objects. A sharded
+// executor dispatches on the dictionary key itself (Task.Key == Arg), so the
+// partition, every shard and every hand-off range agree on which keys a range
+// holds whatever a shard's table size. Each shard hash table is right-sized
+// to its share of the keys (shardedBuckets, from the worker count the
+// executor passes to SetShards), keeping the sharded configuration's total
+// footprint equal to the shared one instead of multiplying it by the worker
+// count.
 type DictFactory struct {
 	kind    txds.Kind
 	buckets int // per-shard hash-table size; 0 = the structure default
-	// keyRange: Store() migrates by DICTIONARY-key range instead of the
-	// structure's own scheduling space — for deployments (kstmd) whose
-	// dispatch keys are the dictionary keys themselves, not hash outputs.
-	keyRange bool
-	shards   []txds.IntSet
+	shards  []txds.IntSet
 }
 
-// NewDictFactory returns a factory producing fresh kind-structures per
-// shard. Shards keep the structure defaults until SetShards sizes them (the
+// NewKeyRangeDictFactory returns a migratable factory producing fresh
+// kind-structures per shard, whose stores move keys by dictionary-key range.
+// Shards keep the structure defaults until SetShards sizes them (the
 // executor calls it under ShardPerWorker). Construction cannot fail for the
 // kinds txds.New accepts; the kind is validated by the first NewShard call,
 // which panics on an unknown kind exactly like an invalid executor
 // configuration would.
-func NewDictFactory(kind txds.Kind) *DictFactory {
-	return &DictFactory{kind: kind}
-}
-
-// NewKeyRangeDictFactory returns a migratable factory whose stores
-// interpret hand-off ranges as DICTIONARY-key ranges for every structure —
-// the right pairing when dispatch keys are the dictionary keys themselves,
-// as with kstmd's wire clients (scheduler over [0, MaxKey], Task.Key ==
-// Arg). With the structure-space factory there, a hash table would migrate
-// bucket-index ranges while the partition moved raw-key ranges: aliased
-// keys (k and k+buckets share a bucket) would be relocated out from under
-// live unfenced traffic.
 func NewKeyRangeDictFactory(kind txds.Kind) *DictFactory {
-	return &DictFactory{kind: kind, keyRange: true}
+	return &DictFactory{kind: kind}
 }
 
 // SetShards implements core.ShardSizer: hash-table shards are sized for n
@@ -181,103 +162,67 @@ func (f *DictFactory) Shard(worker int) txds.IntSet {
 }
 
 // Store implements core.StoreFactory: the migratable face of the worker's
-// shard. It returns nil — disabling migration at executor validation — when
-// the shard structure does not implement txds.RangeStore, or when
-// structure-space hash-table shards were right-sized (their bucket spaces
-// then disagree with the dispatch partition's; use NewKeyRangeDictFactory).
+// shard, or nil when its structure cannot extract key ranges.
 func (f *DictFactory) Store(worker int) core.ShardStore {
-	if f.kind == txds.KindHashTable && f.buckets > 0 && !f.keyRange {
-		return nil
+	switch set := f.Shard(worker).(type) {
+	case *txds.HashTable:
+		return &dictStore{ht: set}
+	case txds.RangeStore:
+		return &dictStore{rs: set}
 	}
-	set := f.Shard(worker)
-	rs, ok := set.(txds.RangeStore)
-	if !ok {
-		return nil
-	}
-	if f.keyRange {
-		if ht, isHash := set.(*txds.HashTable); isHash {
-			return dictStore{rs: keyRangeHashStore{t: ht}}
+	return nil
+}
+
+// dictStore adapts a shard dictionary to core.ShardStore: hand-off ranges
+// are dictionary-key ranges. A hash table extracts an epoch's ranges in one
+// pass over their bucket images, so aliased keys (k and k+buckets share a
+// bucket) stay put; the ordered structures, whose scheduling key is the
+// dictionary key, extract one range at a time. One hand-off at a time calls
+// a store (epochs never overlap), so krs, and the ordered structures' out,
+// are reused.
+type dictStore struct {
+	ht  *txds.HashTable // nil for the ordered structures
+	rs  txds.RangeStore // nil for the hash table
+	krs []txds.KeyRange
+	out [][]uint32
+}
+
+// ExtractRanges implements core.ShardStore. The ranges ascend, so those
+// above the 32-bit dictionary space are a suffix; they extract nothing and
+// their output slots stay empty.
+func (s *dictStore) ExtractRanges(th *stm.Thread, ranges []core.Range) ([][]uint32, error) {
+	s.krs = s.krs[:0]
+	for _, r := range ranges {
+		if r.Lo > math.MaxUint32 {
+			break
 		}
-		// The ordered structures' scheduling space IS the dictionary key.
+		s.krs = append(s.krs, txds.KeyRange{Lo: uint32(r.Lo), Hi: uint32(min(r.Hi, math.MaxUint32))})
 	}
-	return dictStore{rs: rs}
-}
-
-// keyRangeHashStore views a hash table through dictionary-key ranges
-// (ExtractKeyRange) instead of its native bucket ranges. Its ExtractRanges is
-// the batch face dictStore looks for: ExtractKeyRanges visits the union of an
-// epoch's bucket images, so buckets shared by several ranges are drained once.
-type keyRangeHashStore struct{ t *txds.HashTable }
-
-func (s keyRangeHashStore) ExtractRange(th *stm.Thread, lo, hi uint32) ([]uint32, error) {
-	return s.t.ExtractKeyRange(th, lo, hi)
-}
-
-func (s keyRangeHashStore) ExtractRanges(th *stm.Thread, ranges []txds.KeyRange) ([][]uint32, error) {
-	return s.t.ExtractKeyRanges(th, ranges)
-}
-
-func (s keyRangeHashStore) InstallKeys(th *stm.Thread, keys []uint32) error {
-	return s.t.InstallKeys(th, keys)
-}
-
-// dictStore adapts a txds.RangeStore (32-bit scheduling keys) to
-// core.ShardStore (the partition's 64-bit key space). A wrapped store that
-// batches natively (the dictionary-key hash view) extracts every range in one
-// pass; the rest loop over the ranges with identical semantics.
-type dictStore struct{ rs txds.RangeStore }
-
-// clampRange folds a 64-bit partition range into the 32-bit dictionary
-// space; ok is false when the whole range lies above it.
-func clampRange(lo, hi uint64) (lo32, hi32 uint32, ok bool) {
-	const max32 = uint64(^uint32(0))
-	if lo > max32 {
-		return 0, 0, false
-	}
-	if hi > max32 {
-		hi = max32
-	}
-	return uint32(lo), uint32(hi), true
-}
-
-// ExtractRanges implements core.ShardStore. Ranges above the 32-bit space
-// extract nothing; their output slot stays empty.
-func (s dictStore) ExtractRanges(th *stm.Thread, ranges []core.Range) ([][]uint32, error) {
-	out := make([][]uint32, len(ranges))
-	type batchStore interface {
-		ExtractRanges(th *stm.Thread, ranges []txds.KeyRange) ([][]uint32, error)
-	}
-	if bs, ok := s.rs.(batchStore); ok {
-		// One structure pass for the whole epoch.
-		krs := make([]txds.KeyRange, 0, len(ranges))
-		slot := make([]int, 0, len(ranges))
-		for i, r := range ranges {
-			if lo32, hi32, ok := clampRange(r.Lo, r.Hi); ok {
-				krs = append(krs, txds.KeyRange{Lo: lo32, Hi: hi32})
-				slot = append(slot, i)
+	var err error
+	if s.ht != nil {
+		s.out, err = s.ht.ExtractKeyRanges(th, s.krs)
+	} else {
+		s.out = s.out[:0]
+		for _, kr := range s.krs {
+			var keys []uint32
+			keys, err = s.rs.ExtractRange(th, kr.Lo, kr.Hi)
+			s.out = append(s.out, keys)
+			if err != nil {
+				break
 			}
 		}
-		got, err := bs.ExtractRanges(th, krs)
-		for i, keys := range got {
-			out[slot[i]] = keys
-		}
-		return out, err
 	}
-	for i, r := range ranges {
-		lo32, hi32, ok := clampRange(r.Lo, r.Hi)
-		if !ok {
-			continue
-		}
-		keys, err := s.rs.ExtractRange(th, lo32, hi32)
-		out[i] = keys
-		if err != nil {
-			return out, err
-		}
+	for len(s.out) < len(ranges) {
+		s.out = append(s.out, nil)
 	}
-	return out, nil
+	return s.out, err
 }
 
-func (s dictStore) InstallKeys(th *stm.Thread, keys []uint32) error {
+// InstallKeys implements core.ShardStore.
+func (s *dictStore) InstallKeys(th *stm.Thread, keys []uint32) error {
+	if s.ht != nil {
+		return s.ht.InstallKeys(th, keys)
+	}
 	return s.rs.InstallKeys(th, keys)
 }
 
@@ -354,28 +299,22 @@ func NewOpenExecutor(kind txds.Kind, sched core.SchedulerKind, workers int, opts
 
 // NewShardedExecutor assembles an open-submission executor in ShardPerWorker
 // mode: every worker owns a private STM instance and a private dictionary of
-// the given kind built through DictFactory. The transaction-key function is
-// derived from a prototype structure (hash output for hash tables, identity
-// otherwise) and is valid for every shard, since all shards are built alike.
+// the given kind built through NewKeyRangeDictFactory. Dispatch is on the
+// dictionary key itself over [0, dist.MaxKey] for every kind, so keyFn is the
+// identity; under SchedAdaptive every re-partition migrates the moved ranges'
+// keys to their new owner.
 func NewShardedExecutor(kind txds.Kind, sched core.SchedulerKind, workers int, opts ...core.AdaptiveOption) (ex *core.Executor, keyFn func(uint32) uint64, err error) {
-	proto, err := txds.New(kind)
-	if err != nil {
+	if _, err := txds.New(kind); err != nil {
 		return nil, nil, err
-	}
-	keyFn = func(k uint32) uint64 { return uint64(k) }
-	maxKey := uint64(dist.MaxKey)
-	if ht, ok := proto.(*txds.HashTable); ok {
-		keyFn = func(k uint32) uint64 { return uint64(ht.Hash(k)) }
-		maxKey = uint64(ht.Buckets() - 1)
 	}
 	ex, err = core.NewExecutor(
 		core.WithSharding(core.ShardPerWorker),
-		core.WithWorkloadFactory(NewDictFactory(kind)),
+		core.WithWorkloadFactory(NewKeyRangeDictFactory(kind)),
 		core.WithWorkers(workers),
-		core.WithSchedulerKind(sched, 0, maxKey, opts...),
+		core.WithSchedulerKind(sched, 0, dist.MaxKey, opts...),
 	)
 	if err != nil {
 		return nil, nil, err
 	}
-	return ex, keyFn, nil
+	return ex, func(k uint32) uint64 { return uint64(k) }, nil
 }

@@ -155,53 +155,10 @@ func (t *HashTable) Len(th *stm.Thread) (int, error) {
 	return n, err
 }
 
-// ExtractRange implements RangeStore. For the hash table the scheduling key
-// is the bucket index (the Hash output the executor dispatches on), so
-// [lo, hi] selects whole buckets; hi clamps to the table size. Each bucket
-// drains in its own transaction: the moved range is quiesced by the caller,
-// so per-bucket atomicity is enough and keeps the operation obstruction-
-// friendly against concurrent traffic on other buckets.
-func (t *HashTable) ExtractRange(th *stm.Thread, lo, hi uint32) ([]uint32, error) {
-	if int(hi) >= len(t.buckets) {
-		hi = uint32(len(t.buckets) - 1)
-	}
-	var out []uint32
-	for b := lo; b <= hi; b++ {
-		obj := &t.buckets[b]
-		mark := len(out)
-		err := th.Atomic(func(tx *stm.Tx) error {
-			out = out[:mark] // an aborted attempt must not leave its appends
-			v, err := tx.Read(obj)
-			if err != nil {
-				return err
-			}
-			if len(v.(*bucket).keys) == 0 {
-				return nil // empty bucket: no write acquisition
-			}
-			w, err := tx.Write(obj)
-			if err != nil {
-				return err
-			}
-			bk := w.(*bucket)
-			out = append(out, bk.keys...)
-			bk.keys = nil
-			return nil
-		})
-		if err != nil {
-			return out, err
-		}
-		if b == hi {
-			break // hi may be the maximum uint32; b++ would wrap
-		}
-	}
-	return out, nil
-}
-
 // ExtractKeyRange removes and returns every DICTIONARY key in [lo, hi] —
-// for deployments that dispatch on the dictionary key itself rather than
-// the hash output (e.g. kstmd's wire clients, which choose their own
-// scheduling keys). It visits only the buckets the range hashes to (see
-// keyImage), filtering per bucket so aliased keys stay where they are.
+// the space a sharded executor dispatches and migrates in, not the hash
+// output. It visits only the buckets the range hashes to (see keyImage),
+// filtering per bucket so aliased keys stay where they are.
 func (t *HashTable) ExtractKeyRange(th *stm.Thread, lo, hi uint32) ([]uint32, error) {
 	out, err := t.ExtractKeyRanges(th, []KeyRange{{Lo: lo, Hi: hi}})
 	return out[0], err
@@ -318,7 +275,8 @@ func mergeSpans(spans []bucketSpan) []bucketSpan {
 	return merged
 }
 
-// InstallKeys implements RangeStore.
+// InstallKeys inserts the given keys (duplicates are no-ops): the install
+// half of a dictionary-key-range move.
 func (t *HashTable) InstallKeys(th *stm.Thread, keys []uint32) error {
 	for _, k := range keys {
 		if _, err := t.Insert(th, k); err != nil {

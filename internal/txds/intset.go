@@ -30,27 +30,23 @@ type IntSet interface {
 	Name() string
 }
 
-// RangeStore is the shard-migration face of a dictionary: extract every key
-// in a scheduling-key range, install a batch of keys. The range is expressed
-// in the structure's *scheduling-key* space — the space the executor's
-// dispatch partition cuts: the dictionary key itself for the ordered
-// structures (tree, lists), the bucket index (Hash output) for the hash
-// table. All four benchmark structures implement it.
+// RangeStore is the shard-migration face of an ordered dictionary: extract
+// every key in a dictionary-key range, install a batch of keys. The tree and
+// the lists implement it; the hash table moves keys by dictionary-key range
+// through ExtractKeyRanges, which visits only the ranges' bucket images.
 //
-// ExtractRange runs one transaction per removed region (per bucket for the
-// hash table, one collection pass plus per-key deletes for the ordered
-// structures); callers that need the extracted range to stay coherent must
-// quiesce operations on it first — the executor's migration fence does
-// exactly that.
+// ExtractRange runs one collection pass plus per-key deletes; callers that
+// need the extracted range to stay coherent must quiesce operations on it
+// first — the executor's migration fence does exactly that.
 type RangeStore interface {
-	// ExtractRange removes and returns every key whose scheduling key lies
-	// in the closed range [lo, hi]. Order is unspecified.
+	// ExtractRange removes and returns every key in the closed range
+	// [lo, hi]. Order is unspecified.
 	ExtractRange(th *stm.Thread, lo, hi uint32) ([]uint32, error)
 	// InstallKeys inserts the given keys (duplicates are no-ops).
 	InstallKeys(th *stm.Thread, keys []uint32) error
 }
 
-// KeyRange is one closed scheduling-key interval for batch extraction
+// KeyRange is one closed dictionary-key interval for batch extraction
 // (HashTable.ExtractKeyRanges).
 type KeyRange struct{ Lo, Hi uint32 }
 

@@ -11,32 +11,30 @@ import (
 	"kstm/internal/stm"
 )
 
-// rangeKinds lists every structure implementing RangeStore, with the mapping
-// from a dictionary key to its scheduling key (identity except for the hash
-// table, whose scheduling key is the bucket index).
-func rangeKinds(t *testing.T) map[Kind]func(IntSet) func(uint32) uint32 {
-	t.Helper()
-	ident := func(IntSet) func(uint32) uint32 {
-		return func(k uint32) uint32 { return k }
+// rangeKinds lists every structure that moves keys by dictionary-key range.
+var rangeKinds = []Kind{KindHashTable, KindRBTree, KindSortedList, KindSkipList}
+
+// rangeStore returns set's RangeStore face: the ordered structures are one,
+// and the hash table's is its dictionary-key view.
+func rangeStore(set IntSet) RangeStore {
+	if ht, ok := set.(*HashTable); ok {
+		return keyRangeView{ht}
 	}
-	return map[Kind]func(IntSet) func(uint32) uint32{
-		KindHashTable: func(s IntSet) func(uint32) uint32 {
-			ht := s.(*HashTable)
-			return ht.Hash
-		},
-		KindRBTree:     ident,
-		KindSortedList: ident,
-		KindSkipList:   ident,
-	}
+	return set.(RangeStore)
 }
 
-// TestExtractInstallRoundTrip seeds each structure, extracts a scheduling-key
+type keyRangeView struct{ *HashTable }
+
+func (v keyRangeView) ExtractRange(th *stm.Thread, lo, hi uint32) ([]uint32, error) {
+	return v.ExtractKeyRange(th, lo, hi)
+}
+
+// TestExtractInstallRoundTrip seeds each structure, extracts a dictionary-key
 // range into a second (empty) instance, and checks the partition: extracted
 // keys land in the target, the rest stay in the source, nothing is lost or
 // duplicated.
 func TestExtractInstallRoundTrip(t *testing.T) {
-	for kind, keyFnOf := range rangeKinds(t) {
-		kind, keyFnOf := kind, keyFnOf
+	for _, kind := range rangeKinds {
 		t.Run(string(kind), func(t *testing.T) {
 			s := stm.New()
 			th := s.NewThread()
@@ -48,7 +46,6 @@ func TestExtractInstallRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			keyFn := keyFnOf(src)
 			// A spread of keys (sparse, so list-based structures stay fast).
 			var all []uint32
 			for k := uint32(0); k < 2000; k += 7 {
@@ -58,14 +55,14 @@ func TestExtractInstallRoundTrip(t *testing.T) {
 				}
 			}
 			const lo, hi = 300, 900
-			inRange := func(k uint32) bool { sk := keyFn(k); return sk >= lo && sk <= hi }
+			inRange := func(k uint32) bool { return k >= lo && k <= hi }
 
-			rs := src.(RangeStore)
+			rs := rangeStore(src)
 			moved, err := rs.ExtractRange(th, lo, hi)
 			if err != nil {
 				t.Fatalf("ExtractRange: %v", err)
 			}
-			if err := dst.(RangeStore).InstallKeys(th, moved); err != nil {
+			if err := rangeStore(dst).InstallKeys(th, moved); err != nil {
 				t.Fatalf("InstallKeys: %v", err)
 			}
 
@@ -85,7 +82,7 @@ func TestExtractInstallRoundTrip(t *testing.T) {
 					t.Fatalf("extracted[%d] = %d, want %d", i, gotMoved[i], wantMoved[i])
 				}
 			}
-			// Every key is in exactly the structure its scheduling key says.
+			// Every key is in exactly the structure its range says.
 			for _, k := range all {
 				inSrc, err := src.Contains(th, k)
 				if err != nil {
@@ -117,8 +114,7 @@ func TestExtractInstallRoundTrip(t *testing.T) {
 // TestExtractRangeEmptyAndEdges exercises empty structures, empty ranges and
 // the top of the key space (clamping, no uint32 wraparound).
 func TestExtractRangeEmptyAndEdges(t *testing.T) {
-	for kind := range rangeKinds(t) {
-		kind := kind
+	for _, kind := range rangeKinds {
 		t.Run(string(kind), func(t *testing.T) {
 			s := stm.New()
 			th := s.NewThread()
@@ -126,7 +122,7 @@ func TestExtractRangeEmptyAndEdges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs := set.(RangeStore)
+			rs := rangeStore(set)
 			if keys, err := rs.ExtractRange(th, 0, ^uint32(0)); err != nil || len(keys) != 0 {
 				t.Fatalf("empty extract = (%v, %v)", keys, err)
 			}
@@ -200,8 +196,7 @@ func TestHashTableExtractKeyRange(t *testing.T) {
 // goroutines hammer keys outside it — the migration fence's exact contract.
 // Run with -race.
 func TestExtractRangeUnderConcurrency(t *testing.T) {
-	for kind := range rangeKinds(t) {
-		kind := kind
+	for _, kind := range rangeKinds {
 		t.Run(string(kind), func(t *testing.T) {
 			s := stm.New()
 			th := s.NewThread()
@@ -243,7 +238,7 @@ func TestExtractRangeUnderConcurrency(t *testing.T) {
 					}
 				}(g)
 			}
-			keys, err := set.(RangeStore).ExtractRange(th, 0, 99)
+			keys, err := rangeStore(set).ExtractRange(th, 0, 99)
 			close(stop)
 			wg.Wait()
 			if err != nil {

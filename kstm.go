@@ -41,11 +41,14 @@
 // To scale past one STM instance, shard state per worker: the dispatch
 // policy already routes each key range to a single worker, so giving every
 // worker a private STM and a shard-local dictionary removes cross-worker
-// conflicts entirely —
+// conflicts entirely. Sharding needs key-stable routing: a fixed partition,
+// or the adaptive one with a StoreFactory, whose shards' state the executor
+// moves along with every re-partitioned range —
 //
 //	ex, _ := kstm.NewExecutor(
 //		kstm.WithSharding(kstm.ShardPerWorker),
 //		kstm.WithWorkloadFactory(kstm.WorkloadFactoryFunc(newShardTable)),
+//		kstm.WithSchedulerKind(kstm.SchedFixed, 0, kstm.MaxKey),
 //		kstm.WithWorkers(8),
 //	)
 //
@@ -228,21 +231,17 @@ const (
 	ShardPerWorker = core.ShardPerWorker
 )
 
-// MigrationMode selects whether sharded shard state follows the learned
-// partition when the adaptive scheduler re-partitions.
+// MigrationMode names the shard-state migration an executor runs.
 type MigrationMode = core.MigrationMode
 
-// Migration modes: keep state where it was written (the §4 visibility
-// trade-off, default), or run the epoch-fenced hand-off so sharded
-// execution gives read-your-writes across any re-adaptation.
-const (
-	MigrateOff           = core.MigrateOff
-	MigrateOnRepartition = core.MigrateOnRepartition
-)
+// MigrateOnRepartition is the epoch-fenced hand-off that ShardPerWorker under
+// SchedAdaptive always runs, so sharded execution gives read-your-writes
+// across any re-adaptation.
+const MigrateOnRepartition = core.MigrateOnRepartition
 
-// WithMigration selects the shard-state migration mode. MigrateOnRepartition
-// requires ShardPerWorker, the adaptive scheduler, and a WorkloadFactory
-// implementing StoreFactory.
+// WithMigration asserts that the executor migrates shard state: NewExecutor
+// rejects it unless the configuration is ShardPerWorker with SchedAdaptive
+// and a StoreFactory, which migrates without it.
 var WithMigration = core.WithMigration
 
 // MigrationStats reports the epoch-fenced hand-off counters
@@ -257,7 +256,7 @@ type MigrationStats = core.MigrationStats
 // ops on a split key park until the covering merge lands, so clients never
 // observe a partial merge. Requires every shard workload to implement
 // CommutativeWorkload and SplitMergeWorkload; incompatible with
-// WithMigration.
+// ShardPerWorker under SchedAdaptive, which migrates shard state.
 var WithSplitPhase = core.WithSplitPhase
 
 // SplitOption tunes WithSplitPhase.
@@ -325,7 +324,8 @@ type ShardStore = core.ShardStore
 // Range is one contiguous closed interval of the scheduling-key space.
 type Range = core.Range
 
-// StoreFactory is a WorkloadFactory whose shards expose migratable state.
+// StoreFactory is a WorkloadFactory whose shards expose migratable state;
+// ShardPerWorker under SchedAdaptive requires one.
 type StoreFactory = core.StoreFactory
 
 // ShardStats reports one shard's completions and STM counter deltas.

@@ -207,9 +207,8 @@ func TestFacadeTypedSharded(t *testing.T) {
 		kstm.WithWorkers(4),
 		// Fixed partitioning: the key→worker mapping is stable, so an
 		// insert and its later lookup reach the same shard. (Adaptive
-		// works with sharding too, but a mid-run re-partition moves key
-		// ranges WITHOUT migrating shard state — the DESIGN.md caveat —
-		// which would make this visibility assertion racy.)
+		// sharding needs a StoreFactory, whose state moves with every
+		// re-partitioned range; this plain factory has none.)
 		kstm.WithSchedulerKind(kstm.SchedFixed, 0, uint64(buckets-1)),
 	)
 	if err != nil {
@@ -334,8 +333,8 @@ func ExampleNewBox() {
 }
 
 // migFacadeFactory is the migration quick-start written purely against the
-// facade: hash-table shards at full size (every shard agrees with the
-// dispatch partition on the key→bucket mapping) exposed as ShardStores.
+// facade: hash-table shards exposed as ShardStores that move dictionary-key
+// ranges, the space the executor dispatches in (Task.Key == Arg).
 type migFacadeFactory struct {
 	tables []*kstm.HashTable
 }
@@ -362,17 +361,14 @@ func (f *migFacadeFactory) Store(worker int) kstm.ShardStore {
 	return hashRangeStore{t: f.tables[worker]}
 }
 
-// hashRangeStore adapts the exported RangeStore (32-bit scheduling keys) to
-// the executor's 64-bit ShardStore ranges.
+// hashRangeStore adapts the table's dictionary-key extraction (32-bit keys)
+// to the executor's 64-bit ShardStore ranges, which never pass MaxKey here.
 type hashRangeStore struct{ t *kstm.HashTable }
 
 func (s hashRangeStore) ExtractRanges(th *kstm.Thread, ranges []kstm.Range) ([][]uint32, error) {
 	out := make([][]uint32, len(ranges))
 	for i, r := range ranges {
-		if m := uint64(^uint32(0)); r.Hi > m {
-			r.Hi = m
-		}
-		keys, err := s.t.ExtractRange(th, uint32(r.Lo), uint32(r.Hi))
+		keys, err := s.t.ExtractKeyRange(th, uint32(r.Lo), uint32(r.Hi))
 		out[i] = keys
 		if err != nil {
 			return out, err
@@ -390,34 +386,28 @@ func (s hashRangeStore) InstallKeys(th *kstm.Thread, keys []uint32) error {
 // key written before the forced re-partition stays readable after it.
 func TestFacadeMigration(t *testing.T) {
 	factory := &migFacadeFactory{}
-	proto := kstm.NewHashTable(0)
-	maxKey := uint64(proto.Buckets() - 1)
-	keyFn := func(k uint32) uint64 { return uint64(proto.Hash(k)) }
 	const threshold = 800
 	ex, err := kstm.NewExecutor(
 		kstm.WithWorkers(2),
 		kstm.WithSharding(kstm.ShardPerWorker),
 		kstm.WithWorkloadFactory(factory),
-		kstm.WithSchedulerKind(kstm.SchedAdaptive, 0, maxKey,
+		kstm.WithSchedulerKind(kstm.SchedAdaptive, 0, kstm.MaxKey,
 			kstm.WithThreshold(threshold), kstm.WithReAdaptation()),
 		kstm.WithMigration(kstm.MigrateOnRepartition),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Migration() != kstm.MigrateOnRepartition {
-		t.Fatalf("Migration() = %q", ex.Migration())
-	}
 	ctx := context.Background()
 	if err := ex.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
 	defer ex.Stop()
-	// Probe bucket 10000: inside worker 0's uniform half (boundary ~15015
-	// of the 30031-bucket space) until the low-key sample mass pulls the
-	// PD boundary down to ~2048 and the probe's range moves to worker 1.
-	const probe = uint32(10000)
-	if found, err := kstm.SubmitTyped[bool](ctx, ex, kstm.Task{Key: keyFn(probe), Op: kstm.OpInsert, Arg: probe}); err != nil || !found {
+	// Probe key 20000: inside worker 0's uniform half (boundary ~32767) until
+	// the low-key sample mass pulls the PD boundary down to ~2048 and the
+	// probe's range moves to worker 1.
+	const probe = uint32(20000)
+	if found, err := kstm.SubmitTyped[bool](ctx, ex, kstm.Task{Key: uint64(probe), Op: kstm.OpInsert, Arg: probe}); err != nil || !found {
 		t.Fatalf("probe insert: (%v, %v)", found, err)
 	}
 	// Concentrate sampled mass well below the probe to force a boundary
@@ -427,7 +417,7 @@ func TestFacadeMigration(t *testing.T) {
 		if i == threshold-1 {
 			k = 1
 		}
-		if _, err := ex.Submit(ctx, kstm.Task{Key: keyFn(k), Op: kstm.OpInsert, Arg: k}); err != nil {
+		if _, err := ex.Submit(ctx, kstm.Task{Key: uint64(k), Op: kstm.OpInsert, Arg: k}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -438,12 +428,12 @@ func TestFacadeMigration(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	found, err := kstm.SubmitTyped[bool](ctx, ex, kstm.Task{Key: keyFn(probe), Op: kstm.OpLookup, Arg: probe})
+	found, err := kstm.SubmitTyped[bool](ctx, ex, kstm.Task{Key: uint64(probe), Op: kstm.OpLookup, Arg: probe})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !found {
-		t.Error("pre-migration insert invisible after re-partition with MigrateOnRepartition")
+		t.Error("pre-migration insert invisible after re-partition")
 	}
 	if err := ex.Drain(); err != nil {
 		t.Fatal(err)

@@ -79,7 +79,7 @@ type Stats struct {
 	// Migrations mirrors the executor's shard-state hand-off counters
 	// (ExecStats.Migrations), so an operator reading the server's stats
 	// line sees re-partition hand-offs without a second probe; all zero
-	// unless the executor runs WithMigration(MigrateOnRepartition).
+	// unless the executor migrates (ShardPerWorker under SchedAdaptive).
 	Migrations kstm.MigrationStats
 	// Split mirrors the executor's split-phase counters (ExecStats.Split)
 	// for the same reason; all zero unless the executor runs WithSplitPhase.
@@ -106,8 +106,9 @@ func WithKeyMask(mask uint64) Option { return func(s *Server) { s.keyMask = mask
 // the masked dispatch-key space, so an Arg outside that space would be
 // dispatched by its masked key but never matched by a dictionary-key
 // extraction — stranded in its old shard across re-partitions. Bounding
-// Arg to the dispatch space (kstmd -migrate uses kstm.MaxKey) keeps the
-// read-your-writes guarantee airtight. Zero (the default) accepts any Arg.
+// Arg to the dispatch space (kstmd -sharding perworker uses kstm.MaxKey)
+// keeps the read-your-writes guarantee airtight. Zero (the default) accepts
+// any Arg.
 func WithMaxArg(max uint32) Option { return func(s *Server) { s.maxArg = max } }
 
 // WithLogger sets the connection-error logger (default log.Default; use a

@@ -735,7 +735,7 @@ func TestPoolRoundTrip(t *testing.T) {
 func TestShardedServer(t *testing.T) {
 	_, _, addr, shutdown := startServer(t, []kstm.Option{
 		kstm.WithSharding(kstm.ShardPerWorker),
-		kstm.WithWorkloadFactory(harness.NewDictFactory(txds.KindHashTable)),
+		kstm.WithWorkloadFactory(harness.NewKeyRangeDictFactory(txds.KindHashTable)),
 		kstm.WithWorkers(2),
 	})
 	defer shutdown()
