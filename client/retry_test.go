@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"syscall"
 	"testing"
@@ -194,14 +195,14 @@ func TestDoRetryBudgetExhaustion(t *testing.T) {
 }
 
 // TestDoRetryHonorsContext: an expired context stops the retry loop with the
-// context's error rather than spinning.
+// context's error rather than spinning. The doer has no retry budget and
+// never succeeds, so the context is the loop's only way out: a budgeted doer
+// runs dry after 5 retries, whose jittered waits (7.75–15.5 ms) can end the
+// loop with ErrBusy before a 10 ms context fires.
 func TestDoRetryHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	d := &fakeDoer{errs: make([]error, 1000), budget: newRetryBudget()}
-	for i := range d.errs {
-		d.errs[i] = ErrBusy // never succeeds
-	}
+	d := &busyDoer{busyFor: math.MaxInt}
 	if _, err := DoRetry(ctx, d, kstm.Task{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("DoRetry under dead ctx = %v", err)
 	}

@@ -43,6 +43,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 )
 
@@ -105,10 +106,12 @@ type LockUse struct {
 }
 
 // CallUse is one statically-resolved call, with the locks held at the site.
+// NilArgs lists the argument positions that pass the literal nil.
 type CallUse struct {
-	Callee string
-	Pos    token.Pos
-	Held   []string
+	Callee  string
+	Pos     token.Pos
+	Held    []string
+	NilArgs []int
 }
 
 // Closure is one function literal; Captures reports whether it closes over
@@ -130,6 +133,7 @@ type FuncFacts struct {
 	Calls         []CallUse
 	Closures      []Closure
 	Gos           []token.Pos
+	AppendsInto   []int             // parameter positions passed as append's first argument
 	FieldRefs     map[string]bool   // "pkgpath.Type.Field"
 	CondLocks     map[string]string // Cond identity → the lock bound as its L here
 }
@@ -252,14 +256,27 @@ func (h heldSet) snapshot() []string {
 type factWalker struct {
 	info        *types.Info
 	ff          *FuncFacts
-	static      bool // record static allocation approximations
-	noChanBlock bool // inside a select comm clause: the select governs blocking
+	params      map[*types.Var]int // the function's parameters by position
+	static      bool               // record static allocation approximations
+	noChanBlock bool               // inside a select comm clause: the select governs blocking
 }
 
 // summarize walks one function declaration.
 func summarize(info *types.Info, fd *ast.FuncDecl, key string, static bool) *FuncFacts {
 	ff := &FuncFacts{Key: key, FieldRefs: make(map[string]bool)}
-	w := &factWalker{info: info, ff: ff, static: static}
+	w := &factWalker{info: info, ff: ff, static: static, params: make(map[*types.Var]int)}
+	i := 0
+	for _, field := range fd.Type.Params.List {
+		for _, name := range field.Names {
+			if v, ok := info.Defs[name].(*types.Var); ok {
+				w.params[v] = i
+			}
+			i++
+		}
+		if len(field.Names) == 0 {
+			i++
+		}
+	}
 	w.walkStmt(fd.Body, make(heldSet))
 	return ff
 }
@@ -479,6 +496,16 @@ func (w *factWalker) walkCall(call *ast.CallExpr, held heldSet) {
 					w.staticAlloc("append", call.Pos())
 				}
 			}
+			if b.Name() == "append" && len(call.Args) > 0 {
+				// A parameter appended into: a caller that passes nil for it
+				// allocates a fresh backing array on every call.
+				if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok {
+					v, _ := w.info.Uses[id].(*types.Var)
+					if i, ok := w.params[v]; ok && !slices.Contains(w.ff.AppendsInto, i) {
+						w.ff.AppendsInto = append(w.ff.AppendsInto, i)
+					}
+				}
+			}
 			for _, a := range call.Args {
 				w.walkExpr(a, held)
 			}
@@ -527,7 +554,13 @@ func (w *factWalker) walkCall(call *ast.CallExpr, held heldSet) {
 		} else if key == "time.Now" || key == "time.Since" {
 			w.ff.Clocks = append(w.ff.Clocks, ClockUse{What: key, Pos: call.Pos()})
 		}
-		w.ff.Calls = append(w.ff.Calls, CallUse{Callee: key, Pos: call.Pos(), Held: held.snapshot()})
+		cu := CallUse{Callee: key, Pos: call.Pos(), Held: held.snapshot()}
+		for i, a := range call.Args {
+			if tv, ok := w.info.Types[a]; ok && tv.IsNil() {
+				cu.NilArgs = append(cu.NilArgs, i)
+			}
+		}
+		w.ff.Calls = append(w.ff.Calls, cu)
 	}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		w.walkExpr(sel.X, held)

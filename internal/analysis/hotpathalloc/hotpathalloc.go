@@ -14,7 +14,9 @@
 //   - block (channel operations, select without default, Future.Wait);
 //   - call deny-listed formatting/logging/reflection APIs;
 //   - call a module function whose facts say it heap-allocates (the
-//     one-level-deep interprocedural check).
+//     one-level-deep interprocedural check), or pass nil for a slice
+//     parameter the callee appends into (the callee's own body shows only
+//     an amortized append; the caller's nil makes it allocate every call).
 //
 // Error construction on a failure return (`return fmt.Errorf(...)`) is
 // tolerated: it executes once per failure, not per operation. The runtime
@@ -25,6 +27,7 @@ package hotpathalloc
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 
 	"kstm/internal/analysis"
@@ -104,9 +107,19 @@ func check(pass *analysis.Pass, key string) {
 		}
 		// One level deep: a call into a summarized (module or fixture)
 		// function that itself heap-allocates on its warm path. Annotated
-		// callees are skipped — they are checked at their own declaration.
+		// callees are skipped — they are checked at their own declaration —
+		// except for the one allocation their declaration cannot see: nil
+		// passed for a parameter they append into.
 		cf := pass.Facts.Of(c.Callee)
-		if cf == nil || cf.Hotpath {
+		if cf == nil {
+			continue
+		}
+		for _, i := range c.NilArgs {
+			if slices.Contains(cf.AppendsInto, i) {
+				pass.Reportf(c.Pos, "hot path heap allocation: passes nil to %s, which appends into it (a fresh backing array per call)", c.Callee)
+			}
+		}
+		if cf.Hotpath {
 			continue
 		}
 		if warmAllocates(cf) {

@@ -115,6 +115,33 @@ func sliceHelper(n int) []int {
 	return make([]int, n)
 }
 
+// encodeNil plants the shape of a response encoder that encodes its value
+// into a fresh slice instead of into dst: the annotated callee's append is
+// amortized on its own, but the nil makes it allocate every call.
+//
+//kstmvet:hotpath
+func encodeNil(v byte) int {
+	val := appendTag(nil, v) // want `hot path heap allocation: passes nil to .*appendTag, which appends into it`
+	return len(val)
+}
+
+// encodeInto is the repaired shape: the value goes straight into dst.
+//
+//kstmvet:hotpath
+func encodeInto(dst []byte, v byte) []byte {
+	return appendTag(dst, v)
+}
+
+// appendTag appends into its dst parameter. The static approximation
+// flags every append; the compiler's escape facts do not (growth into a
+// reused buffer is amortized), which is why only the nil caller is a finding
+// in real packages.
+//
+//kstmvet:hotpath
+func appendTag(dst []byte, v byte) []byte {
+	return append(dst, v) // want `hot path heap allocation: append`
+}
+
 //kstmvet:hotpath
 func suppressed(n int) []int {
 	return make([]int, n) //kstmvet:ignore fixture demonstrates suppression carries an auditable reason

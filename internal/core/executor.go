@@ -229,8 +229,8 @@ type Executor struct {
 	// the plain dispatch path lock-free.
 	epoch *epoch
 
-	state    atomic.Int32
-	inflight atomic.Int64 // accepted-but-not-finished tasks (incl. blocked submitters)
+	state atomic.Int32
+	taskCounters
 	workers  sync.WaitGroup
 	stopped  chan struct{} // closed once on the transition to the stopped state
 	stopOnce sync.Once
@@ -254,8 +254,6 @@ type Executor struct {
 	// carries 8 bytes of timestamp instead of 24.
 	base time.Time
 
-	submitted atomic.Uint64
-	rejected  atomic.Uint64
 	// wstats holds the worker-side counters, one cache-line-padded block per
 	// worker so the hot completion path never bounces a shared line between
 	// cores; Stats folds them into totals on demand.
@@ -273,6 +271,22 @@ type Executor struct {
 	// a parked owner at all: no epoch gate, no SortBatch and no onDone
 	// hook.
 	borrowOK bool
+}
+
+// taskCounters holds the executor-wide counters every submit and every
+// completion writes. Its padding keeps those writes off the lines of the
+// read-mostly fields every submit and worker loop loads (state, epoch,
+// queues, wakes, cfg, base; TestExecutorHotLinesApart). The executor's
+// allocation is not line-aligned, so the block pads both sides by 64 bytes,
+// plus 40 to stay a whole number of lines.
+//
+//kstmvet:padalign
+type taskCounters struct {
+	_         [64]byte
+	inflight  atomic.Int64 // accepted-but-not-finished tasks (incl. blocked submitters)
+	submitted atomic.Uint64
+	rejected  atomic.Uint64
+	_         [64 + 40]byte
 }
 
 // envelope carries a task through a worker queue together with its

@@ -7,16 +7,20 @@ import (
 	"time"
 )
 
-// Future lifecycle states. The state word carries both the "result is
-// readable" bit the waiters poll and the two-party recycle handshake between
-// the settling worker and the consuming waiter: whichever side finishes
-// second returns the shell to the pool, so a recycle can never race the
-// other side's last touch (no settle-after-recycle).
+// Future lifecycle states. The state word carries the "result is readable"
+// bit the waiters poll, the waiter's declaration that it sleeps, and the
+// two-party recycle handshake between the settling worker and the consuming
+// waiter: whichever side finishes second returns the shell to the pool, so a
+// recycle can never race the other side's last touch (no
+// settle-after-recycle).
 const (
-	// futPending: not yet settled; res must not be read.
+	// futPending: not yet settled; res must not be read; nobody sleeps.
 	futPending uint32 = iota
+	// futWaiting: not yet settled, and the one waiter has declared that it
+	// sleeps on sem: the settle owes it exactly one wake-up token.
+	futWaiting
 	// futSettled: res is readable, but the settler may still be signalling
-	// (sending the wake-up token).
+	// (sending the token a declared waiter is owed).
 	futSettled
 	// futReleased: the settler is completely done with the shell.
 	futReleased
@@ -41,7 +45,10 @@ const (
 type Future struct {
 	state atomic.Uint32
 	// sem is a reusable one-token wake-up channel, allocated once per shell
-	// and kept across recycles, so a blocking Wait allocates nothing.
+	// and kept across recycles, so a blocking Wait allocates nothing. It
+	// holds a token only between a settle that found futWaiting and the
+	// declared waiter's receive: it is empty whenever no waiter has declared
+	// itself, so neither complete nor recycle touches it on the common path.
 	sem chan struct{}
 	// cb, when set (SubmitFuncOrRun), turns the shell into a callback carrier:
 	// complete invokes it with the result and recycles immediately — no
@@ -77,9 +84,9 @@ func newFuture() *Future { return futurePool.Get().(*Future) }
 func (f *Future) discard() { futurePool.Put(f) }
 
 // complete resolves the future; the executor invokes it exactly once per
-// settled task. After publishing the result and waking waiters it plays its
-// half of the recycle handshake: if the consumer already took the result,
-// the settler is the last to touch the shell and recycles it.
+// settled task. After publishing the result and waking a declared waiter it
+// plays its half of the recycle handshake: if the consumer already took the
+// result, the settler is the last to touch the shell and recycles it.
 //
 //kstmvet:hotpath
 func (f *Future) complete(res TaskResult) {
@@ -93,10 +100,13 @@ func (f *Future) complete(res TaskResult) {
 		return
 	}
 	f.res = res
-	f.state.Store(futSettled)
-	select {
-	case f.sem <- struct{}{}:
-	default:
+	if f.state.Swap(futSettled) == futWaiting {
+		// A waiter sleeps on sem and is owed one token; sem is empty (at
+		// most one token is ever owed), so the default case never runs.
+		select {
+		case f.sem <- struct{}{}:
+		default:
+		}
 	}
 	if !f.state.CompareAndSwap(futSettled, futReleased) {
 		// The consumer got here first (state is futConsumed): every signal
@@ -121,17 +131,14 @@ func (f *Future) consume() {
 }
 
 // recycle resets the shell and returns it to the pool. Reached only when
-// both the settler and the consumer are done with it.
+// both the settler and the consumer are done with it; sem is already empty,
+// because every token sent went to a declared waiter that received it.
 //
 //kstmvet:hotpath
 func (f *Future) recycle() {
 	f.res = TaskResult{}
 	f.cb = nil
 	f.deadline = 0
-	select {
-	case <-f.sem: // drain a wake-up token the consumer never received
-	default:
-	}
 	f.state.Store(futPending)
 	futurePool.Put(f)
 }
@@ -153,14 +160,22 @@ func (f *Future) recycle() {
 // abandon the work itself, cancel the context passed to Submit/SubmitAsync,
 // not just the one passed to Wait.
 func (f *Future) Wait(ctx context.Context) (TaskResult, error) {
-	if f.state.Load() == futPending {
+	// Declare the sleep before taking it: a settle that comes first leaves
+	// futPending behind and the CAS fails, so no token is needed.
+	if f.state.Load() == futPending && f.state.CompareAndSwap(futPending, futWaiting) {
 		if ctx == nil || ctx.Done() == nil {
 			<-f.sem
 		} else {
 			select {
 			case <-f.sem:
 			case <-ctx.Done():
-				return TaskResult{}, ctx.Err()
+				if f.state.CompareAndSwap(futWaiting, futPending) {
+					// Withdrawn before any settle: no token is owed.
+					return TaskResult{}, ctx.Err()
+				}
+				// The settle swapped futWaiting out and owes this waiter
+				// its token: take it, so sem is empty again at recycle.
+				<-f.sem
 			}
 		}
 	}
@@ -185,7 +200,7 @@ func (f *Future) WaitValue(ctx context.Context) (any, error) {
 // never consumes the future: a Poll-only caller leaks the shell to the
 // garbage collector instead of the pool, which is always safe.
 func (f *Future) Poll() (res TaskResult, ok bool) {
-	if f.state.Load() == futPending {
+	if s := f.state.Load(); s == futPending || s == futWaiting {
 		return TaskResult{}, false
 	}
 	return f.res, true

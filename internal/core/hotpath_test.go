@@ -165,6 +165,47 @@ func TestRingSlotIsOneCacheLine(t *testing.T) {
 	}
 }
 
+// TestExecutorHotLinesApart pins the executor's shared-line layout: every
+// field a submit or a completion writes lies at least 64 bytes from every
+// read-mostly field the submit path and the worker loop load, so the
+// counters' line never bounces the readers' lines. The executor is not
+// allocated line-aligned, so the gate measures byte distance, not line
+// indices.
+func TestExecutorHotLinesApart(t *testing.T) {
+	type field struct {
+		name      string
+		off, size uintptr
+	}
+	var ex Executor
+	written := []field{
+		{"inflight", unsafe.Offsetof(ex.inflight), unsafe.Sizeof(ex.inflight)},
+		{"submitted", unsafe.Offsetof(ex.submitted), unsafe.Sizeof(ex.submitted)},
+		{"rejected", unsafe.Offsetof(ex.rejected), unsafe.Sizeof(ex.rejected)},
+	}
+	readMostly := []field{
+		{"state", unsafe.Offsetof(ex.state), unsafe.Sizeof(ex.state)},
+		{"epoch", unsafe.Offsetof(ex.epoch), unsafe.Sizeof(ex.epoch)},
+		{"queues", unsafe.Offsetof(ex.queues), unsafe.Sizeof(ex.queues)},
+		{"wakes", unsafe.Offsetof(ex.wakes), unsafe.Sizeof(ex.wakes)},
+		{"cfg", unsafe.Offsetof(ex.cfg), unsafe.Sizeof(ex.cfg)},
+		{"base", unsafe.Offsetof(ex.base), unsafe.Sizeof(ex.base)},
+	}
+	for _, w := range written {
+		for _, r := range readMostly {
+			var gap int64
+			if w.off < r.off {
+				gap = int64(r.off) - int64(w.off+w.size)
+			} else {
+				gap = int64(w.off) - int64(r.off+r.size)
+			}
+			if gap < 64 {
+				t.Errorf("Executor.%s [%d,%d) is %d bytes from read-mostly Executor.%s [%d,%d), want >= 64",
+					w.name, w.off, w.off+w.size, gap, r.name, r.off, r.off+r.size)
+			}
+		}
+	}
+}
+
 // TestSubmitFuncOrRunAllocs pins the caller-runs path at zero allocations: a
 // borrowed task takes a pooled shell, runs on the parked worker's state and
 // returns its result — no ring slot, no wake, and the prebuilt callback is

@@ -324,32 +324,36 @@ func CheckValue(v any) error {
 
 // AppendResponse appends resp as one frame to dst. It fails only on a value
 // outside the tagged-scalar vocabulary or an oversized payload; messages are
-// truncated to the u16 bound rather than rejected.
+// truncated to the u16 bound rather than rejected. The value is encoded
+// straight into dst and the frame length patched once its size is known, so
+// a response costs no allocation beyond dst's own growth.
 //
 //kstmvet:hotpath
 func AppendResponse(dst []byte, resp Response) ([]byte, error) {
-	val, err := appendValue(nil, resp.Value)
-	if err != nil {
-		return dst, err
-	}
-	msg := resp.Msg
-	if limit := min(maxMsgLen, MaxFrame-headerSize-respFixed-len(val)-2); len(msg) > limit {
-		msg = msg[:limit]
-	}
-	bodyLen := headerSize + respFixed + len(val) + 2 + len(msg)
-	if bodyLen > MaxFrame {
-		return dst, ErrFrameTooLarge
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(bodyLen))
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, 0) // length patched below
 	dst = append(dst, Version, TypeResponse)
 	dst = binary.BigEndian.AppendUint64(dst, resp.ID)
 	dst = append(dst, resp.Status)
 	dst = binary.BigEndian.AppendUint64(dst, resp.WaitNS)
 	dst = binary.BigEndian.AppendUint64(dst, resp.ExecNS)
-	dst = append(dst, val...)
+	valStart := len(dst)
+	dst, err := appendValue(dst, resp.Value)
+	if err != nil {
+		return dst[:start], err
+	}
+	valLen := len(dst) - valStart
+	msg := resp.Msg
+	if limit := min(maxMsgLen, MaxFrame-headerSize-respFixed-valLen-2); len(msg) > limit {
+		msg = msg[:limit]
+	}
+	bodyLen := headerSize + respFixed + valLen + 2 + len(msg)
+	if bodyLen > MaxFrame {
+		return dst[:start], ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(bodyLen))
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(msg)))
-	dst = append(dst, msg...)
-	return dst, nil
+	return append(dst, msg...), nil
 }
 
 // appendValue encodes a task value as a tagged scalar.
