@@ -331,10 +331,6 @@ func TestBorrowDeclined(t *testing.T) {
 			return []Option{WithWorkers(2), WithWorkload(&counterWorkload{c: txds.NewCounters(16)}),
 				WithSchedulerKind(SchedFixed, 0, 15), WithSplitPhase()}
 		}},
-		{"sortbatch", dict, func() []Option {
-			return []Option{WithWorkers(2), WithWorkloadFactory(&mapFactory{}),
-				WithSchedulerKind(SchedFixed, 0, 65535), WithSortBatch(8)}
-		}},
 	}
 	ctx := context.Background()
 	for _, tc := range cases {

@@ -179,7 +179,7 @@ func newMigrationRig(t *testing.T, stage string, opts ...Option) *holdRig {
 	return rig
 }
 
-// newSplitRig statically splits one key and leaves an epoch merge blocked at
+// newSplitRig pre-splits one key and leaves an epoch merge blocked at
 // stage: "drain" (a worker is pinned inside a task) or "handoff" (inside
 // ApplyMerged). The lookup that got the epoch going is captured and tracked
 // as "captured".
@@ -200,11 +200,12 @@ func newSplitRig(t *testing.T, stage string, opts ...Option) *holdRig {
 		WithWorkload(w),
 		WithWorkers(2),
 		WithSchedulerKind(SchedFixed, 0, 7),
-		WithSplitPhase(SplitKeys(hot), SplitCoalesce(0), SplitEpoch(time.Hour)),
+		WithSplitPhase(SplitCoalesce(0)),
 	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tuneSplit(ex, func(c *splitConfig) { c.epoch = time.Hour }, hot)
 	rig.ex = ex
 	rig.total = func(t *testing.T) int64 {
 		v, err := w.c.Value(ex.ShardSTM(0).NewThread(), hot)

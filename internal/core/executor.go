@@ -118,7 +118,10 @@ type TaskResult struct {
 	Exec time.Duration
 }
 
-// execConfig is the resolved option set of an Executor.
+// execConfig is the resolved option set of an Executor. Only the Pool sets
+// scheduler (prebuilt) and sortBatch, from Config.Scheduler and
+// Config.SortBatch; otherwise NewExecutor builds the scheduler from
+// schedKind, and workers drain FIFO.
 type execConfig struct {
 	stm          *stm.STM
 	workload     Workload
@@ -168,10 +171,6 @@ func WithSharding(m ShardMode) Option { return func(c *execConfig) { c.sharding 
 // WithWorkers sets the worker-thread count; the default is GOMAXPROCS.
 func WithWorkers(n int) Option { return func(c *execConfig) { c.workers = n } }
 
-// WithScheduler installs a prebuilt dispatch policy (it must be sized for
-// the executor's worker count).
-func WithScheduler(s Scheduler) Option { return func(c *execConfig) { c.scheduler = s } }
-
 // WithSchedulerKind builds the dispatch policy by kind over the closed key
 // range [min, max]; adaptive options apply only to SchedAdaptive. The
 // default policy is SchedAdaptive over the 16-bit key space, so the
@@ -191,10 +190,6 @@ func WithQueueDepth(n int) Option { return func(c *execConfig) { c.maxDepth = n 
 
 // WithBackpressure selects the full-queue policy (default BackpressureBlock).
 func WithBackpressure(m Backpressure) Option { return func(c *execConfig) { c.backpressure = m } }
-
-// WithSortBatch makes each worker drain up to n tasks and execute them in
-// ascending key order (§2's buffer-reordering capability); n <= 1 is FIFO.
-func WithSortBatch(n int) Option { return func(c *execConfig) { c.sortBatch = n } }
 
 // Executor is the open form of the paper's key-based executor: callers
 // submit transaction parameter records and receive per-task results, while
@@ -268,8 +263,8 @@ type Executor struct {
 	// legacy counted-run harness uses it to stop at an exact task quota.
 	onDone func()
 	// borrowOK, fixed at Start, reports whether SubmitFuncOrRun may borrow
-	// a parked owner at all: no epoch gate, no SortBatch and no onDone
-	// hook.
+	// a parked owner at all: no epoch gate and no onDone hook. The Pool, the
+	// one way to set a sort batch, always sets onDone.
 	borrowOK bool
 }
 
@@ -411,8 +406,7 @@ func NewExecutor(opts ...Option) (*Executor, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown sharding mode %q", cfg.sharding)
 	}
-	prebuilt := cfg.scheduler != nil
-	if !prebuilt {
+	if cfg.scheduler == nil {
 		s, err := NewScheduler(cfg.schedKind, cfg.schedMin, cfg.schedMax, cfg.workers, cfg.adaptOpts...)
 		if err != nil {
 			return nil, err
@@ -425,7 +419,7 @@ func NewExecutor(opts ...Option) (*Executor, error) {
 		return nil, fmt.Errorf("core: unknown migration mode %q", cfg.migration)
 	case cfg.sharding == ShardPerWorker:
 		var err error
-		if migr, err = keyStableRouting(&cfg, prebuilt); err != nil {
+		if migr, err = keyStableRouting(&cfg); err != nil {
 			return nil, err
 		}
 	case cfg.migration != "":
@@ -492,7 +486,7 @@ func (e *Executor) Start(ctx context.Context) error {
 	// every goroutine Start spawns is counted in e.workers, which it joins.
 	e.startMu.Lock()
 	defer e.startMu.Unlock()
-	e.borrowOK = e.epoch == nil && e.cfg.sortBatch <= 1 && e.onDone == nil
+	e.borrowOK = e.epoch == nil && e.onDone == nil
 	if !e.state.CompareAndSwap(stateNew, stateRunning) {
 		return ErrAlreadyStarted
 	}
@@ -619,7 +613,7 @@ func (e *Executor) post(env envelope, ctx context.Context) error {
 //
 // A borrowed task counts as submitted and completed like a queued one, plus
 // ExecStats.Borrowed. The call never borrows under migration or split phase,
-// with SortBatch > 1, or behind a busy owner.
+// or behind a busy owner.
 //
 //kstmvet:hotpath
 func (e *Executor) SubmitFuncOrRun(ctx context.Context, t Task, budget time.Duration, done func(TaskResult)) (res TaskResult, ran bool, err error) {

@@ -284,7 +284,8 @@ func TestSubmitAllBatch(t *testing.T) {
 		{
 			name: "split",
 			build: func(t *testing.T) *Executor {
-				ex, _ := newSplitCounterExecutor(t, 16, 4, WithSplitPhase(SplitKeys(3), SplitEpoch(500*time.Microsecond)))
+				ex, _ := newSplitCounterExecutor(t, 16, 4, WithSplitPhase())
+				tuneSplit(ex, func(c *splitConfig) { c.epoch = 500 * time.Microsecond }, 3)
 				return ex
 			},
 			task: func(i int) Task {
@@ -525,18 +526,15 @@ func TestDispatchSamplesEachKeyOnce(t *testing.T) {
 		perGo   = 8 // tasks per goroutine
 		borrows = 4
 	)
-	sched, err := NewAdaptive(0, 65535, 1, WithThreshold(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
 	gate := newGateWorkload()
 	ex := startExecutor(t,
 		WithWorkload(gate),
 		WithWorkers(1),
-		WithScheduler(sched),
+		WithSchedulerKind(SchedAdaptive, 0, 65535, WithThreshold(1<<20)),
 		WithQueueDepth(1),
 		WithBackpressure(BackpressureBlock),
 	)
+	sched := ex.Scheduler().(*Adaptive)
 	release := sync.OnceFunc(gate.release)
 	t.Cleanup(release) // before Stop, which joins the worker
 	ctx := context.Background()

@@ -116,18 +116,31 @@ func (f *Future) complete(res TaskResult) {
 }
 
 // consume is the waiter's half of the handshake, called after the result has
-// been copied out. Whichever side finishes second recycles.
+// been copied out. Whichever side finishes second recycles. It decides on
+// the state it loaded, and a failed CAS reloads: the settler may move
+// futSettled → futReleased between the load and the CAS, and the consumer
+// must then see futReleased and recycle, or the duty is lost to both sides.
 //
 //kstmvet:hotpath
 func (f *Future) consume() {
-	if f.state.CompareAndSwap(futReleased, futConsumed) {
-		f.recycle()
-		return
+	for {
+		switch f.state.Load() {
+		case futReleased:
+			if f.state.CompareAndSwap(futReleased, futConsumed) {
+				f.recycle()
+				return
+			}
+		case futSettled:
+			// The settler is still signalling: hand it the recycle duty.
+			if f.state.CompareAndSwap(futSettled, futConsumed) {
+				return
+			}
+		default:
+			// Already consumed — a contract violation Wait documents; leave
+			// the shell alone rather than double-recycle.
+			return
+		}
 	}
-	// The settler is still signalling: hand it the recycle duty. A failed
-	// CAS here means the future was already consumed — a contract violation
-	// Wait documents; leave the shell alone rather than double-recycle.
-	f.state.CompareAndSwap(futSettled, futConsumed)
 }
 
 // recycle resets the shell and returns it to the pool. Reached only when

@@ -177,12 +177,9 @@ type migrator struct {
 // keyStableRouting enforces what ShardPerWorker means: a key's tasks reach
 // the shard that holds its state. SchedFixed never moves a range;
 // SchedAdaptive does, so it gets the migrator (returned; nil under
-// SchedFixed). Round-robin ignores the key; a prebuilt scheduler promises
-// nothing.
-func keyStableRouting(cfg *execConfig, prebuilt bool) (*migrator, error) {
+// SchedFixed). Round-robin ignores the key.
+func keyStableRouting(cfg *execConfig) (*migrator, error) {
 	switch {
-	case prebuilt:
-		return nil, fmt.Errorf("core: ShardPerWorker requires key-stable routing: WithSchedulerKind(SchedFixed or SchedAdaptive), not a prebuilt WithScheduler")
 	case cfg.schedKind == SchedFixed && cfg.migration != "":
 		return nil, fmt.Errorf("core: WithMigration requires SchedAdaptive: %q never re-partitions", cfg.schedKind)
 	case cfg.schedKind == SchedFixed:

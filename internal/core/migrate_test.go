@@ -556,10 +556,6 @@ func TestMigrationValidation(t *testing.T) {
 	plain := WorkloadFactoryFunc(func(worker int) Workload {
 		return &mapShard{keys: map[uint32]bool{}}
 	})
-	prebuilt, err := NewAdaptive(0, 65535, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sharded := func(opts ...Option) (*Executor, error) {
 		return NewExecutor(append([]Option{WithWorkers(2), WithSharding(ShardPerWorker)}, opts...)...)
 	}
@@ -574,9 +570,6 @@ func TestMigrationValidation(t *testing.T) {
 		},
 		"round-robin": func() (*Executor, error) {
 			return sharded(WithWorkloadFactory(&mapFactory{}), WithSchedulerKind(SchedRoundRobin, 0, 65535))
-		},
-		"a prebuilt scheduler": func() (*Executor, error) {
-			return sharded(WithWorkloadFactory(&mapFactory{}), WithScheduler(prebuilt))
 		},
 		"an unknown migration mode": func() (*Executor, error) {
 			return sharded(WithWorkloadFactory(&mapFactory{}), WithMigration("teleport"))

@@ -136,9 +136,8 @@ func (p *Pool) runParallel(count int64) (Result, error) {
 		WithSTM(p.cfg.STM),
 		WithWorkload(p.cfg.Workload),
 		WithWorkers(p.cfg.Workers),
-		WithScheduler(p.cfg.Scheduler),
 		WithQueueDepth(p.cfg.MaxQueueDepth),
-		WithSortBatch(p.cfg.SortBatch),
+		func(c *execConfig) { c.scheduler, c.sortBatch = p.cfg.Scheduler, p.cfg.SortBatch },
 	)
 	if err != nil {
 		return Result{}, err

@@ -304,11 +304,12 @@ func TestSubmitAllPartialFutures(t *testing.T) {
 			w := &gatedCounterWorkload{counterWorkload: counterWorkload{c: txds.NewCounters(8)}, execGate: gate}
 			ex, err := NewExecutor(append([]Option{
 				WithWorkload(w), WithWorkers(1), WithSchedulerKind(SchedFixed, 0, 7),
-				WithSplitPhase(SplitKeys(3)),
+				WithSplitPhase(),
 			}, opts...)...)
 			if err != nil {
 				t.Fatal(err)
 			}
+			tuneSplit(ex, nil, 3)
 			return ex, func() { close(gate.open) }
 		}},
 	}

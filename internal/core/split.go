@@ -80,67 +80,26 @@ type SplitStats struct {
 	MergeNs uint64
 }
 
-// splitConfig is the resolved WithSplitPhase option set.
+// splitConfig is the resolved WithSplitPhase option set. Only coalesce has
+// an option; the other values are the defaults below (DESIGN.md §9.2).
 type splitConfig struct {
 	epoch        time.Duration
 	coalesce     time.Duration
 	window       uint64
-	reservoir    int
 	promoteShare float64
 	demoteShare  float64
 	demoteGrace  int
 	maxKeys      int
-	seed         uint64
-	static       []uint64
 }
 
 // SplitOption tunes split-phase execution.
 type SplitOption func(*splitConfig)
-
-// SplitEpoch sets the maximum merge interval: a dirty accumulator or a
-// parked task waits at most about this long for a merge (default 1ms).
-func SplitEpoch(d time.Duration) SplitOption {
-	return func(c *splitConfig) { c.epoch = d }
-}
 
 // SplitCoalesce sets the delay between a park-triggered wake and the merge,
 // letting a burst of parked readers share one epoch (default 100µs; 0
 // merges immediately on wake).
 func SplitCoalesce(d time.Duration) SplitOption {
 	return func(c *splitConfig) { c.coalesce = d }
-}
-
-// SplitWindow sets how many detector samples accumulate before a fold makes
-// promote/demote decisions (default 4096).
-func SplitWindow(n uint64) SplitOption {
-	return func(c *splitConfig) { c.window = n }
-}
-
-// SplitPromoteShare sets the traffic share at which a key is promoted into
-// split phase (default 0.05 — a key carrying ≥5% of sampled traffic).
-func SplitPromoteShare(f float64) SplitOption {
-	return func(c *splitConfig) { c.promoteShare = f }
-}
-
-// SplitDemoteShare sets the share below which a split key is a demotion
-// candidate, and grace the number of consecutive folds it must stay below
-// before it actually demotes (defaults 0.02 and 3; hysteresis against
-// promote/demote flapping at the threshold).
-func SplitDemoteShare(f float64, grace int) SplitOption {
-	return func(c *splitConfig) { c.demoteShare, c.demoteGrace = f, grace }
-}
-
-// SplitMaxKeys caps the split table (default 16): accumulators cost
-// workers × 2 cache lines per key, and merge epochs walk every entry.
-func SplitMaxKeys(n int) SplitOption {
-	return func(c *splitConfig) { c.maxKeys = n }
-}
-
-// SplitKeys pre-splits the given scheduling keys at construction. Static
-// keys never demote; the detector still promotes others around them. Tests
-// and workloads with known-hot keys use this to skip the detection window.
-func SplitKeys(keys ...uint64) SplitOption {
-	return func(c *splitConfig) { c.static = append(c.static, keys...) }
 }
 
 // WithSplitPhase enables split-phase execution for contended keys. Every
@@ -156,17 +115,19 @@ func WithSplitPhase(opts ...SplitOption) Option {
 	}
 }
 
+// defaultSplitConfig is the split phase's configuration: a merge at least
+// every millisecond; a fold every 4096 detector samples, which promotes a
+// key carrying at least 5% of them and demotes one below 2% for three folds
+// in a row; at most 16 split keys.
 func defaultSplitConfig() splitConfig {
 	return splitConfig{
 		epoch:        time.Millisecond,
 		coalesce:     100 * time.Microsecond,
 		window:       4096,
-		reservoir:    splitphase.DefaultReservoir,
 		promoteShare: 0.05,
 		demoteShare:  0.02,
 		demoteGrace:  3,
 		maxKeys:      16,
-		seed:         1,
 	}
 }
 
@@ -175,8 +136,6 @@ func defaultSplitConfig() splitConfig {
 type splitKey struct {
 	key uint64
 	acc *splitphase.Accum
-	// static keys (SplitKeys) never demote.
-	static bool
 	// demoting: the key is leaving the table this epoch; ALL its ops park
 	// until the final merge lands and the coordinator releases them to the
 	// owner — removing the commutative/transactional ambiguity a half-
@@ -267,33 +226,12 @@ type splitRunner struct {
 // runner (coordinator started by Executor.Start).
 func newSplitRunner(cfg *execConfig, shards []shardState) (*splitRunner, error) {
 	sc := *cfg.split
-	if sc.epoch <= 0 {
-		return nil, fmt.Errorf("core: SplitEpoch %v, want > 0", sc.epoch)
-	}
 	if sc.coalesce < 0 {
 		return nil, fmt.Errorf("core: SplitCoalesce %v, want >= 0", sc.coalesce)
 	}
-	if sc.window == 0 {
-		return nil, fmt.Errorf("core: SplitWindow 0, want > 0")
-	}
-	if sc.promoteShare <= 0 || sc.promoteShare > 1 {
-		return nil, fmt.Errorf("core: SplitPromoteShare %v, want in (0,1]", sc.promoteShare)
-	}
-	if sc.demoteShare < 0 || sc.demoteShare >= sc.promoteShare {
-		return nil, fmt.Errorf("core: SplitDemoteShare %v, want in [0, promote share %v)", sc.demoteShare, sc.promoteShare)
-	}
-	if sc.demoteGrace < 1 {
-		return nil, fmt.Errorf("core: SplitDemoteShare grace %d, want >= 1", sc.demoteGrace)
-	}
-	if sc.maxKeys < 1 {
-		return nil, fmt.Errorf("core: SplitMaxKeys %d, want >= 1", sc.maxKeys)
-	}
-	if len(sc.static) > sc.maxKeys {
-		return nil, fmt.Errorf("core: SplitKeys lists %d keys, more than SplitMaxKeys %d", len(sc.static), sc.maxKeys)
-	}
 	s := &splitRunner{
 		cfg:   sc,
-		det:   splitphase.NewDetector(cfg.workers, sc.reservoir, sc.seed),
+		det:   splitphase.NewDetector(cfg.workers, splitphase.DefaultReservoir, 1),
 		merge: make([]SplitMergeWorkload, len(shards)),
 	}
 	var kinds map[Op]splitphase.Kind
@@ -320,22 +258,7 @@ func newSplitRunner(cfg *execConfig, shards []shardState) (*splitRunner, error) 
 		}
 		s.kinds[op] = k
 	}
-	tbl := &splitTable{}
-	seen := make(map[uint64]bool)
-	for _, k := range sc.static {
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		tbl.keys = append(tbl.keys, &splitKey{
-			key:    k,
-			acc:    splitphase.NewAccum(cfg.workers),
-			static: true,
-		})
-	}
-	sort.Slice(tbl.keys, func(a, b int) bool { return tbl.keys[a].key < tbl.keys[b].key })
-	s.table.Store(tbl)
-	s.promoted.Add(uint64(len(tbl.keys)))
+	s.table.Store(&splitTable{})
 	return s, nil
 }
 
@@ -655,11 +578,10 @@ func (s *splitRunner) pending(tbl *splitTable) bool {
 
 // refold folds the detector window (if full) and applies its decisions:
 // promote keys above the promote share (bounded by maxKeys), and mark keys
-// below the demote share for grace consecutive folds as demoting. Static
-// keys never demote. Promotions publish a new table and quiesce; nothing
-// more is needed — ops dispatched before the publish legally serialize
-// before the split window (they run or park as stragglers ahead of the first
-// epoch's barriers).
+// below the demote share for grace consecutive folds as demoting.
+// Promotions publish a new table and quiesce; nothing more is needed — ops
+// dispatched before the publish legally serialize before the split window
+// (they run or park as stragglers ahead of the first epoch's barriers).
 func (s *splitRunner) refold() {
 	shares, _, ok := s.det.Fold(s.cfg.window)
 	if !ok {
@@ -667,7 +589,7 @@ func (s *splitRunner) refold() {
 	}
 	tbl := s.table.Load()
 	for _, sk := range tbl.keys {
-		if sk.static || sk.demoting.Load() {
+		if sk.demoting.Load() {
 			continue
 		}
 		if shares[sk.key] < s.cfg.demoteShare {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -74,6 +75,25 @@ func newSplitCounterExecutor(t *testing.T, keys int, workers int, opts ...Option
 	return ex, w
 }
 
+// tuneSplit stands in for the split tuning the executor does not export.
+// Called between NewExecutor and Start, it applies tune (if non-nil) to the
+// split configuration and puts keys in the split table as if the detector
+// had promoted them; like any promoted key, they demote once their traffic
+// share stays below the demote share.
+func tuneSplit(ex *Executor, tune func(*splitConfig), keys ...uint64) {
+	s := ex.split
+	if tune != nil {
+		tune(&s.cfg)
+	}
+	tbl := &splitTable{}
+	for _, k := range keys {
+		tbl.keys = append(tbl.keys, &splitKey{key: k, acc: splitphase.NewAccum(ex.cfg.workers)})
+	}
+	sort.Slice(tbl.keys, func(a, b int) bool { return tbl.keys[a].key < tbl.keys[b].key })
+	s.table.Store(tbl)
+	s.promoted.Add(uint64(len(keys)))
+}
+
 func TestSplitValidation(t *testing.T) {
 	cw := &counterWorkload{c: txds.NewCounters(8)}
 	cases := []struct {
@@ -90,19 +110,9 @@ func TestSplitValidation(t *testing.T) {
 			want: "CommutativeWorkload",
 		},
 		{
-			name: "bad epoch",
-			opts: []Option{WithWorkload(cw), WithWorkers(2), WithSplitPhase(SplitEpoch(-time.Millisecond))},
-			want: "SplitEpoch",
-		},
-		{
-			name: "demote above promote",
-			opts: []Option{WithWorkload(cw), WithWorkers(2), WithSplitPhase(SplitPromoteShare(0.05), SplitDemoteShare(0.5, 2))},
-			want: "SplitDemoteShare",
-		},
-		{
-			name: "static overflow",
-			opts: []Option{WithWorkload(cw), WithWorkers(2), WithSplitPhase(SplitMaxKeys(1), SplitKeys(1, 2))},
-			want: "SplitKeys",
+			name: "negative coalesce",
+			opts: []Option{WithWorkload(cw), WithWorkers(2), WithSplitPhase(SplitCoalesce(-time.Millisecond))},
+			want: "SplitCoalesce",
 		},
 	}
 	for _, tc := range cases {
@@ -115,7 +125,7 @@ func TestSplitValidation(t *testing.T) {
 	}
 }
 
-// N submitters × commutative Adds/Max on a statically split key must equal
+// N submitters × commutative Adds/Max on a pre-split key must equal
 // the sequential result after Drain — the ISSUE's merge-correctness test.
 // Run with -race.
 func TestSplitMergeEquivalence(t *testing.T) {
@@ -125,8 +135,8 @@ func TestSplitMergeEquivalence(t *testing.T) {
 		perSub     = 1500
 		hotKey     = 3
 	)
-	ex, w := newSplitCounterExecutor(t, 16, workers,
-		WithSplitPhase(SplitKeys(hotKey), SplitEpoch(500*time.Microsecond)))
+	ex, w := newSplitCounterExecutor(t, 16, workers, WithSplitPhase())
+	tuneSplit(ex, func(c *splitConfig) { c.epoch = 500 * time.Microsecond }, hotKey)
 	if err := ex.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +192,7 @@ func TestSplitMergeEquivalence(t *testing.T) {
 		t.Errorf("split key max = %v/%d, want true/%d", v.HasMax, v.Max, maxSent.Load())
 	}
 	// The cold keys conserve their adds too, whether or not the detector
-	// dynamically promoted them alongside the static hot key.
+	// dynamically promoted them alongside the pre-split hot key.
 	var cold int64
 	for _, k := range []uint32{1, 2} {
 		cv, err := w.c.Value(th, k)
@@ -197,7 +207,7 @@ func TestSplitMergeEquivalence(t *testing.T) {
 	}
 	st := ex.Stats()
 	if st.Split.Keys < 1 {
-		t.Errorf("Split.Keys = %d, want >= 1 (static key must stay split)", st.Split.Keys)
+		t.Errorf("Split.Keys = %d, want >= 1 (the hot key must stay split)", st.Split.Keys)
 	}
 	if st.Split.MergedEpochs == 0 {
 		t.Error("Split.MergedEpochs = 0, want > 0 (sustained traffic must merge mid-run, not only at halt)")
@@ -212,8 +222,8 @@ func TestSplitMergeEquivalence(t *testing.T) {
 // total.
 func TestSplitParkedReaderVisibility(t *testing.T) {
 	const hotKey = 0
-	ex, _ := newSplitCounterExecutor(t, 8, 4,
-		WithSplitPhase(SplitKeys(hotKey), SplitEpoch(time.Millisecond)))
+	ex, _ := newSplitCounterExecutor(t, 8, 4, WithSplitPhase())
+	tuneSplit(ex, nil, hotKey)
 	if err := ex.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -257,16 +267,16 @@ func TestSplitParkedReaderVisibility(t *testing.T) {
 }
 
 // Hot traffic promotes a key; shifting the load away demotes it under load;
-// no delta is lost across promote, split operation, and demote.
+// no delta is lost across promote, split operation, and demote. It runs at
+// the values the split phase ships with (a 4096-sample window, promote at
+// 5%, demote below 2% for 3 folds, a 1ms epoch, at most 16 keys), driven by
+// traffic alone. With 256 counters a uniformly loaded key carries 0.4%.
 func TestSplitDemoteUnderLoad(t *testing.T) {
-	const keys = 64
-	ex, w := newSplitCounterExecutor(t, keys, 4,
-		WithSplitPhase(
-			SplitEpoch(200*time.Microsecond),
-			SplitWindow(512),
-			SplitPromoteShare(0.3),
-			SplitDemoteShare(0.05, 2),
-		))
+	const keys = 256
+	ex, w := newSplitCounterExecutor(t, keys, 4, WithSplitPhase())
+	if ex.split.cfg != defaultSplitConfig() {
+		t.Fatalf("split config %+v, want the shipped %+v", ex.split.cfg, defaultSplitConfig())
+	}
 	if err := ex.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -330,10 +340,10 @@ func TestSplitDemoteUnderLoad(t *testing.T) {
 // them into the store.
 func TestSplitStopFlushesAccumulators(t *testing.T) {
 	const hotKey = 2
-	ex, w := newSplitCounterExecutor(t, 8, 2,
-		// An epoch long enough that the coordinator never merges on its own
-		// during the test: the flush at halt is what lands the deltas.
-		WithSplitPhase(SplitKeys(hotKey), SplitEpoch(time.Hour)))
+	ex, w := newSplitCounterExecutor(t, 8, 2, WithSplitPhase())
+	// An epoch long enough that the coordinator never merges on its own
+	// during the test: the flush at halt is what lands the deltas.
+	tuneSplit(ex, func(c *splitConfig) { c.epoch = time.Hour }, hotKey)
 	if err := ex.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -376,11 +386,12 @@ func TestSplitPerWorkerShards(t *testing.T) {
 		WithSharding(ShardPerWorker),
 		WithWorkers(workers),
 		WithSchedulerKind(SchedFixed, 0, keys-1),
-		WithSplitPhase(SplitKeys(hotKey), SplitEpoch(500*time.Microsecond)),
+		WithSplitPhase(),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tuneSplit(ex, func(c *splitConfig) { c.epoch = 500 * time.Microsecond }, hotKey)
 	if err := ex.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -448,8 +459,8 @@ func TestSplitResumesFromDeepIdle(t *testing.T) {
 		hotKey = 5
 		epoch  = 200 * time.Microsecond
 	)
-	ex, w := newSplitCounterExecutor(t, 64, 2,
-		WithSplitPhase(SplitEpoch(epoch), SplitWindow(256), SplitCoalesce(0)))
+	ex, w := newSplitCounterExecutor(t, 64, 2, WithSplitPhase(SplitCoalesce(0)))
+	tuneSplit(ex, func(c *splitConfig) { c.epoch, c.window = epoch, 256 })
 	if err := ex.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -502,8 +513,8 @@ func TestStartStopRace(t *testing.T) {
 	}
 	base := coreGoroutines()
 	for i := 0; i < iters; i++ {
-		ex, w := newSplitCounterExecutor(t, 8, 2,
-			WithSplitPhase(SplitKeys(hotKey), SplitEpoch(time.Hour)))
+		ex, w := newSplitCounterExecutor(t, 8, 2, WithSplitPhase())
+		tuneSplit(ex, func(c *splitConfig) { c.epoch = time.Hour }, hotKey)
 		started := make(chan struct{})
 		go func() {
 			defer close(started)

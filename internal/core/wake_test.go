@@ -94,7 +94,8 @@ func TestWakeLatencyBudget(t *testing.T) {
 // coordinator past splitIdleTicks quiet epochs, asleep in deep idle.
 func idleExecutors(t *testing.T) []*Executor {
 	t.Helper()
-	split, _ := newSplitCounterExecutor(t, 64, 4, WithSplitPhase(SplitEpoch(200*time.Microsecond)))
+	split, _ := newSplitCounterExecutor(t, 64, 4, WithSplitPhase())
+	tuneSplit(split, func(c *splitConfig) { c.epoch = 200 * time.Microsecond })
 	if err := split.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -522,15 +522,8 @@ func TestShardingConfigurations(t *testing.T) {
 			}
 		}
 	}
-	prebuilt, err := core.NewFixed(0, dist.MaxKey, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	plain := core.WorkloadFactoryFunc(func(int) core.Workload { return NewDictWorkload(txds.NewHashTable(0)) })
 	rows = append(rows,
-		row{"perworker/prebuilt", func() []core.Option {
-			return append(shardedOptions(core.SchedFixed), core.WithScheduler(prebuilt))
-		}, "not a prebuilt WithScheduler"},
 		row{"perworker/adaptive/plain-factory", func() []core.Option {
 			return append(shardedOptions(core.SchedAdaptive), core.WithWorkloadFactory(plain))
 		}, "requires a StoreFactory"},

@@ -214,11 +214,9 @@ var (
 	WithWorkloadFactory = core.WithWorkloadFactory
 	WithSharding        = core.WithSharding
 	WithWorkers         = core.WithWorkers
-	WithScheduler       = core.WithScheduler
 	WithSchedulerKind   = core.WithSchedulerKind
 	WithQueueDepth      = core.WithQueueDepth
 	WithBackpressure    = core.WithBackpressure
-	WithSortBatch       = core.WithSortBatch
 )
 
 // ShardMode selects how executor state is partitioned across workers.
@@ -262,18 +260,11 @@ var WithSplitPhase = core.WithSplitPhase
 // SplitOption tunes WithSplitPhase.
 type SplitOption = core.SplitOption
 
-// Split-phase tuning options: merge-epoch length, wake coalescing delay,
-// detection-window size, promote/demote load-share thresholds, the split-set
-// size bound, and statically pinned split keys.
-var (
-	SplitEpoch        = core.SplitEpoch
-	SplitCoalesce     = core.SplitCoalesce
-	SplitWindow       = core.SplitWindow
-	SplitPromoteShare = core.SplitPromoteShare
-	SplitDemoteShare  = core.SplitDemoteShare
-	SplitMaxKeys      = core.SplitMaxKeys
-	SplitKeys         = core.SplitKeys
-)
+// SplitCoalesce sets the delay between the first park on a split key and the
+// merge that releases it (default 100µs; 0 merges at once). The detector's
+// window and shares, the merge epoch and the split-set bound are fixed
+// (DESIGN.md §9.2).
+var SplitCoalesce = core.SplitCoalesce
 
 // SplitStats reports the split-phase counters (ExecStats.Split): keys
 // currently split, promotions/demotions, merge epochs, parked tasks, and

@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"kstm"
 	"kstm/client"
@@ -20,17 +21,23 @@ func counterExecutorOpts(split bool) []kstm.Option {
 		kstm.WithSchedulerKind(kstm.SchedFixed, 0, harness.ContentionCounters-1),
 	}
 	if split {
-		// A static split key guarantees the local-accumulator path runs no
-		// matter what the detector sees at test-sized traffic.
-		opts = append(opts, kstm.WithSplitPhase(kstm.SplitKeys(0)))
+		opts = append(opts, kstm.WithSplitPhase())
 	}
 	return opts
 }
 
+// warmUpBatch is how many adds on key 0 the warm-up sends between checks for
+// its promotion.
+const warmUpBatch = 256
+
 // runCounterScript drives one deterministic client session over loopback TCP
 // and returns every lookup's observed sum in order — the complete
-// client-visible output of the session.
-func runCounterScript(t *testing.T, split bool) ([]int64, kstm.SplitStats) {
+// client-visible output of the session — with the split stats and the
+// warm-up's length. The warm-up sends adds on key 0 in batches: with split
+// phase on, until the detector has promoted the key, so the script runs
+// against a split key; with it off, the given number of batches, so both
+// sessions send the same requests.
+func runCounterScript(t *testing.T, split bool, batches int) ([]int64, kstm.SplitStats, int) {
 	t.Helper()
 	_, srv, addr, shutdown := startServer(t, counterExecutorOpts(split),
 		server.WithMaxOp(uint8(kstm.OpTopK)),
@@ -42,6 +49,20 @@ func runCounterScript(t *testing.T, split bool) ([]int64, kstm.SplitStats) {
 	}
 	defer c.Close()
 	ctx := context.Background()
+
+	deadline := time.Now().Add(10 * time.Second)
+	warm := 0
+	for (split && srv.Stats().Split.Keys == 0) || (!split && warm < batches) {
+		if split && time.Now().After(deadline) {
+			t.Fatalf("key 0 not promoted after %d adds: %+v", warm*warmUpBatch, srv.Stats().Split)
+		}
+		for i := 0; i < warmUpBatch; i++ {
+			if _, err := c.Do(ctx, kstm.Task{Key: 0, Op: kstm.OpAdd, Arg: 1}); err != nil {
+				t.Fatalf("split=%v warm-up add: %v", split, err)
+			}
+		}
+		warm++
+	}
 
 	var sums []int64
 	lookup := func(key uint64) {
@@ -71,7 +92,7 @@ func runCounterScript(t *testing.T, split bool) ([]int64, kstm.SplitStats) {
 		lookup(1)
 		lookup(2)
 	}
-	return sums, srv.Stats().Split
+	return sums, srv.Stats().Split, warm
 }
 
 // TestSplitPhaseClientInvisible is the split-phase e2e acceptance test:
@@ -79,8 +100,9 @@ func runCounterScript(t *testing.T, split bool) ([]int64, kstm.SplitStats) {
 // client-visible results with split phase off and on — split execution is
 // an executor-internal optimization, not a semantics change.
 func TestSplitPhaseClientInvisible(t *testing.T) {
-	off, offStats := runCounterScript(t, false)
-	on, onStats := runCounterScript(t, true)
+	on, onStats, warm := runCounterScript(t, true, 0)
+	off, offStats, _ := runCounterScript(t, false, warm)
+	t.Logf("key 0 promoted after %d warm-up adds", warm*warmUpBatch)
 	if len(off) != len(on) {
 		t.Fatalf("lookup counts differ: off %d on %d", len(off), len(on))
 	}
