@@ -305,24 +305,53 @@ func TestRunRejectsBadArgs(t *testing.T) {
 	}
 }
 
+// TestWorkloadErrorPropagates: a fatal workload error ends the run with
+// that error. The last-task case stops the engine once the producers are
+// done and the run's Drain is starting or under way, so Drain returns
+// ErrNotRunning (or the error) and Stop settles what is left; the run must
+// return, not hang.
 func TestWorkloadErrorPropagates(t *testing.T) {
 	sentinel := errors.New("boom")
-	cfg := validConfig(newCountingWorkload())
-	n := 0
-	cfg.Workload = WorkloadFunc(func(th *stm.Thread, t Task) (any, error) {
-		n++
-		if n > 10 {
-			return nil, sentinel
+	for _, tc := range []struct {
+		name   string
+		tasks  int
+		failAt int // the first failing execution; later ones fail too
+	}{
+		{"after-10", 100000, 11},
+		{"last-task", 1000, 1000},
+	} {
+		for _, model := range Models() {
+			t.Run(tc.name+"/"+string(model), func(t *testing.T) {
+				cfg := validConfig(newCountingWorkload())
+				n := 0
+				cfg.Workload = WorkloadFunc(func(th *stm.Thread, t Task) (any, error) {
+					n++
+					if n >= tc.failAt {
+						return nil, sentinel
+					}
+					return nil, nil
+				})
+				cfg.Model = model
+				cfg.Workers = 1
+				pool, err := NewPool(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				done := make(chan error, 1)
+				go func() {
+					_, err := pool.RunCount(tc.tasks)
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if !errors.Is(err, sentinel) {
+						t.Fatalf("err = %v, want sentinel", err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("RunCount still running 10s after its failing task")
+				}
+			})
 		}
-		return nil, nil
-	})
-	cfg.Workers = 1
-	pool, err := NewPool(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.RunCount(100000); !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
 	}
 }
 

@@ -259,12 +259,8 @@ type Executor struct {
 	execHist []*latency.Histogram
 	firstErr atomic.Pointer[error]
 
-	// onDone, if set before Start, runs after every task completion; the
-	// legacy counted-run harness uses it to stop at an exact task quota.
-	onDone func()
 	// borrowOK, fixed at Start, reports whether SubmitFuncOrRun may borrow
-	// a parked owner at all: no epoch gate and no onDone hook. The Pool, the
-	// one way to set a sort batch, always sets onDone.
+	// a parked owner at all: no epoch gate.
 	borrowOK bool
 }
 
@@ -486,7 +482,7 @@ func (e *Executor) Start(ctx context.Context) error {
 	// every goroutine Start spawns is counted in e.workers, which it joins.
 	e.startMu.Lock()
 	defer e.startMu.Unlock()
-	e.borrowOK = e.epoch == nil && e.onDone == nil
+	e.borrowOK = e.epoch == nil
 	if !e.state.CompareAndSwap(stateNew, stateRunning) {
 		return ErrAlreadyStarted
 	}
@@ -588,9 +584,7 @@ func (e *Executor) admit(ctx context.Context, t Task, budget time.Duration) (env
 //kstmvet:hotpath
 func (e *Executor) post(env envelope, ctx context.Context) error {
 	if err := e.dispatch(env, ctx); err != nil {
-		env.fut.cb = nil
-		env.fut.deadline = 0
-		env.fut.discard()
+		env.fut.recycle()
 		return err
 	}
 	return nil
@@ -643,7 +637,7 @@ func (e *Executor) SubmitFuncOrRun(ctx context.Context, t Task, budget time.Dura
 			e.execOne(w, &e.shards[e.shardOf(w)], e.wakes[w].th, wc, &env, env.enq)
 			e.release(w)
 			res = env.fut.res
-			env.fut.consume()
+			env.fut.recycle()
 			return res, true, nil
 		}
 	}
@@ -950,17 +944,10 @@ func (e *Executor) execOne(i int, sh *shardState, th *stm.Thread, wc *workerCoun
 		}
 	}
 	if !env.carries() {
-		// Fire-and-forget fast path: no clocks, errors are fatal. A
-		// failed task is NOT counted as completed, matching the legacy
-		// Pool accounting the harness results are built on.
-		if localAcc != nil {
-			localAcc.acc.Apply(i, localKind, env.task.Arg)
-			// Notify AFTER Apply: a deep-idle coordinator's re-check either
-			// sees this slot dirty, or this notify sees the waiter.
-			e.split.sawTraffic()
-			e.finish(i, wc, env, TaskResult{})
-			return 0
-		}
+		// Fire-and-forget fast path (inject; the Pool never configures
+		// split phase): no clocks, errors are fatal. A failed task is NOT
+		// counted as completed, matching the legacy Pool accounting the
+		// harness results are built on.
 		if _, err := sh.workload.Execute(th, env.task); err != nil {
 			wc.failed.Add(1)
 			e.fail(err) //kstmvet:ignore hard-failure path: fail latches the first workload error once, not per task
@@ -980,6 +967,8 @@ func (e *Executor) execOne(i int, sh *shardState, th *stm.Thread, wc *workerCoun
 		// return nil values on the STM path too, so the settle below is
 		// indistinguishable from a transactional completion.
 		localAcc.acc.Apply(i, localKind, env.task.Arg)
+		// Notify AFTER Apply: a deep-idle coordinator's re-check either
+		// sees this slot dirty, or this notify sees the waiter.
 		e.split.sawTraffic()
 	} else {
 		val, err = sh.workload.Execute(th, env.task)
@@ -1011,9 +1000,6 @@ func (e *Executor) finish(i int, wc *workerCounters, env *envelope, res TaskResu
 	wc.completed.Add(1)
 	env.settle(res)
 	e.decInflight(1)
-	if e.onDone != nil {
-		e.onDone()
-	}
 }
 
 // abandon settles a task that was accepted but never executed — its
@@ -1025,9 +1011,6 @@ func (e *Executor) abandon(i int, env envelope, err error) {
 	e.wstats[i].cancelled.Add(1)
 	env.settle(TaskResult{Task: env.task, Worker: i, Err: err})
 	e.decInflight(1)
-	if e.onDone != nil {
-		e.onDone()
-	}
 }
 
 // shed settles a task whose queue deadline expired before execution. Like
@@ -1038,9 +1021,6 @@ func (e *Executor) shed(i int, env envelope) {
 	e.wstats[i].deadline.Add(1)
 	env.settle(TaskResult{Task: env.task, Worker: i, Err: ErrDeadlineExpired})
 	e.decInflight(1)
-	if e.onDone != nil {
-		e.onDone()
-	}
 }
 
 // shardOf maps a worker index to its shard index: all workers share shard 0
@@ -1064,7 +1044,7 @@ func (e *Executor) fail(err error) {
 
 // markStopped performs the one-way transition into the stopped state and
 // signals waiters; every path that stops the executor — halt, a fatal
-// workload error, the counted-run quota hook — funnels through it.
+// workload error — funnels through it.
 func (e *Executor) markStopped() {
 	e.stopOnce.Do(func() {
 		e.startMu.Lock()
@@ -1114,11 +1094,10 @@ func (e *Executor) Stop() error {
 	return e.Err()
 }
 
-// halt is the terminal transition shared by Stop, Drain, context
-// cancellation and the legacy harness: set the stopped state, join the
-// workers and the split coordinator, then settle everything left behind —
-// queued envelopes and blocked submitters — until the in-flight count
-// reaches zero.
+// halt is the terminal transition shared by Stop, Drain and context
+// cancellation: set the stopped state, join the workers and the split
+// coordinator, then settle everything left behind — queued envelopes and
+// blocked submitters — until the in-flight count reaches zero.
 func (e *Executor) halt() {
 	e.haltOnce.Do(func() {
 		e.markStopped()
@@ -1430,5 +1409,6 @@ func (e *Executor) SplitErr() error {
 }
 
 // stopping reports whether the executor has reached the stopped state; the
-// legacy Pool's producer loops and the epoch skeleton's stop checks poll it.
+// Pool's producer loops (stopped early only by a fatal workload error) and
+// the epoch skeleton's stop checks poll it.
 func (e *Executor) stopping() bool { return e.state.Load() == stateStopped }

@@ -8,24 +8,18 @@ import (
 )
 
 // Future lifecycle states. The state word carries the "result is readable"
-// bit the waiters poll, the waiter's declaration that it sleeps, and the
-// two-party recycle handshake between the settling worker and the consuming
-// waiter: whichever side finishes second returns the shell to the pool, so a
-// recycle can never race the other side's last touch (no
-// settle-after-recycle).
+// bit the waiters poll and the waiter's declaration that it sleeps. Only the
+// consumer recycles the shell: the settler's last touch (its Swap, or the
+// token send a declared waiter receives before it reads res) always comes
+// before the consumer's read, so no settle can land on a recycled shell.
 const (
 	// futPending: not yet settled; res must not be read; nobody sleeps.
 	futPending uint32 = iota
 	// futWaiting: not yet settled, and the one waiter has declared that it
 	// sleeps on sem: the settle owes it exactly one wake-up token.
 	futWaiting
-	// futSettled: res is readable, but the settler may still be signalling
-	// (sending the token a declared waiter is owed).
+	// futSettled: res is readable.
 	futSettled
-	// futReleased: the settler is completely done with the shell.
-	futReleased
-	// futConsumed: a waiter has taken the result; the shell is dead.
-	futConsumed
 )
 
 // Future is the pending result of SubmitAsync. A Future completes exactly
@@ -76,27 +70,17 @@ var futurePool = sync.Pool{
 //kstmvet:hotpath
 func newFuture() *Future { return futurePool.Get().(*Future) }
 
-// discard returns a shell that was never shared (dispatch failed before
-// enqueue) straight to the pool. Only legal while no other goroutine can
-// hold a reference.
-//
-//kstmvet:hotpath
-func (f *Future) discard() { futurePool.Put(f) }
-
 // complete resolves the future; the executor invokes it exactly once per
-// settled task. After publishing the result and waking a declared waiter it
-// plays its half of the recycle handshake: if the consumer already took the
-// result, the settler is the last to touch the shell and recycles it.
+// settled task. A callback shell is owned by its settler alone, which runs
+// the callback and recycles it. Otherwise the Swap publishes res and is the
+// settler's last touch of the shell, unless it replaced futWaiting: then the
+// token send is, and the waiter receives it before it reads res.
 //
 //kstmvet:hotpath
 func (f *Future) complete(res TaskResult) {
 	if cb := f.cb; cb != nil {
-		// Callback shell: the settler is the sole owner (SubmitFuncOrRun never
-		// exposed it), so no handshake — run the callback, recycle.
-		f.cb = nil
-		f.deadline = 0
 		cb(res)
-		futurePool.Put(f)
+		f.recycle()
 		return
 	}
 	f.res = res
@@ -108,51 +92,17 @@ func (f *Future) complete(res TaskResult) {
 		default:
 		}
 	}
-	if !f.state.CompareAndSwap(futSettled, futReleased) {
-		// The consumer got here first (state is futConsumed): every signal
-		// above has landed, so recycling now cannot strand a waiter.
-		f.recycle()
-	}
 }
 
-// consume is the waiter's half of the handshake, called after the result has
-// been copied out. Whichever side finishes second recycles. It decides on
-// the state it loaded, and a failed CAS reloads: the settler may move
-// futSettled → futReleased between the load and the CAS, and the consumer
-// must then see futReleased and recycle, or the duty is lost to both sides.
-//
-//kstmvet:hotpath
-func (f *Future) consume() {
-	for {
-		switch f.state.Load() {
-		case futReleased:
-			if f.state.CompareAndSwap(futReleased, futConsumed) {
-				f.recycle()
-				return
-			}
-		case futSettled:
-			// The settler is still signalling: hand it the recycle duty.
-			if f.state.CompareAndSwap(futSettled, futConsumed) {
-				return
-			}
-		default:
-			// Already consumed — a contract violation Wait documents; leave
-			// the shell alone rather than double-recycle.
-			return
-		}
-	}
-}
-
-// recycle resets the shell and returns it to the pool. Reached only when
-// both the settler and the consumer are done with it; sem is already empty,
-// because every token sent went to a declared waiter that received it.
+// recycle resets the shell and returns it to the pool. Its callers are the
+// only goroutine that holds the shell: the consuming waiter, the settler of
+// a callback shell, or a submitter whose dispatch failed before the shell was
+// shared. sem is already empty, because every token sent went to a declared
+// waiter that received it.
 //
 //kstmvet:hotpath
 func (f *Future) recycle() {
-	f.res = TaskResult{}
-	f.cb = nil
-	f.deadline = 0
-	f.state.Store(futPending)
+	*f = Future{sem: f.sem}
 	futurePool.Put(f)
 }
 
@@ -193,7 +143,7 @@ func (f *Future) Wait(ctx context.Context) (TaskResult, error) {
 		}
 	}
 	res := f.res
-	f.consume()
+	f.recycle()
 	return res, res.Err
 }
 

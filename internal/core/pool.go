@@ -112,7 +112,8 @@ func NewPool(cfg Config) (*Pool, error) {
 }
 
 // RunCount executes exactly n tasks and reports the elapsed time: start
-// producers and workers, stop the instant the n-th task completes, report.
+// producers and workers, drain once the producers have injected n tasks,
+// report.
 func (p *Pool) RunCount(n int) (Result, error) {
 	if n <= 0 {
 		return Result{}, fmt.Errorf("core: non-positive task count %d", n)
@@ -145,15 +146,6 @@ func (p *Pool) runParallel(count int64) (Result, error) {
 
 	q := &quota{}
 	q.remaining.Store(count)
-	// Stop the engine the instant the last task completes so that
-	// RunCount's elapsed time measures exactly n tasks.
-	var done atomic.Int64
-	done.Store(count)
-	ex.onDone = func() {
-		if done.Add(-1) == 0 {
-			ex.markStopped()
-		}
-	}
 
 	start := time.Now()
 	if err := ex.Start(nil); err != nil {
@@ -168,13 +160,14 @@ func (p *Pool) runParallel(count int64) (Result, error) {
 		}(i)
 	}
 
-	// Producers exhaust the budget; completion of the last task (or the
-	// first fatal error) flips the engine to stopped. Block on the signal
-	// instead of spinning — a busy-wait here would steal a core from the
-	// very run being measured.
-	<-ex.Stopped()
-	ex.halt()
+	// The producers inject exactly count tasks through the quota, fewer
+	// only if a fatal workload error stops the engine first. Drain then
+	// returns once the last of them has settled; after a fatal error it
+	// returns ErrNotRunning or the error, and Stop settles what is left.
 	producers.Wait()
+	if ex.Drain() != nil {
+		ex.Stop()
+	}
 	elapsed := time.Since(start)
 
 	return p.buildResult(ex, elapsed), ex.Err()
